@@ -1,0 +1,251 @@
+"""Piecewise-linear (P1) Gauss-point kernel shared by the solvers.
+
+One home for what the dissipation-based solvers have in common:
+
+* the Gauss(3) rule on the reference cell [0, 1];
+* the eps-smoothed dissipation of a nodal field,
+
+      Psi_eps(d) = int sqrt(d^2 + lam^2 d_r^2 + eps^2) - eps dr,
+
+  with its gradient and tridiagonal Hessian (eps = 0 is the plain
+  dissipation; only the value is defined there);
+* the trapezoidal mass vector, and the damped Newton method that minimizes
+  a smooth convex function with a banded Hessian.
+
+Gauss-point arrays are laid out (n_points, n_cells), so each quadrature
+point is one contiguous row and the per-cell reductions are small matrix
+products.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import cached_property
+from typing import Callable, NamedTuple
+
+import numpy as np
+from scipy.linalg import LinAlgError, get_lapack_funcs
+
+from .model import Mesh, SolverError
+
+__all__ = [
+    "GAUSS3_POINTS",
+    "GAUSS3_WEIGHTS",
+    "SmoothedDissipation",
+    "mass_vector",
+    "damped_newton",
+]
+
+
+def _gauss3() -> tuple[np.ndarray, np.ndarray]:
+    # halving is exact: these equal 0.5 * (x + 1) and (x + 1) / 2 bit for bit
+    x, w = np.polynomial.legendre.leggauss(3)
+    points, weights = (x + 1.0) / 2.0, w / 2.0
+    points.flags.writeable = False
+    weights.flags.writeable = False
+    return points, weights
+
+
+GAUSS3_POINTS, GAUSS3_WEIGHTS = _gauss3()
+
+
+class _Radius(NamedTuple):
+    u: np.ndarray  # field at the Gauss points, (n_points, n_cells)
+    ls: np.ndarray  # lam * slope per cell, (n_cells,)
+    R: np.ndarray  # sqrt(u^2 + ls^2 + eps^2), (n_points, n_cells)
+    eps: float
+
+
+class SmoothedDissipation:
+    """Value, gradient and banded Hessian of Psi_eps on one (mesh, lam).
+
+    The shape factors of the rule are precomputed once.  At a Gauss point
+    with value u, scaled slope l = lam * d_r and R = sqrt(u^2 + l^2 + eps^2),
+    the derivatives of R with respect to the cell's end values are
+    g = (c u + e l) / R, with c the P1 shape function and e = -+lam/dr the
+    slope factor, and the second derivatives are (k - g g') / R with
+    k = c c' + e e'.  The two shape functions sum to one, so the right-end
+    g is u / R minus the left-end one.  The Hessian is returned in the upper
+    banded form of scipy.linalg.solveh_banded.
+    """
+
+    def __init__(
+        self,
+        mesh: Mesh,
+        lam: float,
+        points: np.ndarray = GAUSS3_POINTS,
+        weights: np.ndarray = GAUSS3_WEIGHTS,
+    ):
+        self.n = mesh.n_cells
+        self.dr = mesh.dr
+        self.slope_scale = float(lam) / mesh.dr  # e = lam / dr
+        self.t = np.asarray(points, dtype=float)[:, None]
+        self.w = np.asarray(weights, dtype=float)[:, None]
+        self.dw = self.dr * self.w[:, 0]
+
+    @cached_property
+    def _shape_factors(self):
+        """(c_a, k_aa, k_bb, k_ab) at full (n_points, n_cells) size.
+
+        Built on the first derivative call, so value-only users never pay
+        for them; broadcasting a column costs more than the arithmetic at
+        the sizes the solvers use.
+        """
+        e = self.slope_scale
+        shape = (self.t.size, self.n)
+        ca = np.broadcast_to(1.0 - self.t, shape)  # left shape function
+        cb = np.broadcast_to(self.t, shape)
+        return ca.copy(), ca * ca + e * e, cb * cb + e * e, ca * cb - e * e
+
+    def radius(self, d: np.ndarray, eps: float) -> _Radius:
+        """Gauss-point values of the field, its scaled slope and R."""
+        diff = d[1:] - d[:-1]
+        u = d[:-1] + self.t * diff
+        ls = self.slope_scale * diff
+        return _Radius(u, ls, np.sqrt(u * u + (ls * ls + eps * eps)), eps)
+
+    def total(self, rad: _Radius) -> float:
+        """Psi_eps from the Gauss-point radii."""
+        return self.dr * float((self.w * (rad.R - rad.eps)).sum())
+
+    def value(self, d: np.ndarray, eps: float) -> float:
+        return self.total(self.radius(d, eps))
+
+    def grad_hess(self, rad: _Radius):
+        """(gradient, banded Hessian) of Psi_eps at the radii's field, eps > 0."""
+        u, ls, R, _ = rad
+        ca, kaa, kbb, kab = self._shape_factors
+        inv_R = 1.0 / R
+        u_R = u * inv_R
+        l_R = (self.slope_scale * ls) * inv_R  # e * l / R with e = lam / dr
+        terms = np.empty((5,) + R.shape)
+        ga = np.multiply(ca, u_R, out=terms[0])
+        ga -= l_R
+        gb = np.subtract(u_R, ga, out=terms[1])
+        for k, g1, g2, out in (
+            (kaa, ga, ga, terms[2]),
+            (kbb, gb, gb, terms[3]),
+            (kab, ga, gb, terms[4]),
+        ):
+            np.multiply(g1, g2, out=out)
+            np.subtract(k, out, out=out)
+            out *= inv_R
+        ga_c, gb_c, haa_c, hbb_c, hab_c = self.dw @ terms  # per-cell sums
+
+        n = self.n
+        grad = np.empty(n + 1)
+        grad[:-1] = ga_c
+        grad[-1] = 0.0
+        grad[1:] += gb_c
+        banded = np.empty((2, n + 1))
+        banded[0, 0] = 0.0
+        banded[0, 1:] = hab_c
+        banded[1, :-1] = haa_c
+        banded[1, -1] = 0.0
+        banded[1, 1:] += hbb_c
+        return grad, banded
+
+
+def mass_vector(mesh: Mesh) -> np.ndarray:
+    """Trapezoidal weights: m @ values is the exact integral of a P1 field."""
+    w = np.full(mesh.n_cells + 1, mesh.dr)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+# the tridiagonal LAPACK solver scipy.linalg.solveh_banded dispatches to,
+# called directly: its argument checks cost more than the solve at this size
+_PTSV = get_lapack_funcs("ptsv", (np.empty(1),))
+
+
+def _solve_banded_spd(banded: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the SPD tridiagonal system, with a tiny diagonal lift on breakdown."""
+    _, _, x, info = _PTSV(banded[1], banded[0, 1:], rhs)
+    if info > 0:
+        lifted = banded[1] + 1e-14 * (1.0 + np.abs(banded[1]))
+        _, _, x, info = _PTSV(lifted, banded[0, 1:], rhs)
+        if info > 0:
+            raise LinAlgError(f"{info}th leading minor not positive definite")
+    if info < 0 or not np.isfinite(x).all():
+        raise ValueError("Newton system contains infs or NaNs")
+    return x
+
+
+def damped_newton(
+    x: np.ndarray,
+    evaluate: Callable,
+    derivatives: Callable,
+    tol: float,
+    max_iters: int,
+) -> tuple[np.ndarray, float]:
+    """Minimize a smooth convex function given its value and derivatives.
+
+    evaluate(x) returns (f, state) and is all a line-search trial point
+    costs; derivatives(state) returns (g, H, fscale) at an accepted point,
+    with H the banded Hessian and fscale the sum of the magnitudes of all
+    terms accumulated into f (so cancellation inside the sums is counted);
+    1e-15 * fscale bounds the roundoff floor of f.  Convergence: gradient
+    max-norm <= tol, or the Newton decrement falls below that floor (no
+    representable iterate can still improve f).  Iterates inside the noise
+    region wander, so the best-gradient iterate seen is what is returned.
+    Raises SolverError on stagnation away from stationarity.
+    """
+    fx, state = evaluate(x)
+    g, H, fscale = derivatives(state)
+    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+    x_best, gn_best = x, gnorm
+    dec, noise = math.inf, 0.0
+    for _ in range(max_iters):
+        if gnorm <= tol:
+            return x, gnorm
+        step = _solve_banded_spd(H, -g)
+        slope = float(g @ step)
+        if slope >= 0.0:
+            # numerically indefinite direction; fall back to steepest descent
+            step = -g
+            slope = float(g @ step)
+        dec = -0.5 * slope
+        noise = 1e-15 * fscale
+        if dec <= noise:
+            return x_best, gn_best
+        t = 1.0
+        for _ in range(60):
+            x_new = x + t * step
+            f_new, state = evaluate(x_new)
+            if f_new <= fx + 1e-4 * t * slope + noise:
+                break
+            t *= 0.5
+        else:
+            if dec <= 1e3 * noise:
+                return x_best, gn_best
+            raise SolverError(
+                f"line search stalled (gradient norm {gnorm:.3e})", residual=gnorm
+            )
+        if np.array_equal(x_new, x):
+            # the damped step underflowed x entirely (f_new == f passes the
+            # Armijo test through the noise slack); no representable iterate
+            # improves f, so the best gradient seen is the answer
+            if dec <= 1e3 * noise:
+                return x_best, gn_best
+            raise SolverError(
+                f"Newton step underflowed away from stationarity "
+                f"(gradient norm {gnorm:.3e})",
+                residual=gnorm,
+            )
+        x, fx = x_new, f_new
+        g, H, fscale = derivatives(state)
+        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+        if gnorm < gn_best:
+            x_best, gn_best = x, gnorm
+    if gnorm <= tol:
+        return x, gnorm
+    if dec <= 1e3 * noise:
+        # the budget ran out wandering inside the objective's roundoff floor
+        # (iterates move by ulps without representable improvement)
+        return x_best, gn_best
+    raise SolverError(
+        f"Newton did not reach tolerance {tol:.1e} in {max_iters} iterations "
+        f"(gradient norm {gnorm:.3e})",
+        residual=gnorm,
+    )

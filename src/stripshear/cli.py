@@ -13,9 +13,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -180,19 +178,6 @@ def _write_json(path: Path, obj) -> None:
         f.write("\n")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("STRIPSHEAR_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as err:
-            raise ConfigError(f"STRIPSHEAR_THREADS: not an integer: {raw!r}") from err
-        if n < 1:
-            raise ConfigError(f"STRIPSHEAR_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
 def _run_yield_curve(params: dict[str, str]) -> int:
     lam_min = _as_float(params, "lambda_min")
     lam_max = _as_float(params, "lambda_max")
@@ -208,11 +193,7 @@ def _run_yield_curve(params: dict[str, str]) -> int:
     grid = np.exp(np.linspace(math.log(lam_min), math.log(lam_max), points))
     mesh = make_mesh(cells)
 
-    def variational(lam: float) -> float:
-        return yield_variational(lam, mesh, opts).theta_Y
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        theta_var = list(pool.map(variational, grid))
+    theta_var = [yield_variational(lam, mesh, opts).theta_Y for lam in grid]
     theta_form = [theta_of_lambda(lam) for lam in grid]
     asym = [asymptotic_theta(lam) for lam in grid]
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Field, NondimParams
+from ._p1 import GAUSS3_POINTS, GAUSS3_WEIGHTS, SmoothedDissipation
+from .model import Field, Mesh, NondimParams
 
 __all__ = [
     "QuadratureRule",
@@ -84,7 +85,7 @@ class QuadratureRule:
         return cls(points=0.5 * (x + 1.0), weights=0.5 * w)
 
 
-DEFAULT_QUADRATURE = QuadratureRule.gauss(3)
+DEFAULT_QUADRATURE = QuadratureRule(points=GAUSS3_POINTS, weights=GAUSS3_WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -126,15 +127,9 @@ def plastic_energy(gamma: Field, p: NondimParams) -> float:
     return 0.5 * p.kappa * (sq + p.Lambda * p.Lambda * grad)
 
 
-def _cell_sqrt_integral(values: np.ndarray, dr: float, lam: float, q: QuadratureRule) -> float:
+def _cell_sqrt_integral(values: np.ndarray, mesh: Mesh, lam: float, q: QuadratureRule) -> float:
     """int sqrt(gamma^2 + lam^2 gamma_r^2) dr for nodal values, Gauss per cell."""
-    a = values[:-1]
-    b = values[1:]
-    slope = (b - a) / dr
-    t = q.points
-    u = a[:, None] + (b - a)[:, None] * t[None, :]
-    integrand = np.sqrt(u * u + (lam * slope[:, None]) ** 2)
-    return dr * float(np.sum(integrand @ q.weights))
+    return SmoothedDissipation(mesh, lam, q.points, q.weights).value(values, 0.0)
 
 
 def dissipation(gamma: Field, lam: float, q: QuadratureRule | None = None) -> float:
@@ -148,7 +143,7 @@ def dissipation(gamma: Field, lam: float, q: QuadratureRule | None = None) -> fl
     lam = _check_lam(lam)
     if q is None:
         q = DEFAULT_QUADRATURE
-    return _cell_sqrt_integral(gamma.values, gamma.mesh.dr, lam, q)
+    return _cell_sqrt_integral(gamma.values, gamma.mesh, lam, q)
 
 
 def relaxed_dissipation(phi: RelaxedField, lam: float, q: QuadratureRule | None = None) -> float:
@@ -161,7 +156,7 @@ def relaxed_dissipation(phi: RelaxedField, lam: float, q: QuadratureRule | None 
     if q is None:
         q = DEFAULT_QUADRATURE
     v = phi.values
-    interior = _cell_sqrt_integral(v, phi.mesh.dr, lam, q)
+    interior = _cell_sqrt_integral(v, phi.mesh, lam, q)
     return interior + lam * (abs(float(v[0])) + abs(float(v[-1])))
 
 
@@ -187,4 +182,4 @@ def dissipation_distance(
     lam = _check_lam(lam)
     if q is None:
         q = DEFAULT_QUADRATURE
-    return _cell_sqrt_integral(gamma1.values - gamma2.values, gamma1.mesh.dr, lam, q)
+    return _cell_sqrt_integral(gamma1.values - gamma2.values, gamma1.mesh, lam, q)

@@ -50,18 +50,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
-from .functionals import (
-    DEFAULT_QUADRATURE,
-    QuadratureRule,
-    dissipation,
-    mass,
-    total_energy,
-)
+from ._p1 import SmoothedDissipation, damped_newton, mass_vector
+from .functionals import dissipation, mass, total_energy
 from .model import Field, Mesh, NondimParams, SolverError
 
 __all__ = [
@@ -210,167 +204,23 @@ def _banded_matvec(banded: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _mass_vector(mesh: Mesh) -> np.ndarray:
-    w = np.full(mesh.n_cells + 1, mesh.dr)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
-class _SmoothedPsi:
-    """Value/gradient/Hessian of the eps-smoothed dissipation of an increment.
-
-    Works on full nodal arrays; the Hessian is returned in the banded upper
-    form used by scipy.linalg.solveh_banded.
-    """
-
-    def __init__(self, mesh: Mesh, lam: float, q: QuadratureRule | None = None):
-        if q is None:
-            q = DEFAULT_QUADRATURE
-        self.dr = mesh.dr
-        self.lam = float(lam)
-        self.t = q.points[None, :]
-        self.w = q.weights[None, :]
-        self.n = mesh.n_cells
-
-    def value(self, d: np.ndarray, eps: float) -> float:
-        a = d[:-1, None]
-        b = d[1:, None]
-        u = a + (b - a) * self.t
-        ls = self.lam * (d[1:] - d[:-1])[:, None] / self.dr
-        R = np.sqrt(u * u + ls * ls + eps * eps)
-        return self.dr * float(np.sum((R - eps) * self.w))
-
-    def value_grad_hess(self, d: np.ndarray, eps: float):
-        dr = self.dr
-        lam = self.lam
-        t = self.t
-        w = self.w
-        a = d[:-1, None]
-        b = d[1:, None]
-        u = a + (b - a) * t
-        ls = (lam / dr) * (d[1:] - d[:-1])[:, None]
-        R = np.sqrt(u * u + ls * ls + eps * eps)
-        val = dr * float(np.sum((R - eps) * w))
-
-        inv_R = 1.0 / R
-        ca, cb = 1.0 - t, t  # du/da, du/db
-        ea, eb = -lam / dr, lam / dr  # d(lam*slope)/da, /db
-        ga_q = (u * ca + ls * ea) * inv_R
-        gb_q = (u * cb + ls * eb) * inv_R
-        grad = np.zeros_like(d)
-        grad[:-1] += dr * np.sum(w * ga_q, axis=1)
-        grad[1:] += dr * np.sum(w * gb_q, axis=1)
-
-        inv_R3 = inv_R * inv_R * inv_R
-        haa = (ca * ca + ea * ea) * inv_R - (u * ca + ls * ea) ** 2 * inv_R3
-        hbb = (cb * cb + eb * eb) * inv_R - (u * cb + ls * eb) ** 2 * inv_R3
-        hab = (ca * cb + ea * eb) * inv_R - (u * ca + ls * ea) * (u * cb + ls * eb) * inv_R3
-        diag = np.zeros_like(d)
-        sup = np.zeros_like(d)
-        diag[:-1] += dr * np.sum(w * haa, axis=1)
-        diag[1:] += dr * np.sum(w * hbb, axis=1)
-        sup[1:] = dr * np.sum(w * hab, axis=1)
-        banded = np.empty((2, d.size))
-        banded[0] = sup
-        banded[1] = diag
-        return val, grad, banded
-
-
-def _solve_banded_spd(banded: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the SPD banded system, with a tiny diagonal lift on breakdown."""
-    try:
-        return solveh_banded(banded, rhs)
-    except np.linalg.LinAlgError:
-        lifted = banded.copy()
-        lifted[1] += 1e-14 * (1.0 + np.abs(lifted[1]))
-        return solveh_banded(lifted, rhs)
-
-
-def _damped_newton(
-    x: np.ndarray,
-    fgh: Callable,
-    tol: float,
-    max_iters: int,
-) -> tuple[np.ndarray, float]:
-    """Minimize a smooth convex function given value/grad/banded-Hessian/scale.
-
-    fgh returns (f, g, H, fscale) with fscale the sum of the magnitudes of
-    all terms accumulated into f (so cancellation inside the sums is
-    counted); 1e-15 * fscale bounds the roundoff floor of f.  Convergence:
-    gradient max-norm <= tol, or the Newton decrement falls below that floor
-    (no representable iterate can still improve f).  Iterates inside the
-    noise region wander, so the best-gradient iterate seen is what is
-    returned.  Raises SolverError on stagnation away from stationarity.
-    """
-    f, g, H, fscale = fgh(x)
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-    x_best, gn_best = x, gnorm
-    dec, noise = math.inf, 0.0
-    for _ in range(max_iters):
-        if gnorm <= tol:
-            return x, gnorm
-        step = _solve_banded_spd(H, -g)
-        slope = float(g @ step)
-        if slope >= 0.0:
-            # numerically indefinite direction; fall back to steepest descent
-            step = -g
-            slope = float(g @ step)
-        dec = -0.5 * slope
-        noise = 1e-15 * fscale
-        if dec <= noise:
-            return x_best, gn_best
-        t = 1.0
-        for _ in range(60):
-            x_new = x + t * step
-            f_new, g_new, H_new, fscale_new = fgh(x_new)
-            if f_new <= f + 1e-4 * t * slope + noise:
-                break
-            t *= 0.5
-        else:
-            if dec <= 1e3 * noise:
-                return x_best, gn_best
-            raise SolverError(
-                f"line search stalled (gradient norm {gnorm:.3e})", residual=gnorm
-            )
-        if np.array_equal(x_new, x):
-            # the damped step underflowed x entirely (f_new == f passes the
-            # Armijo test through the noise slack); no representable iterate
-            # improves f, so the best gradient seen is the answer
-            if dec <= 1e3 * noise:
-                return x_best, gn_best
-            raise SolverError(
-                f"Newton step underflowed away from stationarity "
-                f"(gradient norm {gnorm:.3e})",
-                residual=gnorm,
-            )
-        x, f, g, H, fscale = x_new, f_new, g_new, H_new, fscale_new
-        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-        if gnorm < gn_best:
-            x_best, gn_best = x, gnorm
-    if gnorm <= tol:
-        return x, gnorm
-    if dec <= 1e3 * noise:
-        # the budget ran out wandering inside the objective's roundoff floor
-        # (iterates move by ulps without representable improvement)
-        return x_best, gn_best
-    raise SolverError(
-        f"Newton did not reach tolerance {tol:.1e} in {max_iters} iterations "
-        f"(gradient norm {gnorm:.3e})",
-        residual=gnorm,
-    )
-
-
 class _IncrementProblem:
     """Reusable discrete operators for repeated increment solves on one mesh."""
 
-    def __init__(self, mesh: Mesh, p: NondimParams, q: QuadratureRule | None = None):
+    def __init__(self, mesh: Mesh, p: NondimParams):
+        if p.kappa == 0.0:
+            # no stored energy to balance the work: past the threshold the
+            # increment is unbounded and Newton runs away without failing
+            raise ValueError(
+                "kappa must be strictly positive for the incremental solver: "
+                "kappa = 0 means unbounded plastic flow past yield"
+            )
         self.mesh = mesh
         self.p = p
         self.A = _energy_banded(mesh, p)
         self.A_abs = np.abs(self.A)
-        self.m = _mass_vector(mesh)
-        self.psi = _SmoothedPsi(mesh, p.lam, q)
+        self.m = mass_vector(mesh)
+        self.psi = SmoothedDissipation(mesh, p.lam)
 
     def solve(
         self,
@@ -384,12 +234,18 @@ class _IncrementProblem:
         x = gamma_prev.copy() if x0 is None else x0.copy()
         x[0] = x[-1] = 0.0
 
-        def make_fgh(eps: float):
-            def fgh(xf: np.ndarray):
+        def make_objective(eps: float):
+            def evaluate(xf: np.ndarray):
                 Ax = _banded_matvec(A, xf)
                 quad = 0.5 * float(xf @ Ax)
                 lin = theta * float(m @ xf)
-                v, g, H = psi.value_grad_hess(xf - gamma_prev, eps)
+                rad = psi.radius(xf - gamma_prev, eps)
+                v = psi.total(rad)
+                return quad - lin + v, (xf, Ax, rad, v)
+
+            def derivatives(state):
+                xf, Ax, rad, v = state
+                g, H = psi.grad_hess(rad)
                 # term-magnitude scale of f for the roundoff floor; the
                 # stiffness part of Ax cancels internally (entries ~ 1/dr),
                 # so the scale is taken before any cancellation, and the
@@ -402,20 +258,21 @@ class _IncrementProblem:
                     + v
                     + 2.0 * eps
                 )
-                g = g + Ax - theta * m
-                H = H.copy()
-                H[0] += A[0]
-                H[1] += A[1]
+                g += Ax
+                g -= theta * m
+                H += A
                 # clamp boundary dofs: unit rows, zero coupling, zero gradient
                 g[0] = g[-1] = 0.0
                 H[1][0] = H[1][-1] = 1.0
                 H[0][1] = H[0][-1] = 0.0
-                return quad - lin + v, g, H, fscale
+                return g, H, fscale
 
-            return fgh
+            return evaluate, derivatives
 
         for eps in opts.epsilon_schedule:
-            x, _ = _damped_newton(x, make_fgh(eps), opts.newton_tol, opts.max_newton_iters)
+            x, _ = damped_newton(
+                x, *make_objective(eps), opts.newton_tol, opts.max_newton_iters
+            )
             x[0] = x[-1] = 0.0
         return x
 

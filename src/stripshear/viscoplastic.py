@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 
+from ._p1 import GAUSS3_POINTS, GAUSS3_WEIGHTS
 from .incremental import DEFAULT_OPTIONS, LoadProgram, SolverOptions, evolve
 from .model import Field, Mesh, PhysicalParams, SolverError, nondimensionalize
 
@@ -153,17 +153,11 @@ class LimitStudyReport(NamedTuple):
     discrepancies: tuple
 
 
-# Gauss(3) on the reference cell [0, 1]; matches the functional quadrature
-_QP, _QW = np.polynomial.legendre.leggauss(3)
-_QP = (_QP + 1.0) / 2.0
-_QW = _QW / 2.0
+def _powerlaw_pair(a_q, b_q, S_q, p: PhysicalParams, eps: float):
+    """Power-law pair at quadrature points, with the mobility for its Jacobian.
 
-
-def _dissipative_terms(a_q, b_q, S_q, p: PhysicalParams, eps: float):
-    """Power-law pair and its 2x2 rate-Jacobian blocks at quadrature points.
-
-    a_q is the local rate, b_q its y-gradient; returns tau_dis, k_dis and
-    the four blocks d(tau_dis, k_dis)/d(a, b).
+    a_q is the local rate, b_q its y-gradient; returns tau_dis, k_dis, the
+    mobility P and the squared regularized rate d2.
     """
     ell2 = p.ell * p.ell
     d2 = a_q * a_q + ell2 * b_q * b_q + eps * eps
@@ -171,25 +165,32 @@ def _dissipative_terms(a_q, b_q, S_q, p: PhysicalParams, eps: float):
     P = d ** (p.m_rate - 1.0) / p.d0**p.m_rate
     tau_dis = S_q * P * a_q
     k_dis = p.S0 * ell2 * P * b_q
+    return tau_dis, k_dis, P, d2
+
+
+def _powerlaw_blocks(a_q, b_q, S_q, P, d2, p: PhysicalParams):
+    """The four 2x2 rate-Jacobian blocks d(tau_dis, k_dis)/d(a, b)."""
+    ell2 = p.ell * p.ell
     mm = (p.m_rate - 1.0) / d2
     j_aa = S_q * P * (1.0 + mm * a_q * a_q)
     j_ab = S_q * P * mm * a_q * ell2 * b_q
     j_ba = p.S0 * ell2 * P * mm * b_q * a_q
     j_bb = p.S0 * ell2 * P * (1.0 + mm * ell2 * b_q * b_q)
-    return tau_dis, k_dis, j_aa, j_ab, j_ba, j_bb
+    return j_aa, j_ab, j_ba, j_bb
 
 
-def _residual_jacobian(
+def _residual(
     gamma, gamma_n, S_nodes, tau: float, dt: float, p: PhysicalParams, dy: float,
     eps: float,
 ):
-    """FEM residual of the implicit balance and its banded Jacobian.
+    """FEM residual of the implicit balance, and what its Jacobian needs.
 
     Piecewise-linear elements, Gauss(3) per cell; rows for the clamped
-    boundary nodes are replaced by identities.
+    boundary nodes are zero.  Returns (R, state); _jacobian(state) builds
+    the banded Jacobian at the same iterate.
     """
-    t = _QP[None, :]
-    w = _QW[None, :]
+    t = GAUSS3_POINTS[None, :]
+    w = GAUSS3_WEIGHTS[None, :]
     rate = (gamma - gamma_n) / dt
 
     def interp(v):
@@ -204,18 +205,33 @@ def _residual_jacobian(
     b_q = slope(rate) * np.ones_like(t)
     S_q = interp(S_nodes)
 
-    tau_dis, k_dis, j_aa, j_ab, j_ba, j_bb = _dissipative_terms(a_q, b_q, S_q, p, eps)
+    tau_dis, k_dis, P, d2 = _powerlaw_pair(a_q, b_q, S_q, p, eps)
 
     f0 = p.S0 * p.kappa * g_q + tau_dis - tau  # pairs with phi_i
     f1 = p.S0 * p.L * p.L * gy_q + k_dis  # pairs with phi_i'
     sha = 1.0 - t  # phi_left at qp
     shb = t
-    da_l, da_r = (1.0 - t) / dt, t / dt
-    db_l, db_r = -1.0 / (dy * dt), 1.0 / (dy * dt)
 
     R = np.zeros_like(gamma)
     R[:-1] += dy * np.sum(w * (f0 * sha - f1 / dy), axis=1)
     R[1:] += dy * np.sum(w * (f0 * shb + f1 / dy), axis=1)
+    R[0] = R[-1] = 0.0
+    return R, (a_q, b_q, S_q, P, d2, dt, p, dy)
+
+
+def _jacobian(state):
+    """Banded (1, 1) Jacobian of the residual at the iterate of state.
+
+    Rows for the clamped boundary nodes are identities.
+    """
+    a_q, b_q, S_q, P, d2, dt, p, dy = state
+    t = GAUSS3_POINTS[None, :]
+    w = GAUSS3_WEIGHTS[None, :]
+    j_aa, j_ab, j_ba, j_bb = _powerlaw_blocks(a_q, b_q, S_q, P, d2, p)
+    sha = 1.0 - t
+    shb = t
+    da_l, da_r = (1.0 - t) / dt, t / dt
+    db_l, db_r = -1.0 / (dy * dt), 1.0 / (dy * dt)
 
     # d f0 / d gamma_j and d f1 / d gamma_j at each qp, j in {left, right}
     el = p.S0 * p.kappa
@@ -230,7 +246,7 @@ def _residual_jacobian(
     c_rl = dy * np.sum(w * (f0_l * shb + f1_l / dy), axis=1)
     c_rr = dy * np.sum(w * (f0_r * shb + f1_r / dy), axis=1)
 
-    n = gamma.size
+    n = c_ll.size + 1
     ab = np.zeros((3, n))
     ab[1, :-1] += c_ll
     ab[1, 1:] += c_rr
@@ -238,10 +254,9 @@ def _residual_jacobian(
     ab[2, :-1] += c_rl  # subdiagonal
 
     # clamped boundary rows
-    R[0] = R[-1] = 0.0
     ab[1, 0] = ab[1, -1] = 1.0
     ab[0, 1] = ab[2, -2] = 0.0
-    return R, ab
+    return ab
 
 
 def _nodal_flow_rate(gamma, gamma_n, dt: float, p: PhysicalParams, dy: float):
@@ -304,11 +319,12 @@ def _newton_solve(
     converged = False; the caller decides whether to continue elsewhere.
     """
     x = x0.copy()
-    R, ab = _residual_jacobian(x, gamma_n, S_nodes, tau, dt, base, dy, eps)
+    R, state = _residual(x, gamma_n, S_nodes, tau, dt, base, dy, eps)
     rnorm = float(np.max(np.abs(R)))
     for _ in range(max_iters):
         if rnorm <= tol:
             return x, rnorm, True
+        ab = _jacobian(state)
         step = solve_banded((1, 1), ab, -R)
         floor = max(1e3 * tol, _residual_noise(ab, x))
         x_try = x + step
@@ -317,19 +333,18 @@ def _newton_solve(
             return x, rnorm, rnorm <= floor
         t_ls = 1.0
         for _ in range(60):
+            # trial points cost the residual alone
             x_new = x + t_ls * step
             x_new[0] = x_new[-1] = 0.0
-            R_new, ab_new = _residual_jacobian(
-                x_new, gamma_n, S_nodes, tau, dt, base, dy, eps
-            )
+            R_new, state = _residual(x_new, gamma_n, S_nodes, tau, dt, base, dy, eps)
             rnorm_new = float(np.max(np.abs(R_new)))
             if rnorm_new <= rnorm * (1.0 - 1e-4 * t_ls) + 1e-14 * tol:
                 break
             t_ls *= 0.5
         else:
             return x, rnorm, rnorm <= floor
-        x, R, ab, rnorm = x_new, R_new, ab_new, rnorm_new
-    return x, rnorm, rnorm <= max(1e3 * tol, _residual_noise(ab, x))
+        x, R, rnorm = x_new, R_new, rnorm_new
+    return x, rnorm, rnorm <= max(1e3 * tol, _residual_noise(_jacobian(state), x))
 
 
 def visco_step(
@@ -384,9 +399,7 @@ def visco_step(
         key=lambda c: float(
             np.max(
                 np.abs(
-                    _residual_jacobian(
-                        c, gamma_n, S_nodes, tau_next, dt, base, dy, eps_v
-                    )[0]
+                    _residual(c, gamma_n, S_nodes, tau_next, dt, base, dy, eps_v)[0]
                 )
             )
         ),
@@ -485,7 +498,10 @@ def recover_displacement(state: ViscoState, tau: float, p: ViscoParams) -> Field
     mesh = state.gamma.mesh
     y = base.h * mesh.nodes
     integrand = tau / base.G + state.gamma.values
-    u = cumulative_trapezoid(integrand, y, initial=0.0)
+    # cumulative trapezoid, as scipy.integrate.cumulative_trapezoid sums it
+    u = np.empty_like(integrand)
+    u[0] = 0.0
+    np.cumsum(np.diff(y) * (integrand[1:] + integrand[:-1]) / 2.0, out=u[1:])
     return Field(mesh, u)
 
 

@@ -33,18 +33,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
 from .functionals import RelaxedField, mass, relaxed_dissipation, total_energy, dissipation
-from .incremental import (
-    DEFAULT_OPTIONS,
-    SolverOptions,
-    _damped_newton,
-    _mass_vector,
-    _SmoothedPsi,
-    increment_solve,
-)
+from ._p1 import SmoothedDissipation, damped_newton, mass_vector
+from .incremental import DEFAULT_OPTIONS, SolverOptions, increment_solve
 from .model import Field, Mesh, NondimParams, SolverError, make_mesh
 
 __all__ = [
@@ -144,6 +137,60 @@ def lambda_of_theta(theta_Y: float) -> float:
     return 2.0 * root / (math.pi * gap + 2.0 * th * math.atan(1.0 / root))
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f in [xa, xb] by Brent's method, as scipy.optimize.brentq.
+
+    The same operations in the same order as scipy's C routine, so the root
+    is the same double.  Written out because importing scipy.optimize for
+    this one scalar solve costs about 20 MB of resident memory.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    fcur = f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise SolverError(f"root bracket [{xa}, {xb}] did not converge in {maxiter} steps")
+
+
 @lru_cache(maxsize=32)
 def _unit_gauss(n_quad: int) -> tuple:
     x, w = roots_legendre(int(n_quad))
@@ -181,7 +228,7 @@ def theta_of_lambda(lam: float) -> float:
     if lam < 1e-7:
         return 1.0 + 0.5 * math.pi * math.pi * lam * lam
     delta = max(1e-4 * lam * lam, 4e-16)
-    th = brentq(
+    th = _brentq(
         lambda t: lambda_of_theta(t) - lam,
         1.0 + delta,
         1.0 + lam,
@@ -262,31 +309,37 @@ def yield_variational(
     if opts is None:
         opts = DEFAULT_OPTIONS
 
-    psi = _SmoothedPsi(mesh, lam)
-    m = _mass_vector(mesh)
+    psi = SmoothedDissipation(mesh, lam)
+    m = mass_vector(mesh)
     mass_cap = 50.0
     upper = 1.0 + lam
 
-    def make_fgh(eps: float, mu: float):
-        def fgh(phi: np.ndarray):
+    def make_objective(eps: float, mu: float):
+        def evaluate(phi: np.ndarray):
             am = float(m @ np.abs(phi))
             if am > mass_cap:
                 raise _Diverged
-            v, g, H = psi.value_grad_hess(phi, eps)
+            rad = psi.radius(phi, eps)
+            v = psi.total(rad)
             b0 = math.sqrt(phi[0] * phi[0] + eps * eps)
             b1 = math.sqrt(phi[-1] * phi[-1] + eps * eps)
             v_b = lam * (b0 + b1 - 2.0 * eps)
+            mass_phi = float(m @ phi)
+            f = v + v_b - mu * (mass_phi - 1.0)
+            return f, (phi, rad, v + v_b, am, b0, b1)
+
+        def derivatives(state):
+            phi, rad, v_all, am, b0, b1 = state
+            g, H = psi.grad_hess(rad)
             g[0] += lam * phi[0] / b0
             g[-1] += lam * phi[-1] / b1
             H[1][0] += lam * eps * eps / b0**3
             H[1][-1] += lam * eps * eps / b1**3
-            mass_phi = float(m @ phi)
-            f = v + v_b - mu * (mass_phi - 1.0)
             g -= mu * m
-            fscale = v + v_b + abs(mu) * (am + 1.0)
-            return f, g, H, fscale
+            fscale = v_all + abs(mu) * (am + 1.0)
+            return g, H, fscale
 
-        return fgh
+        return evaluate, derivatives
 
     phi_warm = np.full(mesh.n_cells + 1, 0.5)
     newton_calls = 0
@@ -297,8 +350,9 @@ def yield_variational(
             nonlocal phi_warm, newton_calls
             newton_calls += 1
             try:
-                x, _ = _damped_newton(
-                    phi_warm, make_fgh(eps, mu), opts.newton_tol, opts.max_newton_iters
+                x, _ = damped_newton(
+                    phi_warm, *make_objective(eps, mu), opts.newton_tol,
+                    opts.max_newton_iters,
                 )
             except _Diverged:
                 return None

@@ -6,8 +6,7 @@ What is verified:
      (known jump ratio, detected threshold, curve bounds, strength frozen
      without hardening).
   2. CSV floats carry 17 significant digits and round-trip bit-exactly.
-  3. Identical configs give byte-identical artifacts, also under an
-     explicit STRIPSHEAR_THREADS pin.
+  3. Identical configs give byte-identical artifacts.
   4. key=value config files merge beneath command-line flags; dashed flag
      spellings alias underscore keys.
   5. Exit codes: 0 success, 1 config error, 2 solver failure, 3 verify
@@ -213,7 +212,7 @@ def test_simulate_is_byte_deterministic(sim_dir, tmp_path):
     assert _artifact_bytes(tmp_path) == _artifact_bytes(sim_dir)
 
 
-def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
+def test_yield_curve_is_byte_deterministic(tmp_path):
     args = [
         "yield-curve",
         "--lambda-min",
@@ -226,20 +225,9 @@ def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
         "64",
     ]
     a, b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("STRIPSHEAR_THREADS", "1")
     assert cli.main(args + ["--out", str(a)]) == 0
-    monkeypatch.setenv("STRIPSHEAR_THREADS", "2")
     assert cli.main(args + ["--out", str(b)]) == 0
     assert _artifact_bytes(a) == _artifact_bytes(b)
-
-
-def test_invalid_thread_count(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("STRIPSHEAR_THREADS", "zero")
-    args = ["yield-curve", "--points", "2", "--out", str(tmp_path)]
-    assert cli.main(args) == 1
-    assert "config error" in capsys.readouterr().err
-    monkeypatch.setenv("STRIPSHEAR_THREADS", "0")
-    assert cli.main(args) == 1
 
 
 # -------------------------------------------------------------- config merging
@@ -313,6 +301,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
         ["profile", "--lambda", "1", "--bogus-flag", "2"],
         ["no-such-command"],
         ["visco", "--tau-max", "1", "--steps", "2", "--hardening", "cubic"],
+        # no hardening: the increment past yield would be unbounded
+        ["simulate", "--lambda", "1", "--theta-max", "3", "--steps", "2",
+         "--cells", "16", "--kappa", "0"],
     ]
     for argv in cases:
         out_args = argv + ["--out", str(tmp_path)] if argv[0] != "no-such-command" else argv

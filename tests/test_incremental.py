@@ -12,7 +12,9 @@ What is verified:
      unloading leaves it unchanged (rate-independent hysteresis).
   6. increment_solve agrees with an exhaustive two-stage grid search of the
      same discrete objective on a 4-cell mesh (3 free nodes).
-  7. Failure paths raise SolverError carrying residual and step context.
+  7. Failure paths raise SolverError carrying residual and step context;
+     kappa = 0 (no stored energy, unbounded flow past yield) is rejected
+     with ValueError before any solve.
 """
 
 import math
@@ -217,3 +219,12 @@ def test_evolve_attaches_step_context():
         evolve(load, P_REF, make_mesh(32), opts)
     assert exc.value.step == 1
     assert "load step 1" in str(exc.value)
+
+
+def test_zero_kappa_is_rejected():
+    # without the check Newton ran off to max|gamma| ~ 1e76 and returned it
+    p = NondimParams(lam=1.0, Lambda=1.0, kappa=0.0)
+    with pytest.raises(ValueError, match="kappa"):
+        increment_solve(Field.zeros(make_mesh(64)), 3.0, p)
+    with pytest.raises(ValueError, match="kappa"):
+        evolve(LoadProgram((0.0, 1.5, 3.0)), p, make_mesh(64))

@@ -1,0 +1,171 @@
+"""The shared P1 Gauss-point kernel and the damped Newton method.
+
+What is verified:
+  1. At eps = 0 the smoothed dissipation is the plain dissipation, bit for
+     bit, and for eps > 0 it matches a direct per-point evaluation.
+  2. Gradient and tridiagonal Hessian agree with central differences of the
+     value and of the gradient at lam in {0.01, 1, 10} and eps in {1e-1,
+     1e-6}; lam = 10 is where (k - g g') / R cancels most.
+  3. The value-only path returns the same f, bit for bit, as the path that
+     goes on to form the derivatives, and forming them leaves it unchanged.
+  4. The Newton method forms derivatives only at accepted iterates: line
+     search trial points cost one evaluate() each.
+  5. The shared Gauss(3) rule equals both spellings of the rule mapped to
+     [0, 1], 0.5 (x + 1) and (x + 1) / 2, and is the default quadrature.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from stripshear import DEFAULT_QUADRATURE, Field, dissipation, make_mesh
+from stripshear._p1 import (
+    GAUSS3_POINTS,
+    GAUSS3_WEIGHTS,
+    SmoothedDissipation,
+    damped_newton,
+    mass_vector,
+)
+
+N_CELLS = 16
+
+
+def _field(mesh, with_zero_patch):
+    r = mesh.nodes
+    d = np.sin(3.0 * math.pi * r + 0.4) + 0.3 * np.cos(5.0 * r)
+    if with_zero_patch:
+        d[5:9] = 0.0
+    return d
+
+
+def _direct_value(d, mesh, lam, eps):
+    """Per-point loop over cells and Gauss points, the definition itself."""
+    total = 0.0
+    for i in range(mesh.n_cells):
+        a, b = d[i], d[i + 1]
+        ls = lam * (b - a) / mesh.dr
+        for t, w in zip(GAUSS3_POINTS, GAUSS3_WEIGHTS):
+            u = a + t * (b - a)
+            total += w * (math.sqrt(u * u + ls * ls + eps * eps) - eps)
+    return mesh.dr * total
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01, 1.0, 10.0])
+def test_zero_smoothing_is_the_dissipation(lam):
+    mesh = make_mesh(N_CELLS)
+    rng = np.random.default_rng(3)
+    psi = SmoothedDissipation(mesh, lam)
+    for d in (_field(mesh, True), rng.standard_normal(N_CELLS + 1)):
+        assert psi.value(d, 0.0) == dissipation(Field(mesh, d), lam)
+
+
+@pytest.mark.parametrize("lam", [0.01, 1.0, 10.0])
+@pytest.mark.parametrize("eps", [1e-1, 1e-6])
+def test_value_matches_direct_evaluation(lam, eps):
+    mesh = make_mesh(N_CELLS)
+    d = _field(mesh, eps > 1e-3)
+    value = SmoothedDissipation(mesh, lam).value(d, eps)
+    assert abs(value - _direct_value(d, mesh, lam, eps)) <= 1e-13 * max(1.0, value)
+
+
+def _dense(banded):
+    H = np.diag(banded[1])
+    H += np.diag(banded[0, 1:], 1) + np.diag(banded[0, 1:], -1)
+    return H
+
+
+@pytest.mark.parametrize("lam", [0.01, 1.0, 10.0])
+@pytest.mark.parametrize("eps", [1e-1, 1e-6])
+def test_derivatives_match_central_differences(lam, eps):
+    # the zero patch puts Gauss points in the eps-dominated corner; at
+    # eps = 1e-6 that corner is far narrower than any usable step, so the
+    # field stays away from it there
+    mesh = make_mesh(N_CELLS)
+    psi = SmoothedDissipation(mesh, lam)
+    d = _field(mesh, eps > 1e-3)
+    g, banded = psi.grad_hess(psi.radius(d, eps))
+    H = _dense(banded)
+
+    def central(h):
+        g_fd = np.empty_like(d)
+        H_fd = np.empty((d.size, d.size))
+        for j in range(d.size):
+            e_j = np.zeros_like(d)
+            e_j[j] = h
+            g_fd[j] = (psi.value(d + e_j, eps) - psi.value(d - e_j, eps)) / (2 * h)
+            gp = psi.grad_hess(psi.radius(d + e_j, eps))[0]
+            gm = psi.grad_hess(psi.radius(d - e_j, eps))[0]
+            H_fd[:, j] = (gp - gm) / (2 * h)
+        return g_fd, H_fd
+
+    # Richardson-extrapolated central differences: at lam = 10 the slope
+    # factor lam / dr = 80 makes the plain O(h^2) error dominate
+    (g1, H1), (g2, H2) = central(2e-5), central(1e-5)
+    g_fd = (4.0 * g2 - g1) / 3.0
+    H_fd = (4.0 * H2 - H1) / 3.0
+
+    assert np.max(np.abs(g - g_fd)) <= 1e-8 * np.max(np.abs(g))
+    # per row, against its largest entry: the roundoff of the differenced
+    # gradient (entries up to lam / dr) sets the floor in the small rows;
+    # off the band both vanish, the Hessian is tridiagonal
+    scale = np.max(np.abs(H), axis=1, keepdims=True)
+    assert np.max(np.abs(H - H_fd) / scale) <= 1e-6
+
+
+@pytest.mark.parametrize("lam", [0.01, 1.0, 10.0])
+def test_value_only_path_is_bit_identical(lam):
+    mesh = make_mesh(64)
+    psi = SmoothedDissipation(mesh, lam)
+    d = np.random.default_rng(7).standard_normal(65)
+    d[20:30] = 0.0
+    for eps in (1e-1, 1e-6, 1e-11):
+        f_value_only = psi.value(d, eps)
+        rad = psi.radius(d, eps)
+        f_full = psi.total(rad)
+        psi.grad_hess(rad)
+        assert f_value_only == f_full
+        assert psi.total(rad) == f_full  # derivatives leave the state intact
+
+
+def test_newton_forms_derivatives_only_at_accepted_iterates():
+    # a strictly convex objective with a stiff smoothed dissipation term,
+    # started far enough out that the first Newton steps get damped
+    mesh = make_mesh(32)
+    psi = SmoothedDissipation(mesh, 1.0)
+    m = mass_vector(mesh)
+    eps, mu = 1e-3, 1.5
+    evaluated, differentiated = [], []
+
+    def evaluate(x):
+        rad = psi.radius(x, eps)
+        f = psi.total(rad) + 0.5 * float(x @ x) - mu * float(m @ x)
+        evaluated.append(x)
+        return f, (x, rad)
+
+    def derivatives(state):
+        x, rad = state
+        differentiated.append(x)
+        g, H = psi.grad_hess(rad)
+        g += x - mu * m
+        H[1] += 1.0
+        return g, H, psi.total(rad) + 0.5 * float(x @ x) + mu * float(m @ np.abs(x))
+
+    x0 = np.full(33, 40.0)
+    x, gnorm = damped_newton(x0, evaluate, derivatives, 1e-9, 100)
+    assert gnorm <= 1e-9
+    assert len(evaluated) > len(differentiated)  # some trials were rejected
+    # every derivative call reuses the state of an evaluated point, once
+    # per accepted iterate
+    assert differentiated[0] is evaluated[0]
+    assert all(any(x_d is x_e for x_e in evaluated) for x_d in differentiated)
+    assert len(differentiated) == len({id(x_d) for x_d in differentiated})
+
+
+def test_gauss3_is_the_shared_rule():
+    x, w = np.polynomial.legendre.leggauss(3)
+    assert np.array_equal(GAUSS3_POINTS, (x + 1.0) / 2.0)
+    assert np.array_equal(GAUSS3_POINTS, 0.5 * (x + 1.0))
+    assert np.array_equal(GAUSS3_WEIGHTS, w / 2.0)
+    assert np.array_equal(DEFAULT_QUADRATURE.points, GAUSS3_POINTS)
+    assert np.array_equal(DEFAULT_QUADRATURE.weights, GAUSS3_WEIGHTS)

@@ -321,6 +321,10 @@ def test_displacement_trapezoid_identity():
     f = tau / p.base.G + vals
     cell = 0.5 * (f[:-1] + f[1:]) * np.diff(y)
     assert float(np.max(np.abs(np.diff(u) - cell))) <= 1e-14
+    # summed exactly as scipy's cumulative trapezoid, bit for bit
+    from scipy.integrate import cumulative_trapezoid
+
+    assert np.array_equal(u, cumulative_trapezoid(f, y, initial=0.0))
 
 
 # -------------------------------------------------------- rate-independent limit

@@ -198,3 +198,23 @@ def test_stability_indicator_sign():
     mesh = make_mesh(256)
     assert stability_indicator(0.9 * t, p, mesh) >= -1e-12
     assert stability_indicator(1.1 * t, p, mesh) < 0.0
+
+
+def test_brentq_matches_scipy_bit_for_bit():
+    # theta_of_lambda's root finder is a transcription of scipy's brentq;
+    # the inverted thresholds must be the very same doubles
+    from scipy.optimize import brentq
+
+    from stripshear.yield_stress import _brentq
+
+    rtol = 4 * np.finfo(float).eps
+    for lam in np.exp(np.linspace(math.log(1e-6), math.log(1e3), 301)):
+        lam = float(lam)
+        lo, hi = 1.0 + max(1e-4 * lam * lam, 4e-16), 1.0 + lam
+        f = lambda t: lambda_of_theta(t) - lam  # noqa: E731
+        ref = brentq(f, lo, hi, xtol=1e-15, rtol=rtol, maxiter=200)
+        assert _brentq(f, lo, hi, 1e-15, rtol, 200) == ref
+    for f, a, b in [(lambda x: x**3 - 2 * x - 5, 2.0, 3.0), (math.cos, 0.0, 3.0)]:
+        assert _brentq(f, a, b, 2e-12, rtol, 100) == brentq(f, a, b)
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(math.exp, 0.0, 1.0, 2e-12, rtol, 100)
