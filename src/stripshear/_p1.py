@@ -9,8 +9,8 @@ One home for what the dissipation-based solvers have in common:
 
   with its gradient and tridiagonal Hessian (eps = 0 is the plain
   dissipation; only the value is defined there);
-* the trapezoidal mass vector, and the damped Newton method that minimizes
-  a smooth convex function with a banded Hessian.
+* the trapezoidal mass vector, the tridiagonal solves and the damped
+  Newton driver of every solver (convex_newton adapts it to minimization).
 
 Gauss-point arrays are laid out (n_points, n_cells), so each quadrature
 point is one contiguous row and the per-cell reductions are small matrix
@@ -33,6 +33,8 @@ __all__ = [
     "GAUSS3_WEIGHTS",
     "SmoothedDissipation",
     "mass_vector",
+    "solve_tridiagonal",
+    "convex_newton",
     "damped_newton",
 ]
 
@@ -154,22 +156,59 @@ def mass_vector(mesh: Mesh) -> np.ndarray:
     return w
 
 
-# the tridiagonal LAPACK solver scipy.linalg.solveh_banded dispatches to,
-# called directly: its argument checks cost more than the solve at this size
-_PTSV = get_lapack_funcs("ptsv", (np.empty(1),))
+# the tridiagonal LAPACK solvers scipy.linalg.solveh_banded and
+# solve_banded((1, 1), ...) dispatch to, called directly: their argument
+# checks cost more than the solve at this size
+_PTSV, _GTSV = get_lapack_funcs(("ptsv", "gtsv"), (np.empty(1),))
+
+_DIAGONAL_LIFT = 1e-14  # ~50 ulps per pivot: clears one rounded to <= 0
+_ARMIJO = 1e-4  # sufficient-decrease share of the linear model (textbook)
+_STALL_MULTIPLE = 1e3  # a stall within this multiple of the floor is roundoff
+_ROUNDOFF = 1e-15  # roundoff of a sum of terms, relative to their magnitudes
 
 
 def _solve_banded_spd(banded: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the SPD tridiagonal system, with a tiny diagonal lift on breakdown."""
     _, _, x, info = _PTSV(banded[1], banded[0, 1:], rhs)
     if info > 0:
-        lifted = banded[1] + 1e-14 * (1.0 + np.abs(banded[1]))
+        lifted = banded[1] + _DIAGONAL_LIFT * (1.0 + np.abs(banded[1]))
         _, _, x, info = _PTSV(lifted, banded[0, 1:], rhs)
         if info > 0:
             raise LinAlgError(f"{info}th leading minor not positive definite")
     if info < 0 or not np.isfinite(x).all():
         raise ValueError("Newton system contains infs or NaNs")
     return x
+
+
+def solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """scipy.linalg.solve_banded((1, 1), ab, rhs), bit for bit."""
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("Newton system contains infs or NaNs")
+    _, _, _, x, info = _GTSV(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    if info != 0:
+        raise LinAlgError("singular matrix")
+    return x
+
+
+def convex_newton(g: np.ndarray, H: np.ndarray, fscale: float):
+    """derivatives(state) of damped_newton for a smooth convex minimization.
+
+    g and H are the gradient and banded SPD Hessian; fscale is the sum of
+    the magnitudes of all terms accumulated into f (so cancellation inside
+    the sums is counted).  The measure is max|g|; the step is Newton's, or
+    steepest descent where roundoff makes it ascend.
+    """
+    gnorm = float(np.max(np.abs(g)))
+
+    def newton_step():
+        step = _solve_banded_spd(H, -g)
+        slope = float(g @ step)
+        if slope >= 0.0:
+            step = -g
+            slope = float(g @ step)
+        return step, slope, _ROUNDOFF * fscale
+
+    return gnorm, newton_step
 
 
 def damped_newton(
@@ -179,73 +218,58 @@ def damped_newton(
     tol: float,
     max_iters: int,
 ) -> tuple[np.ndarray, float]:
-    """Minimize a smooth convex function given its value and derivatives.
+    """Drive a stationarity measure below tol by backtracking Newton steps.
 
-    evaluate(x) returns (f, state) and is all a line-search trial point
-    costs; derivatives(state) returns (g, H, fscale) at an accepted point,
-    with H the banded Hessian and fscale the sum of the magnitudes of all
-    terms accumulated into f (so cancellation inside the sums is counted);
-    1e-15 * fscale bounds the roundoff floor of f.  Convergence: gradient
-    max-norm <= tol, or the Newton decrement falls below that floor (no
-    representable iterate can still improve f).  Iterates inside the noise
-    region wander, so the best-gradient iterate seen is what is returned.
-    Raises SolverError on stagnation away from stationarity.
+    evaluate(x) returns (merit, state) and is all a line-search trial costs.
+    derivatives(state) returns (measure, newton_step) at an accepted point;
+    newton_step() returns (step, slope, floor): the direction, the merit's
+    (negative) slope along it and the merit's roundoff floor.  It runs only
+    when measure > tol, so a converged point costs no solve.  Convergence:
+    measure <= tol, or the decrement -slope/2 falls below the floor (no
+    representable iterate can still improve the merit).  Iterates inside
+    the floor wander, so the best-measure iterate seen is returned.  Raises
+    SolverError on stagnation away from stationarity.
     """
-    fx, state = evaluate(x)
-    g, H, fscale = derivatives(state)
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-    x_best, gn_best = x, gnorm
-    dec, noise = math.inf, 0.0
+    merit, state = evaluate(x)
+    measure, newton_step = derivatives(state)
+    x_best, m_best = x, measure
+    dec, floor = math.inf, 0.0
     for _ in range(max_iters):
-        if gnorm <= tol:
-            return x, gnorm
-        step = _solve_banded_spd(H, -g)
-        slope = float(g @ step)
-        if slope >= 0.0:
-            # numerically indefinite direction; fall back to steepest descent
-            step = -g
-            slope = float(g @ step)
+        if measure <= tol:
+            return x, measure
+        step, slope, floor = newton_step()
         dec = -0.5 * slope
-        noise = 1e-15 * fscale
-        if dec <= noise:
-            return x_best, gn_best
+        if dec <= floor:
+            return x_best, m_best
         t = 1.0
         for _ in range(60):
             x_new = x + t * step
-            f_new, state = evaluate(x_new)
-            if f_new <= fx + 1e-4 * t * slope + noise:
+            merit_new, state = evaluate(x_new)
+            if merit_new <= merit + _ARMIJO * t * slope + floor:
                 break
             t *= 0.5
         else:
-            if dec <= 1e3 * noise:
-                return x_best, gn_best
-            raise SolverError(
-                f"line search stalled (gradient norm {gnorm:.3e})", residual=gnorm
-            )
+            x_new = x
         if np.array_equal(x_new, x):
-            # the damped step underflowed x entirely (f_new == f passes the
-            # Armijo test through the noise slack); no representable iterate
-            # improves f, so the best gradient seen is the answer
-            if dec <= 1e3 * noise:
-                return x_best, gn_best
+            # the line search stalled, or the damped step underflowed x
+            # (merit_new == merit passes through the floor slack)
+            if dec <= _STALL_MULTIPLE * floor:
+                return x_best, m_best
             raise SolverError(
-                f"Newton step underflowed away from stationarity "
-                f"(gradient norm {gnorm:.3e})",
-                residual=gnorm,
+                f"Newton stalled away from stationarity (measure {measure:.3e})",
+                residual=measure,
             )
-        x, fx = x_new, f_new
-        g, H, fscale = derivatives(state)
-        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-        if gnorm < gn_best:
-            x_best, gn_best = x, gnorm
-    if gnorm <= tol:
-        return x, gnorm
-    if dec <= 1e3 * noise:
-        # the budget ran out wandering inside the objective's roundoff floor
-        # (iterates move by ulps without representable improvement)
-        return x_best, gn_best
+        x, merit = x_new, merit_new
+        measure, newton_step = derivatives(state)
+        if measure < m_best:
+            x_best, m_best = x, measure
+    if measure <= tol:
+        return x, measure
+    if dec <= _STALL_MULTIPLE * floor:
+        # the budget ran out wandering inside the merit's roundoff floor
+        return x_best, m_best
     raise SolverError(
         f"Newton did not reach tolerance {tol:.1e} in {max_iters} iterations "
-        f"(gradient norm {gnorm:.3e})",
-        residual=gnorm,
+        f"(measure {measure:.3e})",
+        residual=measure,
     )

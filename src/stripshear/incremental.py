@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._p1 import SmoothedDissipation, damped_newton, mass_vector
+from ._p1 import SmoothedDissipation, convex_newton, damped_newton, mass_vector
 from .functionals import dissipation, mass, total_energy
 from .model import Field, Mesh, NondimParams, SolverError
 
@@ -265,7 +265,7 @@ class _IncrementProblem:
                 g[0] = g[-1] = 0.0
                 H[1][0] = H[1][-1] = 1.0
                 H[0][1] = H[0][-1] = 0.0
-                return g, H, fscale
+                return convex_newton(g, H, fscale)
 
             return evaluate, derivatives
 

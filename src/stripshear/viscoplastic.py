@@ -32,14 +32,14 @@ slowly varying S.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from ._p1 import GAUSS3_POINTS, GAUSS3_WEIGHTS
+from ._p1 import GAUSS3_POINTS, GAUSS3_WEIGHTS, damped_newton, solve_tridiagonal
 from .incremental import DEFAULT_OPTIONS, LoadProgram, SolverOptions, evolve
 from .model import Field, Mesh, PhysicalParams, SolverError, nondimensionalize
 
@@ -55,6 +55,12 @@ __all__ = [
 ]
 
 _RATE_EPS_FACTOR = 1e-10
+
+# Gauss(3) points, weights and left shape function, laid out (1, n_points)
+# against the residual's (n_cells, n_points) arrays
+_T = GAUSS3_POINTS[None, :]
+_W = GAUSS3_WEIGHTS[None, :]
+_SHA = 1.0 - _T
 
 
 @dataclass(frozen=True)
@@ -179,42 +185,40 @@ def _powerlaw_blocks(a_q, b_q, S_q, P, d2, p: PhysicalParams):
     return j_aa, j_ab, j_ba, j_bb
 
 
+def _interp(v):
+    """Nodal values at the Gauss points, (n_cells, n_points)."""
+    return v[:-1, None] * _SHA + v[1:, None] * _T
+
+
 def _residual(
-    gamma, gamma_n, S_nodes, tau: float, dt: float, p: PhysicalParams, dy: float,
+    gamma, gamma_n, S_q, tau: float, dt: float, p: PhysicalParams, dy: float,
     eps: float,
 ):
     """FEM residual of the implicit balance, and what its Jacobian needs.
 
     Piecewise-linear elements, Gauss(3) per cell; rows for the clamped
-    boundary nodes are zero.  Returns (R, state); _jacobian(state) builds
-    the banded Jacobian at the same iterate.
+    boundary nodes are zero.  S_q is the strength at the Gauss points, fixed
+    over the step.  Returns (R, state); _jacobian(state) builds the banded
+    Jacobian at the same iterate.
     """
-    t = GAUSS3_POINTS[None, :]
-    w = GAUSS3_WEIGHTS[None, :]
     rate = (gamma - gamma_n) / dt
 
-    def interp(v):
-        return v[:-1, None] * (1.0 - t) + v[1:, None] * t
-
-    def slope(v):
+    def slope(v):  # one value per cell, (n_cells, 1)
         return ((v[1:] - v[:-1]) / dy)[:, None]
 
-    g_q = interp(gamma)
-    gy_q = slope(gamma) * np.ones_like(t)
-    a_q = interp(rate)
-    b_q = slope(rate) * np.ones_like(t)
-    S_q = interp(S_nodes)
+    g_q = _interp(gamma)
+    gy_q = slope(gamma)
+    a_q = _interp(rate)
+    b_q = slope(rate)
 
     tau_dis, k_dis, P, d2 = _powerlaw_pair(a_q, b_q, S_q, p, eps)
 
     f0 = p.S0 * p.kappa * g_q + tau_dis - tau  # pairs with phi_i
     f1 = p.S0 * p.L * p.L * gy_q + k_dis  # pairs with phi_i'
-    sha = 1.0 - t  # phi_left at qp
-    shb = t
 
     R = np.zeros_like(gamma)
-    R[:-1] += dy * np.sum(w * (f0 * sha - f1 / dy), axis=1)
-    R[1:] += dy * np.sum(w * (f0 * shb + f1 / dy), axis=1)
+    R[:-1] += dy * np.sum(_W * (f0 * _SHA - f1 / dy), axis=1)
+    R[1:] += dy * np.sum(_W * (f0 * _T + f1 / dy), axis=1)
     R[0] = R[-1] = 0.0
     return R, (a_q, b_q, S_q, P, d2, dt, p, dy)
 
@@ -225,26 +229,22 @@ def _jacobian(state):
     Rows for the clamped boundary nodes are identities.
     """
     a_q, b_q, S_q, P, d2, dt, p, dy = state
-    t = GAUSS3_POINTS[None, :]
-    w = GAUSS3_WEIGHTS[None, :]
     j_aa, j_ab, j_ba, j_bb = _powerlaw_blocks(a_q, b_q, S_q, P, d2, p)
-    sha = 1.0 - t
-    shb = t
-    da_l, da_r = (1.0 - t) / dt, t / dt
+    da_l, da_r = _SHA / dt, _T / dt
     db_l, db_r = -1.0 / (dy * dt), 1.0 / (dy * dt)
 
     # d f0 / d gamma_j and d f1 / d gamma_j at each qp, j in {left, right}
     el = p.S0 * p.kappa
     gr = p.S0 * p.L * p.L
-    f0_l = el * sha + j_aa * da_l + j_ab * db_l
-    f0_r = el * shb + j_aa * da_r + j_ab * db_r
+    f0_l = el * _SHA + j_aa * da_l + j_ab * db_l
+    f0_r = el * _T + j_aa * da_r + j_ab * db_r
     f1_l = -gr / dy + j_ba * da_l + j_bb * db_l
     f1_r = gr / dy + j_ba * da_r + j_bb * db_r
 
-    c_ll = dy * np.sum(w * (f0_l * sha - f1_l / dy), axis=1)
-    c_lr = dy * np.sum(w * (f0_r * sha - f1_r / dy), axis=1)
-    c_rl = dy * np.sum(w * (f0_l * shb + f1_l / dy), axis=1)
-    c_rr = dy * np.sum(w * (f0_r * shb + f1_r / dy), axis=1)
+    c_ll = dy * np.sum(_W * (f0_l * _SHA - f1_l / dy), axis=1)
+    c_lr = dy * np.sum(_W * (f0_r * _SHA - f1_r / dy), axis=1)
+    c_rl = dy * np.sum(_W * (f0_l * _T + f1_l / dy), axis=1)
+    c_rr = dy * np.sum(_W * (f0_r * _T + f1_r / dy), axis=1)
 
     n = c_ll.size + 1
     ab = np.zeros((3, n))
@@ -306,47 +306,6 @@ def _residual_noise(ab, x) -> float:
     return 8.0 * np.finfo(float).eps * float(np.max(s))
 
 
-def _newton_solve(
-    x0, gamma_n, S_nodes, tau: float, dt: float, base: PhysicalParams,
-    dy: float, eps: float, tol: float, max_iters: int,
-):
-    """Damped Newton on the implicit balance at smoothing level eps.
-
-    Returns (x, rnorm, converged).  Convergence means rnorm <= tol, or the
-    iterate reached the float64 noise floor of the residual assembly (one
-    ulp of x moves the residual more than its current value) while within
-    a safe multiple of tol.  On a stall the best iterate is returned with
-    converged = False; the caller decides whether to continue elsewhere.
-    """
-    x = x0.copy()
-    R, state = _residual(x, gamma_n, S_nodes, tau, dt, base, dy, eps)
-    rnorm = float(np.max(np.abs(R)))
-    for _ in range(max_iters):
-        if rnorm <= tol:
-            return x, rnorm, True
-        ab = _jacobian(state)
-        step = solve_banded((1, 1), ab, -R)
-        floor = max(1e3 * tol, _residual_noise(ab, x))
-        x_try = x + step
-        x_try[0] = x_try[-1] = 0.0
-        if np.array_equal(x_try, x):
-            return x, rnorm, rnorm <= floor
-        t_ls = 1.0
-        for _ in range(60):
-            # trial points cost the residual alone
-            x_new = x + t_ls * step
-            x_new[0] = x_new[-1] = 0.0
-            R_new, state = _residual(x_new, gamma_n, S_nodes, tau, dt, base, dy, eps)
-            rnorm_new = float(np.max(np.abs(R_new)))
-            if rnorm_new <= rnorm * (1.0 - 1e-4 * t_ls) + 1e-14 * tol:
-                break
-            t_ls *= 0.5
-        else:
-            return x, rnorm, rnorm <= floor
-        x, R, rnorm = x_new, R_new, rnorm_new
-    return x, rnorm, rnorm <= max(1e3 * tol, _residual_noise(_jacobian(state), x))
-
-
 def visco_step(
     state: ViscoState,
     tau_next: float,
@@ -357,14 +316,16 @@ def visco_step(
 ) -> ViscoState:
     """One backward-Euler step of the viscoplastic balance to stress tau_next.
 
-    Newton iterates the spatial balance at the new time level with residual
-    backtracking; the strength field is then advanced explicitly with the
-    accepted flow rate.  gamma_init, when given, seeds Newton (a warm start
-    from the previous increment); otherwise a nodal power-law inversion of
-    the overstress is used.  If the sharp problem resists (rates trapped in
-    the regularization corner crawl out of it only geometrically), the step
-    is re-solved by continuation over a decade ladder of smoothing widths
-    down to the nominal eps_v.
+    Damped Newton drives the max-norm of the spatial balance residual at the
+    new time level to tolerance or to its float64 floor; the strength field
+    is then advanced explicitly with the accepted flow rate.  gamma_init,
+    when given, seeds Newton (a warm start from the previous increment);
+    otherwise a nodal power-law inversion of the overstress is used.  If
+    the sharp problem resists (rates trapped in the regularization corner
+    crawl out of it only geometrically), the step is re-solved by
+    continuation over a decade ladder of smoothing widths down to the
+    nominal eps_v.  A saturating strength update that would overshoot
+    S_sat (dt h0 d > S_sat at a node) raises SolverError too.
     """
     tau_next = float(tau_next)
     dt = float(dt)
@@ -379,10 +340,36 @@ def visco_step(
     dy = base.h * mesh.dr
     gamma_n = state.gamma.values
     S_nodes = state.S.values
+    S_q = _interp(S_nodes)
     eps_v = _RATE_EPS_FACTOR * base.d0
 
     # residual entries scale like stress * dy
     tol = opts.newton_tol * base.S0 * dy * max(1.0, abs(tau_next) / base.S0)
+
+    def make_merit(eps: float):
+        # merit max|R|: along the Newton step its slope is -max|R|, and one
+        # ulp of x moves it by up to _residual_noise
+        def evaluate(x):
+            R, rstate = _residual(x, gamma_n, S_q, tau_next, dt, base, dy, eps)
+            rnorm = float(np.max(np.abs(R)))
+            return rnorm, (rnorm, x, R, rstate)
+
+        def derivatives(mstate):
+            rnorm, x, R, rstate = mstate
+
+            def newton_step():
+                ab = _jacobian(rstate)
+                step = solve_tridiagonal(ab, -R)
+                # pivoting leaves ulps in the clamped rows; the faces stay 0
+                step[0] = step[-1] = 0.0
+                return step, -rnorm, 0.5 * _residual_noise(ab, x)
+
+            return rnorm, newton_step
+
+        return evaluate, derivatives
+
+    def solve(x0, eps: float):
+        return damped_newton(x0, *make_merit(eps), tol, opts.max_newton_iters)[0]
 
     candidates = []
     if gamma_init is not None:
@@ -394,44 +381,39 @@ def visco_step(
     # a warm start extrapolated across a load reversal can sit on the wrong
     # side of the power-law corner; keep the cold start in the running
     candidates.append(_powerlaw_predictor(gamma_n, S_nodes, tau_next, dt, base))
-    start = min(
-        candidates,
-        key=lambda c: float(
-            np.max(
-                np.abs(
-                    _residual(c, gamma_n, S_nodes, tau_next, dt, base, dy, eps_v)[0]
-                )
-            )
-        ),
-    )
+    evaluate = make_merit(eps_v)[0]
+    start = min(candidates, key=lambda c: evaluate(c)[0])
 
-    x, rnorm, ok = _newton_solve(
-        start, gamma_n, S_nodes, tau_next, dt, base, dy, eps_v, tol,
-        opts.max_newton_iters,
-    )
-    if not ok:
+    try:
+        x = solve(start, eps_v)
+    except SolverError:
         # continuation: relax the corner by widening the rate smoothing,
-        # then sharpen it one decade at a time back to eps_v
-        x = start
-        level = 1e-2 * base.d0
-        while True:
-            eps = max(level, eps_v)
-            x, rnorm, ok = _newton_solve(
-                x, gamma_n, S_nodes, tau_next, dt, base, dy, eps, tol,
-                opts.max_newton_iters,
-            )
-            if eps == eps_v:
-                break
+        # then sharpen it one decade at a time back to eps_v; a level that
+        # fails hands its start on to the next
+        x, level = start, 1e-2 * base.d0
+        while level > eps_v:
+            with contextlib.suppress(SolverError):
+                x = solve(x, level)
             level *= 0.1
-        if not ok:
+        try:
+            x = solve(x, eps_v)
+        except SolverError as err:
             raise SolverError(
-                f"viscoplastic Newton did not converge (residual {rnorm:.3e}, "
-                f"tolerance {tol:.3e}); try halving dt",
-                residual=rnorm,
-            )
+                f"viscoplastic Newton did not converge (residual "
+                f"{err.residual:.3e}, tolerance {tol:.3e}); try halving dt",
+                residual=err.residual,
+            ) from err
 
     d_nodes = _nodal_flow_rate(x, gamma_n, dt, base, dy)
-    S_new = S_nodes + dt * p.hardening.rate(S_nodes) * d_nodes
+    hardening = p.hardening
+    jump = dt * hardening.h0 * float(np.max(d_nodes))
+    if hardening.kind == "saturating" and jump > hardening.S_sat:
+        # the explicit Voce update crosses S_sat wherever dt h0 d > S_sat
+        raise SolverError(
+            f"explicit strength update overshoots S_sat (dt h0 d = {jump:.3e} "
+            f"> S_sat = {hardening.S_sat:g}); try halving dt"
+        )
+    S_new = S_nodes + dt * hardening.rate(S_nodes) * d_nodes
     return ViscoState(
         t=state.t + dt, gamma=Field(mesh, x), S=Field(mesh, S_new)
     )
@@ -542,19 +524,7 @@ def rate_independent_limit_study(
 
     discrepancies = []
     for m in ms:
-        pm = ViscoParams(
-            base=PhysicalParams(
-                S0=p.base.S0,
-                kappa=p.base.kappa,
-                L=p.base.L,
-                ell=p.base.ell,
-                h=p.base.h,
-                G=p.base.G,
-                d0=p.base.d0,
-                m_rate=m,
-            ),
-            hardening=p.hardening,
-        )
+        pm = replace(p, base=replace(p.base, m_rate=m))
         states = simulate_visco(pairs, pm, mesh, opts)
         gamma_m = states[-1].gamma.values
         discrepancies.append(float(np.max(np.abs(gamma_m - gamma_ref))))

@@ -35,9 +35,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
-from .functionals import RelaxedField, mass, relaxed_dissipation, total_energy, dissipation
-from ._p1 import SmoothedDissipation, damped_newton, mass_vector
-from .incremental import DEFAULT_OPTIONS, SolverOptions, increment_solve
+from .functionals import RelaxedField, mass, relaxed_dissipation
+from ._p1 import SmoothedDissipation, convex_newton, damped_newton, mass_vector
+from .incremental import DEFAULT_OPTIONS, SolverOptions, stability_residual
 from .model import Field, Mesh, NondimParams, SolverError, make_mesh
 
 __all__ = [
@@ -54,6 +54,10 @@ __all__ = [
 ]
 
 _METHODS = ("formula", "quadrature", "variational", "simulation")
+
+# |mass| at which a yield_variational probe counts as diverged: 50x the unit
+# mass sought, reached only by runaways above the threshold
+_MASS_CAP = 50.0
 
 
 @dataclass(frozen=True)
@@ -265,16 +269,14 @@ def stability_indicator(
 ) -> float:
     """Stability indicator m(theta) = min over fields of E_tot + Psi.
 
-    Computed by one increment solve from the virgin state; zero is always
-    admissible, so the minimum is clamped to be nonpositive.  m(theta) = 0
-    means the virgin state is stable (theta at or below the discrete
-    threshold); m(theta) < 0 means flow is energetically favorable.
+    This is minus the stability residual of the virgin state, whose energy
+    E_tot(theta, 0) is exactly 0; zero is always admissible, so the minimum
+    is clamped to be nonpositive.  m(theta) = 0 means the virgin state is
+    stable (theta at or below the discrete threshold); m(theta) < 0 means
+    flow is energetically favorable.
     """
-    if opts is None:
-        opts = DEFAULT_OPTIONS
-    v = increment_solve(Field.zeros(mesh), theta, p, opts)
-    value = total_energy(theta, v, p) + dissipation(v, p.lam)
-    return min(0.0, float(value))
+    # 0.0 - r, not -r: a stable state reads +0.0
+    return 0.0 - stability_residual(Field.zeros(mesh), theta, p, opts)
 
 
 class _Diverged(Exception):
@@ -311,13 +313,12 @@ def yield_variational(
 
     psi = SmoothedDissipation(mesh, lam)
     m = mass_vector(mesh)
-    mass_cap = 50.0
     upper = 1.0 + lam
 
     def make_objective(eps: float, mu: float):
         def evaluate(phi: np.ndarray):
             am = float(m @ np.abs(phi))
-            if am > mass_cap:
+            if am > _MASS_CAP:
                 raise _Diverged
             rad = psi.radius(phi, eps)
             v = psi.total(rad)
@@ -337,7 +338,7 @@ def yield_variational(
             H[1][-1] += lam * eps * eps / b1**3
             g -= mu * m
             fscale = v_all + abs(mu) * (am + 1.0)
-            return g, H, fscale
+            return convex_newton(g, H, fscale)
 
         return evaluate, derivatives
 

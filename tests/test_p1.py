@@ -9,8 +9,11 @@ What is verified:
   3. The value-only path returns the same f, bit for bit, as the path that
      goes on to form the derivatives, and forming them leaves it unchanged.
   4. The Newton method forms derivatives only at accepted iterates: line
-     search trial points cost one evaluate() each.
-  5. The shared Gauss(3) rule equals both spellings of the rule mapped to
+     search trial points cost one evaluate() each.  A start already on the
+     merit's roundoff floor returns after that one evaluation.
+  5. The general tridiagonal solve gives scipy.linalg.solve_banded's bits,
+     pivoting included, and rejects non-finite systems.
+  6. The shared Gauss(3) rule equals both spellings of the rule mapped to
      [0, 1], 0.5 (x + 1) and (x + 1) / 2, and is the default quadrature.
 """
 
@@ -24,8 +27,10 @@ from stripshear._p1 import (
     GAUSS3_POINTS,
     GAUSS3_WEIGHTS,
     SmoothedDissipation,
+    convex_newton,
     damped_newton,
     mass_vector,
+    solve_tridiagonal,
 )
 
 N_CELLS = 16
@@ -149,7 +154,8 @@ def test_newton_forms_derivatives_only_at_accepted_iterates():
         g, H = psi.grad_hess(rad)
         g += x - mu * m
         H[1] += 1.0
-        return g, H, psi.total(rad) + 0.5 * float(x @ x) + mu * float(m @ np.abs(x))
+        fscale = psi.total(rad) + 0.5 * float(x @ x) + mu * float(m @ np.abs(x))
+        return convex_newton(g, H, fscale)
 
     x0 = np.full(33, 40.0)
     x, gnorm = damped_newton(x0, evaluate, derivatives, 1e-9, 100)
@@ -160,6 +166,43 @@ def test_newton_forms_derivatives_only_at_accepted_iterates():
     assert differentiated[0] is evaluated[0]
     assert all(any(x_d is x_e for x_e in evaluated) for x_d in differentiated)
     assert len(differentiated) == len({id(x_d) for x_d in differentiated})
+
+
+def test_newton_returns_at_once_on_the_roundoff_floor():
+    # the Newton decrement of the start is below the merit's floor, though
+    # the measure is far above tol: no representable step can do better
+    evaluated, solved = [], []
+
+    def evaluate(x):
+        evaluated.append(x)
+        return 1.0, x
+
+    def derivatives(x):
+        def newton_step():
+            solved.append(x)
+            return np.full_like(x, -1e-20), -1e-20, 1e-16
+
+        return 1.0, newton_step
+
+    x0 = np.ones(5)
+    x, measure = damped_newton(x0, evaluate, derivatives, 1e-9, 100)
+    assert x is x0 and measure == 1.0
+    assert len(evaluated) == 1 and len(solved) == 1
+
+
+def test_tridiagonal_solve_matches_scipy_bit_for_bit():
+    from scipy.linalg import solve_banded
+
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        ab = rng.standard_normal((3, 33))
+        ab[2] *= 3.0  # subdiagonal often larger than the diagonal: pivoting
+        rhs = rng.standard_normal(33)
+        x = solve_tridiagonal(ab, rhs)
+        assert x.tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
+    ab[1, 5] = math.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_tridiagonal(ab, rhs)
 
 
 def test_gauss3_is_the_shared_rule():

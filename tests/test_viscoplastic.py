@@ -22,9 +22,15 @@ What is verified:
      decreases along a decreasing m sequence and is negligible for loads
      that never reach the threshold.
   9. Failure plumbing: visco_step wraps a non-converged Newton solve in
-     SolverError with the residual, simulate_visco adds the load point.
+     SolverError with the residual, simulate_visco adds the load point.  A
+     saturating strength update that would overshoot S_sat raises
+     SolverError instead of writing S > S_sat.
+ 10. Work bound: the unloading steps of a load-unload series stop at the
+     residual's roundoff floor instead of backtracking inside it, so the
+     series costs a few hundred residual evaluations.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -44,6 +50,7 @@ from stripshear import (
     visco_step,
 )
 import stripshear.viscoplastic as viscoplastic
+from stripshear import cli
 
 
 def _params(m_rate, hardening=None, **over):
@@ -374,9 +381,9 @@ def test_limit_study_validation():
 
 def test_step_failure_carries_residual(monkeypatch):
     def never_converges(x0, *args, **kwargs):
-        return x0, 0.123, False
+        raise SolverError("stalled", residual=0.123)
 
-    monkeypatch.setattr(viscoplastic, "_newton_solve", never_converges)
+    monkeypatch.setattr(viscoplastic, "damped_newton", never_converges)
     p = _params(0.2)
     st = ViscoState.virgin(make_mesh(8), p)
     with pytest.raises(SolverError, match="try halving dt") as info:
@@ -395,3 +402,48 @@ def test_simulate_reports_failing_load_point(monkeypatch):
         simulate_visco(load, p, make_mesh(8))
     assert info.value.step == 1
     assert info.value.residual == 7.0
+
+
+# the saturating load-unload series of the benchmark: S0 = 1, S_sat 1.5
+SERIES_PARAMS = ViscoParams(
+    base=PhysicalParams(S0=1.0, kappa=1.0, L=1.0, ell=1.0, h=1.0, G=1.0, d0=1.0,
+                        m_rate=0.05),
+    hardening=Hardening.saturating(2.0, 1.5),
+)
+
+
+def test_unloading_steps_stop_at_the_roundoff_floor(monkeypatch):
+    calls = []
+    residual = viscoplastic._residual
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(viscoplastic, "_residual", counted)
+    times = np.linspace(0.0, 1.0, 21)
+    load = [(t, 2.5 * (1.0 - abs(2.0 * t - 1.0))) for t in times]
+    states = simulate_visco(load, SERIES_PARAMS, make_mesh(32))
+    assert len(states) == 21
+    S = np.array([st.S.values for st in states])
+    assert np.all((1.0 <= S) & (S <= 1.5))
+    # backtracking inside the floor took 7,548 evaluations here
+    assert len(calls) <= 1000
+
+
+def test_strength_overshoot_is_a_solver_failure():
+    # dt h0 d > S_sat: the explicit Voce update would jump past S_sat
+    p = dataclasses.replace(SERIES_PARAMS, hardening=Hardening.saturating(50.0, 1.5))
+    load = [(t, 2.5 * t) for t in np.linspace(0.0, 1.0, 21)]
+    with pytest.raises(SolverError, match="overshoots S_sat.*halving dt") as info:
+        simulate_visco(load, p, make_mesh(32))
+    assert info.value.step is not None
+
+
+@pytest.mark.parametrize("h0", ["50", "500"])
+def test_strength_overshoot_exits_two(h0, tmp_path, capsys):
+    argv = ["visco", "--tau-max", "2.5", "--t-end", "1", "--steps", "20",
+            "--cells", "32", "--m-rate", "0.05", "--hardening", "saturating",
+            "--h0", h0, "--S-sat", "1.5", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "overshoots S_sat" in capsys.readouterr().err
