@@ -9,8 +9,9 @@ One home for what the dissipation-based solvers have in common:
 
   with its gradient and tridiagonal Hessian (eps = 0 is the plain
   dissipation; only the value is defined there);
-* the trapezoidal mass vector, the tridiagonal solves and the damped
-  Newton driver of every solver (convex_newton adapts it to minimization).
+* the trapezoidal mass vector, the banded solves and the damped Newton
+  driver of every solver (convex_newton adapts it to minimization,
+  constrained_newton to minimization at fixed sum).
 
 Gauss-point arrays are laid out (n_points, n_cells), so each quadrature
 point is one contiguous row and the per-cell reductions are small matrix
@@ -33,8 +34,10 @@ __all__ = [
     "GAUSS3_WEIGHTS",
     "SmoothedDissipation",
     "mass_vector",
+    "solve_banded_spd",
     "solve_tridiagonal",
     "convex_newton",
+    "constrained_newton",
     "damped_newton",
 ]
 
@@ -156,10 +159,10 @@ def mass_vector(mesh: Mesh) -> np.ndarray:
     return w
 
 
-# the tridiagonal LAPACK solvers scipy.linalg.solveh_banded and
+# the banded LAPACK solvers scipy.linalg.solveh_banded and
 # solve_banded((1, 1), ...) dispatch to, called directly: their argument
 # checks cost more than the solve at this size
-_PTSV, _GTSV = get_lapack_funcs(("ptsv", "gtsv"), (np.empty(1),))
+_PTSV, _GTSV, _PBSV = get_lapack_funcs(("ptsv", "gtsv", "pbsv"), (np.empty(1),))
 
 _DIAGONAL_LIFT = 1e-14  # ~50 ulps per pivot: clears one rounded to <= 0
 _ARMIJO = 1e-4  # sufficient-decrease share of the linear model (textbook)
@@ -167,12 +170,25 @@ _STALL_MULTIPLE = 1e3  # a stall within this multiple of the floor is roundoff
 _ROUNDOFF = 1e-15  # roundoff of a sum of terms, relative to their magnitudes
 
 
-def _solve_banded_spd(banded: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the SPD tridiagonal system, with a tiny diagonal lift on breakdown."""
-    _, _, x, info = _PTSV(banded[1], banded[0, 1:], rhs)
+def _factor_solve(banded: np.ndarray, rhs: np.ndarray):
+    if banded.shape[0] == 2 and rhs.size > 1:  # ptsv needs n >= 2
+        _, _, x, info = _PTSV(banded[1], banded[0, 1:], rhs)
+    else:
+        _, x, info = _PBSV(banded, rhs)
+    return x, info
+
+
+def solve_banded_spd(banded: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve an SPD system in upper banded form, lifting the diagonal on breakdown.
+
+    Tridiagonal systems go to ptsv, as in scipy.linalg.solveh_banded; wider
+    bands and single unknowns go to pbsv.
+    """
+    x, info = _factor_solve(banded, rhs)
     if info > 0:
-        lifted = banded[1] + _DIAGONAL_LIFT * (1.0 + np.abs(banded[1]))
-        _, _, x, info = _PTSV(lifted, banded[0, 1:], rhs)
+        lifted = banded.copy()
+        lifted[-1] += _DIAGONAL_LIFT * (1.0 + np.abs(banded[-1]))
+        x, info = _factor_solve(lifted, rhs)
         if info > 0:
             raise LinAlgError(f"{info}th leading minor not positive definite")
     if info < 0 or not np.isfinite(x).all():
@@ -201,11 +217,43 @@ def convex_newton(g: np.ndarray, H: np.ndarray, fscale: float):
     gnorm = float(np.max(np.abs(g)))
 
     def newton_step():
-        step = _solve_banded_spd(H, -g)
+        step = solve_banded_spd(H, -g)
         slope = float(g @ step)
         if slope >= 0.0:
             step = -g
             slope = float(g @ step)
+        return step, slope, _ROUNDOFF * fscale
+
+    return gnorm, newton_step
+
+
+def constrained_newton(g: np.ndarray, H: np.ndarray, fscale: float):
+    """derivatives(state) of damped_newton for a convex minimization at fixed sum(x).
+
+    g and H are as in convex_newton.  H need not be definite along the
+    constraint's normal (a 1-homogeneous objective is flat along x), so the
+    step stays in the null space of the all-ones vector, spanned by
+    z_j = e_j - e_{j+1}: the reduced gradient is Z'g and the reduced
+    Hessian Z'HZ is pentadiagonal, solved by pbsv.  The measure is max|Z'g|
+    (0 with a single unknown, which has no free direction).
+    """
+    q = g[:-1] - g[1:]
+    gnorm = float(np.max(np.abs(q), initial=0.0))
+
+    def newton_step():
+        d, e = H[1], H[0, 1:]  # diagonal, and e[i] couples (i, i + 1)
+        S = np.zeros((3, q.size))
+        S[2] = d[:-1] + d[1:] - 2.0 * e
+        S[1, 1:] = e[:-1] + e[1:] - d[1:-1]
+        S[0, 2:] = -e[1:-1]
+        p = solve_banded_spd(S, -q)
+        slope = float(q @ p)
+        if slope >= 0.0:
+            p = -q
+            slope = float(q @ p)
+        step = np.zeros(g.size)  # Z p
+        step[:-1] = p
+        step[1:] -= p
         return step, slope, _ROUNDOFF * fscale
 
     return gnorm, newton_step

@@ -335,7 +335,7 @@ def run_all(
     only: Iterable[int] | None = None,
     stream: Callable[[str], None] = print,
 ) -> bool:
-    """Run the selected criteria, print one PASS/FAIL line each."""
+    """Run the selected criteria, print one PASS/FAIL line each, timed."""
     selected = sorted(set(only)) if only is not None else sorted(CRITERIA)
     unknown = [k for k in selected if k not in CRITERIA]
     if unknown:
@@ -343,7 +343,12 @@ def run_all(
     all_ok = True
     for k in selected:
         fn, label = CRITERIA[k]
+        t0 = time.perf_counter()
         passed, detail = fn()
+        elapsed = time.perf_counter() - t0
         all_ok = all_ok and passed
-        stream(f"criterion {k:02d} [{'PASS' if passed else 'FAIL'}] {label}: {detail}")
+        stream(
+            f"criterion {k:02d} [{'PASS' if passed else 'FAIL'}] {label}: {detail} "
+            f"[{elapsed:.2f} s]"
+        )
     return all_ok

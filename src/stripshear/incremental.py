@@ -44,17 +44,34 @@ g' H^-1 g / 2 (the decrease predicted by the local quadratic model) falls
 below the roundoff floor of the objective, measured against the magnitudes
 of its summed terms.  Energy-type outputs (stability and balance residuals)
 see errors of the order of that decrement, far below their tolerances.
+
+Pre-yield increments from the virgin state skip the ladder.  Zero is the
+increment from gamma = 0 iff theta m lies in the subdifferential of Psi at
+0, whatever Lambda and kappa, that is iff |theta| is at most the clamped
+discrete yield threshold theta_c = min {Psi(v) : m'v = 1}.  A dual field xi
+with c(xi) = m (c the adjoint of the Gauss-point map v -> (u, lam u_r))
+proves theta_c >= 1 / max|xi|; it is built once per (n_cells, lam, options)
+from a constrained Newton solve for the threshold profile, and below that
+bound the solve returns the exact zero field with no Newton iteration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from ._p1 import SmoothedDissipation, convex_newton, damped_newton, mass_vector
+from ._p1 import (
+    SmoothedDissipation,
+    constrained_newton,
+    convex_newton,
+    damped_newton,
+    mass_vector,
+    solve_banded_spd,
+)
 from .functionals import dissipation, mass, total_energy
 from .model import Field, Mesh, NondimParams, SolverError
 
@@ -204,6 +221,98 @@ def _banded_matvec(banded: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
+# relative shrink of the certified threshold, per cell and per unit of
+# 1 + lam.  c(xi') reproduces m up to a few ulps of its largest terms,
+# about lam |xi'| ~ lam / theta_c per node.  Gauss(3) gives
+# Psi(v) >= 0.43 dr sum|v_i| (at least 0.215 dr (|a| + |b|) per cell), so a
+# residual delta moves the threshold by at most 2.4 theta_c max|delta| / dr:
+# relative to theta_c, of order n_cells (1 + lam) ulps.  The residual
+# measured at n_cells = 2048, lam = 100 (5.7e-13 max m) bounds the move by
+# 1.4e-10 there, against a shrink of 2.1e-9.
+_DUAL_MARGIN = 1e-14
+
+
+class _ThresholdDual(NamedTuple):
+    v: np.ndarray  # primal profile, clamped, m'v = 1 up to roundoff
+    xi_u: np.ndarray  # dual field at the Gauss points, (n_points, n_cells)
+    xi_s: np.ndarray
+    lower: float  # certified: |theta| <= lower keeps the virgin state at rest
+    upper: float  # Psi(v) / m'v
+
+
+def _threshold_dual(mesh: Mesh, lam: float, opts: SolverOptions) -> _ThresholdDual:
+    """Bracket of the clamped discrete yield threshold, with its witnesses.
+
+    Zero is the increment from the virgin state iff theta m lies in
+    dPsi(0) = {c(xi) : |xi| <= 1 at every Gauss point}, whatever Lambda and
+    kappa, where c is the adjoint of v -> (u, lam u_r) at the Gauss points
+    (rule weights included), so c(xi) . v = int xi . (u, lam u_r).  Psi is
+    the support function of that set, hence the threshold
+    theta_c = min {Psi(v) : m'v = 1} lies between 1 / max|xi| for any xi
+    with c(xi) = m and Psi(v) / m'v for any v with m'v > 0.
+
+    v minimizes Psi_eps at m'v = 1 down the smoothing schedule of opts by
+    constrained Newton (the interior weights of m are all dr), within the
+    Newton budget of opts, so options too tight to solve an increment fail
+    here too.  At the last level xi = (u, lam u_r) / R has
+    c(xi) = grad Psi_eps = g; divided by w = m'g / m'm it misses m by
+    rho = g / w - m, which the minimum-norm field B K^-1 rho removes (B maps
+    nodal values to (u, lam u_r) at the Gauss points; K = c B is the P1 mass
+    plus lam^2 stiffness matrix on the interior nodes).
+    """
+    n = mesh.n_cells
+    psi = SmoothedDissipation(mesh, lam)
+    m = mass_vector(mesh)[1:-1]
+
+    def clamped(x: np.ndarray) -> np.ndarray:
+        full = np.zeros(n + 1)
+        full[1:-1] = x
+        return full
+
+    def make_objective(eps: float):
+        def evaluate(x: np.ndarray):
+            rad = psi.radius(clamped(x), eps)
+            v = psi.total(rad)
+            return v, (rad, v)
+
+        def derivatives(state):
+            rad, v = state
+            g, H = psi.grad_hess(rad)
+            return constrained_newton(g[1:-1], H[:, 1:-1], v + 2.0 * eps)
+
+        return evaluate, derivatives
+
+    x = np.full(n - 1, 1.0 / float(m.sum()))
+    for eps in opts.epsilon_schedule:
+        # g is of order theta_c dr
+        x, _ = damped_newton(
+            x, *make_objective(eps), opts.newton_tol * mesh.dr, opts.max_newton_iters
+        )
+
+    v = clamped(x)
+    rad = psi.radius(v, opts.epsilon_schedule[-1])
+    g = psi.grad_hess(rad)[0][1:-1]
+    w = float(m @ g) / float(m @ m)
+    K = _energy_banded(mesh, NondimParams(lam=lam, Lambda=lam, kappa=1.0))
+    fix = psi.radius(clamped(solve_banded_spd(K[:, 1:-1], g / w - m)), 0.0)
+    wR = w * rad.R
+    xi_u = rad.u / wR - fix.u
+    xi_s = rad.ls / wR - fix.ls
+    shrink = 1.0 - _DUAL_MARGIN * n * (1.0 + lam)
+    lower = shrink / float(np.sqrt(xi_u * xi_u + xi_s * xi_s).max())
+    upper = psi.value(v, 0.0) / float(m @ x)
+    return _ThresholdDual(v, xi_u, xi_s, lower, upper)
+
+
+@lru_cache(maxsize=64)
+def _threshold_bracket(
+    n_cells: int, lam: float, opts: SolverOptions
+) -> tuple[float, float]:
+    """(lower, upper) of _threshold_dual, shared by every solve on one strip."""
+    dual = _threshold_dual(Mesh(n_cells), lam, opts)
+    return dual.lower, dual.upper
+
+
 class _IncrementProblem:
     """Reusable discrete operators for repeated increment solves on one mesh."""
 
@@ -222,16 +331,14 @@ class _IncrementProblem:
         self.m = mass_vector(mesh)
         self.psi = SmoothedDissipation(mesh, p.lam)
 
-    def solve(
-        self,
-        gamma_prev: np.ndarray,
-        theta: float,
-        opts: SolverOptions,
-        x0: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def solve(self, gamma_prev: np.ndarray, theta: float, opts: SolverOptions) -> np.ndarray:
+        if not gamma_prev.any():
+            lower, _ = _threshold_bracket(self.mesh.n_cells, self.p.lam, opts)
+            if abs(theta) <= lower:
+                return np.zeros_like(gamma_prev)  # the exact discrete minimizer
         A, m, psi = self.A, self.m, self.psi
         A_abs = self.A_abs
-        x = gamma_prev.copy() if x0 is None else x0.copy()
+        x = gamma_prev.copy()
         x[0] = x[-1] = 0.0
 
         def make_objective(eps: float):
@@ -295,6 +402,9 @@ def increment_solve(
     positive-definite Hessian), so the Newton continuation converges to the
     unique discrete minimizer; each level ends with gradient norm at most
     newton_tol or at double-precision stationarity, whichever comes first.
+    From gamma_prev = 0 at a load no larger in magnitude than the certified
+    lower bound on the yield threshold, the exact zero field is returned
+    without any Newton iteration.
     """
     theta = float(theta)
     if not math.isfinite(theta):

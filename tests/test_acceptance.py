@@ -7,6 +7,8 @@ PASS/FAIL verdict with its measured detail is printed so it appears in
 the test log (run with -s or check captured output on failure).
 """
 
+import re
+
 import pytest
 
 from stripshear.acceptance import CRITERIA, run_all
@@ -30,3 +32,10 @@ def test_run_all_reports_through_stream():
     lines = []
     assert run_all(only=[11], stream=lines.append) is True
     assert len(lines) == 1 and lines[0].startswith("criterion 11 [PASS]")
+
+
+def test_run_all_times_every_criterion():
+    lines = []
+    assert run_all(only=[2, 11], stream=lines.append) is True
+    assert len(lines) == 2
+    assert all(re.search(r"\[\d+\.\d{2} s\]$", line) for line in lines)

@@ -15,12 +15,22 @@ What is verified:
   7. Failure paths raise SolverError carrying residual and step context;
      kappa = 0 (no stored energy, unbounded flow past yield) is rejected
      with ValueError before any solve.
+  8. The clamped discrete yield threshold is bracketed tightly by a primal
+     profile and an equality-feasible dual field; below the bracket an
+     increment from the virgin state is the exact zero field without any
+     Newton iteration, above it the strip flows.  A property test over
+     (lam, Lambda, kappa, theta, n_cells) checks that increments from the
+     virgin state are finite or raise SolverError, are exact zeros below
+     the bracket, and never exceed the zero field's E_tot + Psi by more
+     than stability_tol.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stripshear import (
     DEFAULT_EPSILON_SCHEDULE,
@@ -39,6 +49,7 @@ from stripshear import (
     stability_residual,
     total_energy,
 )
+from stripshear import incremental
 
 P_REF = NondimParams(lam=1.179812, Lambda=1.0, kappa=1.0)
 
@@ -228,3 +239,84 @@ def test_zero_kappa_is_rejected():
         increment_solve(Field.zeros(make_mesh(64)), 3.0, p)
     with pytest.raises(ValueError, match="kappa"):
         evolve(LoadProgram((0.0, 1.5, 3.0)), p, make_mesh(64))
+
+
+# ------------------------------------------------------- pre-yield certificate
+
+
+def _adjoint(xi_u, xi_s, mesh, lam):
+    """c(xi) = sum over Gauss points of dr w (xi_u phi + xi_s lam phi'), looped."""
+    t, w = np.polynomial.legendre.leggauss(3)
+    t, w = (t + 1.0) / 2.0, w / 2.0
+    c = np.zeros(mesh.n_cells + 1)
+    for i in range(mesh.n_cells):
+        for q in range(3):
+            slope = lam / mesh.dr * xi_s[q, i]
+            c[i] += mesh.dr * w[q] * ((1.0 - t[q]) * xi_u[q, i] - slope)
+            c[i + 1] += mesh.dr * w[q] * (t[q] * xi_u[q, i] + slope)
+    return c
+
+
+@pytest.mark.parametrize("n_cells", [2, 4, 64, 512])
+@pytest.mark.parametrize("lam", [1e-3, 0.1, 1.179812, 10.0, 100.0])
+def test_threshold_bracket(lam, n_cells):
+    mesh = make_mesh(n_cells)
+    dual = incremental._threshold_dual(mesh, lam, DEFAULT_OPTIONS)
+    assert 0.0 < dual.lower <= dual.upper
+    assert (dual.upper - dual.lower) / dual.upper <= 1e-6
+    m = mesh.dr * np.ones(n_cells - 1)  # interior trapezoid weights
+    c = _adjoint(dual.xi_u, dual.xi_s, mesh, lam)[1:-1]
+    assert float(np.max(np.abs(c - m))) <= 1e-13 * float(m.max())
+    # the primal witness: a clamped field whose ratio is the upper bound
+    v = Field(mesh, dual.v)
+    assert dual.upper == pytest.approx(dissipation(v, lam) / float(m @ dual.v[1:-1]))
+    # no worse than the flat interior competitor; above the local threshold 1
+    flat = Field(mesh, np.r_[0.0, np.ones(n_cells - 1), 0.0])
+    assert dual.upper <= dissipation(flat, lam) / float(m.sum())
+    assert 1.0 < dual.lower
+
+
+def test_virgin_increment_below_bracket_skips_newton(monkeypatch):
+    mesh = make_mesh(64)
+    p = NondimParams(lam=0.3, Lambda=2.0, kappa=0.5)
+    lower, upper = incremental._threshold_bracket(mesh.n_cells, p.lam, DEFAULT_OPTIONS)
+    calls = []
+    newton = incremental.damped_newton
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(incremental, "damped_newton", counting)
+    for theta in (0.999 * lower, -0.999 * lower):
+        rest = increment_solve(Field.zeros(mesh), theta, p)
+        assert rest.values.tobytes() == np.zeros(mesh.n_cells + 1).tobytes()
+    assert calls == []
+    flowing = increment_solve(Field.zeros(mesh), 1.001 * upper, p)
+    assert calls
+    assert float(np.max(np.abs(flowing.values))) > DEFAULT_OPTIONS.yield_tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lam=st.floats(1e-3, 1e2),
+    half_cells=st.integers(1, 64),
+    Lambda=st.floats(0.1, 10.0),
+    kappa=st.floats(0.1, 10.0),
+    load=st.floats(0.0, 1.5),
+)
+def test_virgin_increment_properties(lam, half_cells, Lambda, kappa, load):
+    mesh = make_mesh(2 * half_cells)
+    p = NondimParams(lam=lam, Lambda=Lambda, kappa=kappa)
+    lower, upper = incremental._threshold_bracket(mesh.n_cells, lam, DEFAULT_OPTIONS)
+    theta = load * upper
+    try:
+        gamma = increment_solve(Field.zeros(mesh), theta, p)
+    except SolverError:
+        return
+    assert np.isfinite(gamma.values).all()
+    if theta <= lower:
+        assert not gamma.values.any()
+    # the zero field has E_tot + Psi = 0
+    energy = total_energy(theta, gamma, p) + dissipation(gamma, lam)
+    assert energy <= DEFAULT_OPTIONS.stability_tol

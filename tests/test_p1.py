@@ -15,6 +15,9 @@ What is verified:
      pivoting included, and rejects non-finite systems.
   6. The shared Gauss(3) rule equals both spellings of the rule mapped to
      [0, 1], 0.5 (x + 1) and (x + 1) / 2, and is the default quadrature.
+  7. The fixed-sum Newton step is the dense null-space Newton step, keeps
+     the sum, and a single unknown is already stationary; the SPD banded
+     solve handles tridiagonal, pentadiagonal and 1x1 systems.
 """
 
 import math
@@ -27,9 +30,11 @@ from stripshear._p1 import (
     GAUSS3_POINTS,
     GAUSS3_WEIGHTS,
     SmoothedDissipation,
+    constrained_newton,
     convex_newton,
     damped_newton,
     mass_vector,
+    solve_banded_spd,
     solve_tridiagonal,
 )
 
@@ -212,3 +217,48 @@ def test_gauss3_is_the_shared_rule():
     assert np.array_equal(GAUSS3_WEIGHTS, w / 2.0)
     assert np.array_equal(DEFAULT_QUADRATURE.points, GAUSS3_POINTS)
     assert np.array_equal(DEFAULT_QUADRATURE.weights, GAUSS3_WEIGHTS)
+
+
+def _dense_upper_banded(ab):
+    """Symmetric dense matrix of an upper banded array (solveh_banded layout)."""
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    A = np.zeros((n, n))
+    for k in range(kd + 1):
+        for j in range(kd - k, n):
+            A[j - (kd - k), j] = A[j, j - (kd - k)] = ab[k, j]
+    return A
+
+
+@pytest.mark.parametrize("rows, n", [(2, 17), (3, 17), (2, 1), (3, 1)])
+def test_spd_banded_solve(rows, n):
+    rng = np.random.default_rng(rows * 100 + n)
+    ab = rng.uniform(-1.0, 1.0, (rows, n))
+    ab[-1] = 2.0 * rows + rng.uniform(0.0, 1.0, n)  # diagonally dominant
+    rhs = rng.standard_normal(n)
+    x = solve_banded_spd(ab, rhs)
+    assert np.allclose(_dense_upper_banded(ab) @ x, rhs, rtol=0.0, atol=1e-13)
+
+
+def test_constrained_newton_step_is_the_null_space_step():
+    rng = np.random.default_rng(11)
+    n = 9
+    H = np.empty((2, n))
+    H[1] = rng.uniform(2.0, 3.0, n)
+    H[0] = rng.uniform(-0.9, 0.9, n)
+    g = rng.standard_normal(n)
+    measure, newton_step = constrained_newton(g, H, 1.0)
+    step, slope, floor = newton_step()
+
+    Z = np.eye(n)[:, :-1] - np.eye(n)[:, 1:]  # z_j = e_j - e_{j+1}
+    Hd = _dense_upper_banded(H)
+    expected = Z @ np.linalg.solve(Z.T @ Hd @ Z, -Z.T @ g)
+    assert measure == float(np.max(np.abs(Z.T @ g)))
+    assert np.allclose(step, expected, rtol=0.0, atol=1e-12)
+    assert abs(step.sum()) <= 1e-13
+    assert slope == pytest.approx(float(g @ step), rel=1e-12) and slope < 0.0
+    assert floor == 1e-15
+
+
+def test_constrained_newton_single_unknown_is_stationary():
+    measure, _ = constrained_newton(np.array([3.0]), np.array([[0.0], [2.0]]), 1.0)
+    assert measure == 0.0
