@@ -1,8 +1,9 @@
 """Piecewise-linear (P1) Gauss-point kernel shared by the solvers.
 
-One home for what the dissipation-based solvers have in common:
+One home for what the solvers have in common:
 
-* the Gauss(3) rule on the reference cell [0, 1];
+* the Gauss(3) rule on the reference cell [0, 1], a P1 field's values at
+  its points and the assembly of per-cell end sums into nodal vectors;
 * the eps-smoothed dissipation of a nodal field,
 
       Psi_eps(d) = int sqrt(d^2 + lam^2 d_r^2 + eps^2) - eps dr,
@@ -33,6 +34,8 @@ __all__ = [
     "GAUSS3_POINTS",
     "GAUSS3_WEIGHTS",
     "SmoothedDissipation",
+    "at_points",
+    "assemble",
     "mass_vector",
     "solve_banded_spd",
     "solve_tridiagonal",
@@ -52,6 +55,30 @@ def _gauss3() -> tuple[np.ndarray, np.ndarray]:
 
 
 GAUSS3_POINTS, GAUSS3_WEIGHTS = _gauss3()
+
+
+def at_points(v: np.ndarray, t: np.ndarray = GAUSS3_POINTS[:, None]):
+    """Values of the P1 field v at the points t (a column) of every cell.
+
+    Returns them laid out (n_points, n_cells), with the per-cell
+    differences v[i + 1] - v[i] they were formed from.
+    """
+    diff = v[1:] - v[:-1]
+    return v[:-1] + t * diff, diff
+
+
+def assemble(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None):
+    """Nodal vector of per-cell sums: node i gets left[i] + right[i - 1].
+
+    left[i] and right[i] belong to the left and right ends of cell i; each
+    end node has one term (the last is 0.0 + right[-1], the same double).
+    """
+    if out is None:
+        out = np.empty(left.size + 1)
+    out[:-1] = left
+    out[-1] = 0.0
+    out[1:] += right
+    return out
 
 
 class _Radius(NamedTuple):
@@ -104,8 +131,7 @@ class SmoothedDissipation:
 
     def radius(self, d: np.ndarray, eps: float) -> _Radius:
         """Gauss-point values of the field, its scaled slope and R."""
-        diff = d[1:] - d[:-1]
-        u = d[:-1] + self.t * diff
+        u, diff = at_points(d, self.t)
         ls = self.slope_scale * diff
         return _Radius(u, ls, np.sqrt(u * u + (ls * ls + eps * eps)), eps)
 
@@ -137,18 +163,11 @@ class SmoothedDissipation:
             out *= inv_R
         ga_c, gb_c, haa_c, hbb_c, hab_c = self.dw @ terms  # per-cell sums
 
-        n = self.n
-        grad = np.empty(n + 1)
-        grad[:-1] = ga_c
-        grad[-1] = 0.0
-        grad[1:] += gb_c
-        banded = np.empty((2, n + 1))
+        banded = np.empty((2, self.n + 1))
         banded[0, 0] = 0.0
         banded[0, 1:] = hab_c
-        banded[1, :-1] = haa_c
-        banded[1, -1] = 0.0
-        banded[1, 1:] += hbb_c
-        return grad, banded
+        assemble(haa_c, hbb_c, out=banded[1])
+        return assemble(ga_c, gb_c), banded
 
 
 def mass_vector(mesh: Mesh) -> np.ndarray:

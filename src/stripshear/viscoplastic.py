@@ -26,8 +26,9 @@ rate-independent trajectories of the incremental module; the limit study
 quantifies that convergence on a shared load ramp.
 
 Time stepping is backward Euler in gamma (the stiff power law demands it)
-with damped Newton on the spatial balance, and an explicit update for the
-slowly varying S.
+with damped Newton on the spatial balance.  S then advances by the exact
+solution of its law at the step's frozen flow rate, which keeps a
+saturating strength on the same side of S_sat whatever dt.
 """
 
 from __future__ import annotations
@@ -39,7 +40,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._p1 import GAUSS3_POINTS, GAUSS3_WEIGHTS, damped_newton, solve_tridiagonal
+from ._p1 import (
+    GAUSS3_POINTS,
+    GAUSS3_WEIGHTS,
+    assemble,
+    at_points,
+    damped_newton,
+    solve_tridiagonal,
+)
 from .incremental import DEFAULT_OPTIONS, LoadProgram, SolverOptions, evolve
 from .model import Field, Mesh, PhysicalParams, SolverError, nondimensionalize
 
@@ -56,19 +64,15 @@ __all__ = [
 
 _RATE_EPS_FACTOR = 1e-10
 
-# Gauss(3) points, weights and left shape function, laid out (1, n_points)
-# against the residual's (n_cells, n_points) arrays
-_T = GAUSS3_POINTS[None, :]
-_W = GAUSS3_WEIGHTS[None, :]
-_SHA = 1.0 - _T
-
 
 @dataclass(frozen=True)
 class Hardening:
     """Named hardening law S -> H(S) for the strength evolution S_t = H(S) d.
 
     zero: no evolution; linear: constant modulus h0; saturating: Voce form
-    h0 (1 - S / S_sat), flattening as S approaches S_sat.
+    h0 (1 - S / S_sat), flattening as S approaches S_sat.  advance() steps
+    S exactly at a frozen rate d, so a Voce strength relaxes toward S_sat
+    and never crosses it.
     """
 
     kind: str
@@ -106,6 +110,22 @@ class Hardening:
         if self.kind == "linear":
             return np.full_like(S, self.h0)
         return self.h0 * (1.0 - S / self.S_sat)
+
+    def advance(self, S: np.ndarray, dt: float, d: np.ndarray) -> np.ndarray:
+        """Strength after a time dt at the frozen flow rate d, exactly.
+
+        Zero and linear laws add dt H d (H does not depend on S, so this is
+        exact, and zero hardening leaves S bit for bit); the Voce law
+        relaxes the gap to S_sat by the factor exp(-dt h0 d / S_sat).
+        """
+        if self.kind != "saturating":
+            return S + dt * self.rate(S) * d
+        x = dt * self.h0 * d / self.S_sat
+        gap = self.S_sat - S  # rounded where S < S_sat / 2
+        # S_sat - gap exp(-x) from the nearer end, so that the rounding of
+        # gap cannot carry S back past S or on past S_sat
+        decay = np.exp(-x)
+        return np.where(decay > 0.5, S - gap * np.expm1(-x), self.S_sat - gap * decay)
 
 
 @dataclass(frozen=True)
@@ -159,35 +179,19 @@ class LimitStudyReport(NamedTuple):
     discrepancies: tuple
 
 
-def _powerlaw_pair(a_q, b_q, S_q, p: PhysicalParams, eps: float):
-    """Power-law pair at quadrature points, with the mobility for its Jacobian.
+def _cell_sums(f0, f1, dy: float):
+    """Per-cell (left, right) sums of int f0 phi + f1 phi' dy, phi the P1 shapes.
 
-    a_q is the local rate, b_q its y-gradient; returns tau_dis, k_dis, the
-    mobility P and the squared regularized rate d2.
+    f0 and f1 are laid out (..., n_points, n_cells).  The right shape is
+    phi = t with phi' = 1/dy; the two shapes sum to one and their slopes to
+    zero, so the left sum is int f0 dy minus the right one.
     """
-    ell2 = p.ell * p.ell
-    d2 = a_q * a_q + ell2 * b_q * b_q + eps * eps
-    d = np.sqrt(d2)
-    P = d ** (p.m_rate - 1.0) / p.d0**p.m_rate
-    tau_dis = S_q * P * a_q
-    k_dis = p.S0 * ell2 * P * b_q
-    return tau_dis, k_dis, P, d2
-
-
-def _powerlaw_blocks(a_q, b_q, S_q, P, d2, p: PhysicalParams):
-    """The four 2x2 rate-Jacobian blocks d(tau_dis, k_dis)/d(a, b)."""
-    ell2 = p.ell * p.ell
-    mm = (p.m_rate - 1.0) / d2
-    j_aa = S_q * P * (1.0 + mm * a_q * a_q)
-    j_ab = S_q * P * mm * a_q * ell2 * b_q
-    j_ba = p.S0 * ell2 * P * mm * b_q * a_q
-    j_bb = p.S0 * ell2 * P * (1.0 + mm * ell2 * b_q * b_q)
-    return j_aa, j_ab, j_ba, j_bb
-
-
-def _interp(v):
-    """Nodal values at the Gauss points, (n_cells, n_points)."""
-    return v[:-1, None] * _SHA + v[1:, None] * _T
+    terms = np.empty((2,) + f0.shape)
+    np.multiply(f0, GAUSS3_POINTS[:, None], out=terms[0])
+    terms[0] += f1 / dy
+    terms[1] = f0
+    right, total = (dy * GAUSS3_WEIGHTS) @ terms
+    return total - right, right
 
 
 def _residual(
@@ -196,29 +200,27 @@ def _residual(
 ):
     """FEM residual of the implicit balance, and what its Jacobian needs.
 
-    Piecewise-linear elements, Gauss(3) per cell; rows for the clamped
-    boundary nodes are zero.  S_q is the strength at the Gauss points, fixed
-    over the step.  Returns (R, state); _jacobian(state) builds the banded
-    Jacobian at the same iterate.
+    Piecewise-linear elements, Gauss(3) per cell, on the kernel's
+    (n_points, n_cells) layout; rows for the clamped boundary nodes are
+    zero.  S_q is the strength at the Gauss points, fixed over the step.
+    Returns (R, state); _jacobian(state) builds the banded Jacobian at the
+    same iterate.
     """
     rate = (gamma - gamma_n) / dt
+    g_q, g_diff = at_points(gamma)
+    a_q, a_diff = at_points(rate)
+    b_q = a_diff / dy  # the rate's slope, one per cell
 
-    def slope(v):  # one value per cell, (n_cells, 1)
-        return ((v[1:] - v[:-1]) / dy)[:, None]
-
-    g_q = _interp(gamma)
-    gy_q = slope(gamma)
-    a_q = _interp(rate)
-    b_q = slope(rate)
-
-    tau_dis, k_dis, P, d2 = _powerlaw_pair(a_q, b_q, S_q, p, eps)
+    # the power-law pair, with the mobility P and d^2 for the Jacobian
+    ell2 = p.ell * p.ell
+    d2 = a_q * a_q + ell2 * b_q * b_q + eps * eps
+    P = np.sqrt(d2) ** (p.m_rate - 1.0) / p.d0**p.m_rate
+    tau_dis = S_q * P * a_q
+    k_dis = p.S0 * ell2 * P * b_q
 
     f0 = p.S0 * p.kappa * g_q + tau_dis - tau  # pairs with phi_i
-    f1 = p.S0 * p.L * p.L * gy_q + k_dis  # pairs with phi_i'
-
-    R = np.zeros_like(gamma)
-    R[:-1] += dy * np.sum(_W * (f0 * _SHA - f1 / dy), axis=1)
-    R[1:] += dy * np.sum(_W * (f0 * _T + f1 / dy), axis=1)
+    f1 = p.S0 * p.L * p.L * (g_diff / dy) + k_dis  # pairs with phi_i'
+    R = assemble(*_cell_sums(f0, f1, dy))
     R[0] = R[-1] = 0.0
     return R, (a_q, b_q, S_q, P, d2, dt, p, dy)
 
@@ -229,29 +231,29 @@ def _jacobian(state):
     Rows for the clamped boundary nodes are identities.
     """
     a_q, b_q, S_q, P, d2, dt, p, dy = state
-    j_aa, j_ab, j_ba, j_bb = _powerlaw_blocks(a_q, b_q, S_q, P, d2, p)
-    da_l, da_r = _SHA / dt, _T / dt
-    db_l, db_r = -1.0 / (dy * dt), 1.0 / (dy * dt)
+    ell2 = p.ell * p.ell
+    mm = (p.m_rate - 1.0) / d2
+    Pt = P / dt  # the rate is gamma / dt
+    # d f0 and d f1 per unit change of gamma's value (A, C) and slope (B, D)
+    # at each Gauss point: the elastic part, and d(tau_dis, k_dis)/d(a, b)
+    A = p.S0 * p.kappa + S_q * Pt * (1.0 + mm * a_q * a_q)
+    B = S_q * Pt * mm * a_q * ell2 * b_q
+    C = p.S0 * ell2 * Pt * mm * b_q * a_q
+    D = p.S0 * p.L * p.L + p.S0 * ell2 * Pt * (1.0 + mm * ell2 * b_q * b_q)
+    # their responses to the right end value (value t, slope 1/dy) and to
+    # the left one (the rest: the shapes sum to one, the slopes to zero)
+    df = np.empty((2, 2) + A.shape)  # [f0, f1] x [left, right]
+    np.add(A * GAUSS3_POINTS[:, None], B / dy, out=df[0, 1])
+    np.add(C * GAUSS3_POINTS[:, None], D / dy, out=df[1, 1])
+    np.subtract(A, df[0, 1], out=df[0, 0])
+    np.subtract(C, df[1, 1], out=df[1, 0])
+    (c_ll, c_lr), (c_rl, c_rr) = _cell_sums(df[0], df[1], dy)
 
-    # d f0 / d gamma_j and d f1 / d gamma_j at each qp, j in {left, right}
-    el = p.S0 * p.kappa
-    gr = p.S0 * p.L * p.L
-    f0_l = el * _SHA + j_aa * da_l + j_ab * db_l
-    f0_r = el * _T + j_aa * da_r + j_ab * db_r
-    f1_l = -gr / dy + j_ba * da_l + j_bb * db_l
-    f1_r = gr / dy + j_ba * da_r + j_bb * db_r
-
-    c_ll = dy * np.sum(_W * (f0_l * _SHA - f1_l / dy), axis=1)
-    c_lr = dy * np.sum(_W * (f0_r * _SHA - f1_r / dy), axis=1)
-    c_rl = dy * np.sum(_W * (f0_l * _T + f1_l / dy), axis=1)
-    c_rr = dy * np.sum(_W * (f0_r * _T + f1_r / dy), axis=1)
-
-    n = c_ll.size + 1
-    ab = np.zeros((3, n))
-    ab[1, :-1] += c_ll
-    ab[1, 1:] += c_rr
-    ab[0, 1:] += c_lr  # superdiagonal
-    ab[2, :-1] += c_rl  # subdiagonal
+    ab = np.empty((3, c_ll.size + 1))
+    ab[0, 0] = ab[2, -1] = 0.0
+    ab[0, 1:] = c_lr  # superdiagonal
+    ab[2, :-1] = c_rl  # subdiagonal
+    assemble(c_ll, c_rr, out=ab[1])
 
     # clamped boundary rows
     ab[1, 0] = ab[1, -1] = 1.0
@@ -318,14 +320,14 @@ def visco_step(
 
     Damped Newton drives the max-norm of the spatial balance residual at the
     new time level to tolerance or to its float64 floor; the strength field
-    is then advanced explicitly with the accepted flow rate.  gamma_init,
-    when given, seeds Newton (a warm start from the previous increment);
+    is then advanced by Hardening.advance, exactly for the accepted flow
+    rate, so a saturating strength never crosses S_sat.  gamma_init, when
+    given, seeds Newton (a warm start from the previous increment);
     otherwise a nodal power-law inversion of the overstress is used.  If
     the sharp problem resists (rates trapped in the regularization corner
     crawl out of it only geometrically), the step is re-solved by
     continuation over a decade ladder of smoothing widths down to the
-    nominal eps_v.  A saturating strength update that would overshoot
-    S_sat (dt h0 d > S_sat at a node) raises SolverError too.
+    nominal eps_v.
     """
     tau_next = float(tau_next)
     dt = float(dt)
@@ -340,7 +342,7 @@ def visco_step(
     dy = base.h * mesh.dr
     gamma_n = state.gamma.values
     S_nodes = state.S.values
-    S_q = _interp(S_nodes)
+    S_q = at_points(S_nodes)[0]
     eps_v = _RATE_EPS_FACTOR * base.d0
 
     # residual entries scale like stress * dy
@@ -405,15 +407,7 @@ def visco_step(
             ) from err
 
     d_nodes = _nodal_flow_rate(x, gamma_n, dt, base, dy)
-    hardening = p.hardening
-    jump = dt * hardening.h0 * float(np.max(d_nodes))
-    if hardening.kind == "saturating" and jump > hardening.S_sat:
-        # the explicit Voce update crosses S_sat wherever dt h0 d > S_sat
-        raise SolverError(
-            f"explicit strength update overshoots S_sat (dt h0 d = {jump:.3e} "
-            f"> S_sat = {hardening.S_sat:g}); try halving dt"
-        )
-    S_new = S_nodes + dt * hardening.rate(S_nodes) * d_nodes
+    S_new = p.hardening.advance(S_nodes, dt, d_nodes)
     return ViscoState(
         t=state.t + dt, gamma=Field(mesh, x), S=Field(mesh, S_new)
     )

@@ -13,6 +13,9 @@ Anchors used here:
   * Profile identities: the onset profile is even, strictly decreasing away
     from the center, unit mass, boundary trace ratio (theta - 1)/theta, and
     its relaxed dissipation per unit mass equals theta_Y.
+  * The quadrature's own Gauss-Legendre rule: nodes equal scipy's
+    roots_legendre to 1e-15, and the weights integrate every monomial of
+    degree < 2n on [0, 1] and exp with the Gauss error term.
 """
 
 import math
@@ -218,3 +221,23 @@ def test_brentq_matches_scipy_bit_for_bit():
         assert _brentq(f, a, b, 2e-12, rtol, 100) == brentq(f, a, b)
     with pytest.raises(ValueError, match="different signs"):
         _brentq(math.exp, 0.0, 1.0, 2e-12, rtol, 100)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 256, 4096])
+def test_gauss_legendre_rule(n):
+    from scipy.special import roots_legendre
+
+    from stripshear.yield_stress import _unit_gauss
+
+    z, w = _unit_gauss(n)
+    x_ref = roots_legendre(n)[0]
+    assert float(np.max(np.abs(z - (x_ref + 1.0) * 0.5))) <= 1e-15
+    # exact for every monomial of degree < 2n
+    zk = np.ones(n)
+    for k in range(2 * n):
+        assert abs(float(w @ zk) - 1.0 / (k + 1)) <= 1e-14
+        zk *= z
+    # exp: the Gauss error term c f^(2n)(xi) on [0, 1], with 1 <= f^(2n) <= e
+    c = math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3)
+    err = (math.e - 1.0) - float(w @ np.exp(z))
+    assert c * (1.0 - 1e-12) - 1e-14 <= err <= math.e * c + 1e-14
