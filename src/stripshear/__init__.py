@@ -19,8 +19,6 @@ from .model import (
     nondimensionalize,
 )
 from .functionals import (
-    DEFAULT_QUADRATURE,
-    QuadratureRule,
     RelaxedField,
     dissipation,
     dissipation_distance,
@@ -78,8 +76,6 @@ __all__ = [
     "local_flow_response",
     "make_mesh",
     "nondimensionalize",
-    "DEFAULT_QUADRATURE",
-    "QuadratureRule",
     "RelaxedField",
     "dissipation",
     "dissipation_distance",

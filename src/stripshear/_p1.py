@@ -2,8 +2,10 @@
 
 One home for what the solvers have in common:
 
-* the Gauss(3) rule on the reference cell [0, 1], a P1 field's values at
-  its points and the assembly of per-cell end sums into nodal vectors;
+* the package's only Gauss-Legendre generator (gauss_legendre) and the
+  one rule every P1 integral uses, Gauss(3) on the reference cell [0, 1]
+  (GAUSS3_POINTS, GAUSS3_WEIGHTS); a P1 field's values at its points and
+  the assembly of per-cell end sums into nodal vectors;
 * the eps-smoothed dissipation of a nodal field,
 
       Psi_eps(d) = int sqrt(d^2 + lam^2 d_r^2 + eps^2) - eps dr,
@@ -22,7 +24,7 @@ products.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -33,6 +35,7 @@ from .model import Mesh, SolverError
 __all__ = [
     "GAUSS3_POINTS",
     "GAUSS3_WEIGHTS",
+    "gauss_legendre",
     "SmoothedDissipation",
     "at_points",
     "assemble",
@@ -45,26 +48,59 @@ __all__ = [
 ]
 
 
-def _gauss3() -> tuple[np.ndarray, np.ndarray]:
-    # halving is exact: these equal 0.5 * (x + 1) and (x + 1) / 2 bit for bit
-    x, w = np.polynomial.legendre.leggauss(3)
-    points, weights = (x + 1.0) / 2.0, w / 2.0
+def _legendre(n: int, x: np.ndarray) -> tuple:
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) / (j + 1)) * x * p1 - (j / (j + 1)) * p0
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+@lru_cache(maxsize=32)
+def gauss_legendre(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights of order n, mapped to [0, 1].
+
+    Newton on the three-term recurrence from Tricomi's initial guesses, for
+    the nodes of [-1, 1] in [0, 1) only; the others follow by symmetry.  The
+    guesses are within O(n^-4), so two or three steps reach roundoff; the
+    weights 2 / ((1 - x^2) P_n'(x)^2) take P_n' at the converged nodes.
+    The arrays are cached, so they are returned read-only.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (1.0 - 1.0 / n) / (8.0 * n * n)) * np.cos(
+        math.pi * (4 * k - 1) / (4 * n + 2)
+    )
+    for _ in range(10):
+        p, dp = _legendre(n, x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) <= 1e-15:
+            break
+    else:
+        raise SolverError(f"Gauss-Legendre nodes of order {n} did not converge")
+    w = 2.0 / ((1.0 - x * x) * _legendre(n, x)[1] ** 2)
+    x = np.concatenate((-x, x[::-1][n % 2 :]))  # ascending; odd n: one middle
+    w = np.concatenate((w, w[::-1][n % 2 :]))
+    points, weights = (x + 1.0) * 0.5, w * 0.5
     points.flags.writeable = False
     weights.flags.writeable = False
     return points, weights
 
 
-GAUSS3_POINTS, GAUSS3_WEIGHTS = _gauss3()
+# the one rule of every P1 integral: exact through degree 5 on each cell
+GAUSS3_POINTS, GAUSS3_WEIGHTS = gauss_legendre(3)
+_T = GAUSS3_POINTS[:, None]  # columns: broadcast against (n_cells,) rows
+_W = GAUSS3_WEIGHTS[:, None]
 
 
-def at_points(v: np.ndarray, t: np.ndarray = GAUSS3_POINTS[:, None]):
-    """Values of the P1 field v at the points t (a column) of every cell.
+def at_points(v: np.ndarray):
+    """Values of the P1 field v at the Gauss(3) points of every cell.
 
     Returns them laid out (n_points, n_cells), with the per-cell
     differences v[i + 1] - v[i] they were formed from.
     """
     diff = v[1:] - v[:-1]
-    return v[:-1] + t * diff, diff
+    return v[:-1] + _T * diff, diff
 
 
 def assemble(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None):
@@ -101,19 +137,11 @@ class SmoothedDissipation:
     banded form of scipy.linalg.solveh_banded.
     """
 
-    def __init__(
-        self,
-        mesh: Mesh,
-        lam: float,
-        points: np.ndarray = GAUSS3_POINTS,
-        weights: np.ndarray = GAUSS3_WEIGHTS,
-    ):
+    def __init__(self, mesh: Mesh, lam: float):
         self.n = mesh.n_cells
         self.dr = mesh.dr
         self.slope_scale = float(lam) / mesh.dr  # e = lam / dr
-        self.t = np.asarray(points, dtype=float)[:, None]
-        self.w = np.asarray(weights, dtype=float)[:, None]
-        self.dw = self.dr * self.w[:, 0]
+        self.dw = self.dr * GAUSS3_WEIGHTS
 
     @cached_property
     def _shape_factors(self):
@@ -124,20 +152,20 @@ class SmoothedDissipation:
         the sizes the solvers use.
         """
         e = self.slope_scale
-        shape = (self.t.size, self.n)
-        ca = np.broadcast_to(1.0 - self.t, shape)  # left shape function
-        cb = np.broadcast_to(self.t, shape)
+        shape = (_T.size, self.n)
+        ca = np.broadcast_to(1.0 - _T, shape)  # left shape function
+        cb = np.broadcast_to(_T, shape)
         return ca.copy(), ca * ca + e * e, cb * cb + e * e, ca * cb - e * e
 
     def radius(self, d: np.ndarray, eps: float) -> _Radius:
         """Gauss-point values of the field, its scaled slope and R."""
-        u, diff = at_points(d, self.t)
+        u, diff = at_points(d)
         ls = self.slope_scale * diff
         return _Radius(u, ls, np.sqrt(u * u + (ls * ls + eps * eps)), eps)
 
     def total(self, rad: _Radius) -> float:
         """Psi_eps from the Gauss-point radii."""
-        return self.dr * float((self.w * (rad.R - rad.eps)).sum())
+        return self.dr * float((_W * (rad.R - rad.eps)).sum())
 
     def value(self, d: np.ndarray, eps: float) -> float:
         return self.total(self.radius(d, eps))

@@ -19,8 +19,10 @@ bounded-variation minimizer is allowed to form:
 Discretization: fields are nodal and piecewise linear on a uniform mesh.
 The quadratic integrands of E are integrated exactly (Simpson on each cell).
 The square-root integrand of Psi is smooth inside each cell and is handled
-by a fixed Gauss rule per cell; the mass integral uses the trapezoidal rule,
-which is exact for piecewise-linear data.
+by the one fixed Gauss(3) rule per cell of the shared P1 kernel (_p1, where
+the package generates its Gauss-Legendre rules); it is not a parameter.  The
+mass integral uses the trapezoidal rule, which is exact for piecewise-linear
+data.
 """
 
 from __future__ import annotations
@@ -30,13 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._p1 import GAUSS3_POINTS, GAUSS3_WEIGHTS, SmoothedDissipation
-from .model import Field, Mesh, NondimParams
+from ._p1 import SmoothedDissipation
+from .model import Field, NondimParams
 
 __all__ = [
-    "QuadratureRule",
     "RelaxedField",
-    "DEFAULT_QUADRATURE",
     "mass",
     "plastic_energy",
     "dissipation",
@@ -44,48 +44,6 @@ __all__ = [
     "total_energy",
     "dissipation_distance",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre rule on the reference cell [0, 1].
-
-    points and weights are per cell; weights are positive and sum to one, so
-    after scaling by the cell length they sum to the cell length.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=float, copy=True)
-        wts = np.array(self.weights, dtype=float, copy=True)
-        if pts.ndim != 1 or pts.shape != wts.shape or pts.size < 1:
-            raise ValueError("points and weights must be 1-d arrays of equal positive length")
-        if np.any(wts <= 0.0):
-            raise ValueError("quadrature weights must be positive")
-        if abs(float(np.sum(wts)) - 1.0) > 1e-12:
-            raise ValueError("quadrature weights must sum to the reference cell length 1")
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
-            raise ValueError("quadrature points must lie in [0, 1]")
-        pts.flags.writeable = False
-        wts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-
-    @property
-    def n_points(self) -> int:
-        return int(self.points.size)
-
-    @classmethod
-    def gauss(cls, n_points: int) -> "QuadratureRule":
-        if n_points < 1:
-            raise ValueError(f"n_points must be >= 1, got {n_points}")
-        x, w = np.polynomial.legendre.leggauss(int(n_points))
-        return cls(points=0.5 * (x + 1.0), weights=0.5 * w)
-
-
-DEFAULT_QUADRATURE = QuadratureRule(points=GAUSS3_POINTS, weights=GAUSS3_WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -127,36 +85,27 @@ def plastic_energy(gamma: Field, p: NondimParams) -> float:
     return 0.5 * p.kappa * (sq + p.Lambda * p.Lambda * grad)
 
 
-def _cell_sqrt_integral(values: np.ndarray, mesh: Mesh, lam: float, q: QuadratureRule) -> float:
-    """int sqrt(gamma^2 + lam^2 gamma_r^2) dr for nodal values, Gauss per cell."""
-    return SmoothedDissipation(mesh, lam, q.points, q.weights).value(values, 0.0)
-
-
-def dissipation(gamma: Field, lam: float, q: QuadratureRule | None = None) -> float:
+def dissipation(gamma: Field, lam: float) -> float:
     """Dissipation Psi(gamma) = int sqrt(gamma^2 + lam^2 gamma_r^2) dr.
 
     Positively 1-homogeneous and convex; lam = 0 degenerates to the L1 norm.
-    The integrand is smooth within each cell (piecewise-linear data), so a
-    fixed Gauss rule per cell converges at second order under refinement for
-    smooth fields.
+    The integrand is smooth within each cell (piecewise-linear data), so the
+    fixed Gauss(3) rule per cell converges at second order under refinement
+    for smooth fields.
     """
     lam = _check_lam(lam)
-    if q is None:
-        q = DEFAULT_QUADRATURE
-    return _cell_sqrt_integral(gamma.values, gamma.mesh, lam, q)
+    return SmoothedDissipation(gamma.mesh, lam).value(gamma.values, 0.0)
 
 
-def relaxed_dissipation(phi: RelaxedField, lam: float, q: QuadratureRule | None = None) -> float:
+def relaxed_dissipation(phi: RelaxedField, lam: float) -> float:
     """Relaxed dissipation: interior Psi plus lam * (|phi(-1)| + |phi(+1)|).
 
     The boundary terms price the jumps between the clamped value 0 and the
     interior traces; on fields with zero traces this coincides with Psi.
     """
     lam = _check_lam(lam)
-    if q is None:
-        q = DEFAULT_QUADRATURE
     v = phi.values
-    interior = _cell_sqrt_integral(v, phi.mesh, lam, q)
+    interior = SmoothedDissipation(phi.mesh, lam).value(v, 0.0)
     return interior + lam * (abs(float(v[0])) + abs(float(v[-1])))
 
 
@@ -168,9 +117,7 @@ def total_energy(theta: float, gamma: Field, p: NondimParams) -> float:
     return plastic_energy(gamma, p) - theta * mass(gamma)
 
 
-def dissipation_distance(
-    gamma1: Field, gamma2: Field, lam: float, q: QuadratureRule | None = None
-) -> float:
+def dissipation_distance(gamma1: Field, gamma2: Field, lam: float) -> float:
     """Psi(gamma1 - gamma2): the dissipative cost of moving between states.
 
     Symmetric (Psi is even) and zero exactly when the fields coincide.
@@ -180,6 +127,5 @@ def dissipation_distance(
             f"fields live on different meshes ({gamma1.mesh.n_cells} vs {gamma2.mesh.n_cells} cells)"
         )
     lam = _check_lam(lam)
-    if q is None:
-        q = DEFAULT_QUADRATURE
-    return _cell_sqrt_integral(gamma1.values - gamma2.values, gamma1.mesh, lam, q)
+    diff = gamma1.values - gamma2.values
+    return SmoothedDissipation(gamma1.mesh, lam).value(diff, 0.0)

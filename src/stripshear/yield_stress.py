@@ -30,12 +30,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .functionals import RelaxedField, mass, relaxed_dissipation
-from ._p1 import SmoothedDissipation, convex_newton, damped_newton, mass_vector
+from ._p1 import (
+    SmoothedDissipation,
+    convex_newton,
+    damped_newton,
+    gauss_legendre,
+    mass_vector,
+)
 from .incremental import DEFAULT_OPTIONS, SolverOptions, stability_residual
 from .model import Field, Mesh, NondimParams, SolverError, make_mesh
 
@@ -194,41 +199,6 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
     raise SolverError(f"root bracket [{xa}, {xb}] did not converge in {maxiter} steps")
 
 
-def _legendre(n: int, x: np.ndarray) -> tuple:
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
-    p0, p1 = np.ones_like(x), x
-    for j in range(1, n):
-        p0, p1 = p1, ((2 * j + 1) / (j + 1)) * x * p1 - (j / (j + 1)) * p0
-    return p1, n * (x * p1 - p0) / (x * x - 1.0)
-
-
-@lru_cache(maxsize=32)
-def _unit_gauss(n: int) -> tuple:
-    """Gauss-Legendre nodes and weights of order n, mapped to [0, 1].
-
-    Newton on the three-term recurrence from Tricomi's initial guesses, for
-    the nodes of [-1, 1] in [0, 1) only; the others follow by symmetry.  The
-    guesses are within O(n^-4), so two or three steps reach roundoff; the
-    weights 2 / ((1 - x^2) P_n'(x)^2) take P_n' at the converged nodes.
-    """
-    k = np.arange(1, (n + 1) // 2 + 1)
-    x = (1.0 - (1.0 - 1.0 / n) / (8.0 * n * n)) * np.cos(
-        math.pi * (4 * k - 1) / (4 * n + 2)
-    )
-    for _ in range(10):
-        p, dp = _legendre(n, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) <= 1e-15:
-            break
-    else:
-        raise SolverError(f"Gauss-Legendre nodes of order {n} did not converge")
-    w = 2.0 / ((1.0 - x * x) * _legendre(n, x)[1] ** 2)
-    x = np.concatenate((-x, x[::-1][n % 2 :]))  # ascending; odd n: one middle
-    w = np.concatenate((w, w[::-1][n % 2 :]))
-    return (x + 1.0) * 0.5, w * 0.5
-
-
 def yield_integral(theta_Y: float, n_quad: int = 256) -> float:
     """Quadrature oracle for lambda_of_theta.
 
@@ -240,7 +210,7 @@ def yield_integral(theta_Y: float, n_quad: int = 256) -> float:
     th = _check_theta_domain(theta_Y)
     if int(n_quad) < 1:
         raise ValueError(f"n_quad must be >= 1, got {n_quad}")
-    z, w = _unit_gauss(int(n_quad))
+    z, w = gauss_legendre(int(n_quad))
     integral = float(w @ (1.0 / (th - np.sqrt(1.0 - z * z))))
     return 1.0 / integral
 
@@ -248,32 +218,45 @@ def yield_integral(theta_Y: float, n_quad: int = 256) -> float:
 def theta_of_lambda(lam: float) -> float:
     """Yield threshold theta_Y for the length-scale ratio lam.
 
+    Domain: every finite lam > 0; anything else raises ValueError.
     Inverts lambda_of_theta on the bracket [1 + delta, 1 + lam]; the upper
     end is the constant-competitor bound, the lower end is far inside the
-    small-lam asymptote.  Below lam ~ 1e-7 the quadratic asymptote already
-    agrees with the inverse to better than the inversion tolerance and the
-    bracket degenerates in double precision, so it is returned directly.
+    small-lam asymptote, delta = 1e-4 lam^2 capped at lam / 2 so that it
+    stays below theta_Y (about lam + pi/4) for large lam.  Below lam ~ 1e-7
+    the quadratic asymptote already agrees with the inverse to better than
+    the inversion tolerance and the bracket degenerates in double
+    precision, so it is returned directly.  A root is accepted when its
+    residual is within 1e-12 max(1, lam), or else when the exact inverse
+    lies inside the root finder's own tolerance band,
+    lambda(theta - tau) <= lam <= lambda(theta + tau) with
+    tau = 1e-15 + 4 eps theta; SolverError is raised if neither holds.
+    Both are needed: near theta = 1 (lam up to ~1e-5) one ulp of theta
+    moves lambda by more than the residual bound, and for large lam the
+    rounding of lambda_of_theta can put lam just outside the band.
     """
     lam = float(lam)
     if not math.isfinite(lam) or lam <= 0.0:
         raise ValueError(f"lam must be finite and positive, got {lam}")
     if lam < 1e-7:
         return 1.0 + 0.5 * math.pi * math.pi * lam * lam
-    delta = max(1e-4 * lam * lam, 4e-16)
+    delta = min(max(1e-4 * lam * lam, 4e-16), 0.5 * lam)
+    xtol, rtol = 1e-15, 4 * np.finfo(float).eps
     th = _brentq(
         lambda t: lambda_of_theta(t) - lam,
         1.0 + delta,
         1.0 + lam,
-        xtol=1e-15,
-        rtol=4 * np.finfo(float).eps,
+        xtol=xtol,
+        rtol=rtol,
         maxiter=200,
     )
     residual = abs(lambda_of_theta(th) - lam)
     if residual > 1e-12 * max(1.0, lam):
-        raise SolverError(
-            f"inversion residual {residual:.3e} exceeds tolerance for lam = {lam:g}",
-            residual=residual,
-        )
+        tau = xtol + rtol * th
+        if not lambda_of_theta(th - tau) <= lam <= lambda_of_theta(th + tau):
+            raise SolverError(
+                f"inversion residual {residual:.3e} exceeds tolerance for lam = {lam:g}",
+                residual=residual,
+            )
     return float(th)
 
 

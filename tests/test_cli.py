@@ -12,11 +12,17 @@ What is verified:
   5. Exit codes: 0 success, 1 config error, 2 solver failure, 3 verify
      FAIL; --help exits 0 through argparse.
   6. SVG artifacts are standalone documents containing the plotted series.
+  7. Importing the CLI in a fresh interpreter loads no scipy subpackage
+     beyond scipy.linalg: optimize, integrate and special cost start-up
+     time and resident memory that nothing in the package needs.
 """
 
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +123,14 @@ def test_profile_artifacts(tmp_path):
     assert abs(meta["theta_Y"] - math.sqrt(2.0)) <= 1e-5
     assert abs(meta["psi_bar"] - meta["theta_Y"]) <= 1e-5
     assert "<svg" in (tmp_path / "profile.svg").read_text()
+
+
+def test_profile_at_large_lambda(tmp_path):
+    # theta_of_lambda's bracket used to invert itself past lam ~ 1.0046e4
+    argv = ["profile", "--lambda", "1e4", "--samples", "64", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    meta = json.loads((tmp_path / "profile.json").read_text())
+    assert 1.0e4 < meta["theta_Y"] < 1.0e4 + 1.0
 
 
 def test_yield_curve_artifacts(tmp_path):
@@ -282,6 +296,25 @@ def test_dashed_and_underscored_flags_agree(tmp_path):
     d = tmp_path / "d"
     assert cli.main(dashed + ["--out", str(d)]) == 0
     assert _artifact_bytes(c) == _artifact_bytes(d)
+
+
+# ---------------------------------------------------------------- import scope
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackage():
+    import stripshear
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(stripshear.__file__)))
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import stripshear.cli; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code, root], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "stripshear.cli" in loaded
+    for name in ("scipy.optimize", "scipy.integrate", "scipy.special"):
+        assert name not in loaded, name
 
 
 # ------------------------------------------------------------------ exit codes

@@ -23,10 +23,8 @@ import numpy as np
 import pytest
 
 from stripshear import (
-    DEFAULT_QUADRATURE,
     Field,
     NondimParams,
-    QuadratureRule,
     RelaxedField,
     dissipation,
     dissipation_distance,
@@ -36,6 +34,7 @@ from stripshear import (
     relaxed_dissipation,
     total_energy,
 )
+from stripshear._p1 import GAUSS3_POINTS, GAUSS3_WEIGHTS
 
 HAT_PSI_LAM1 = math.sqrt(2.0) + math.log(1.0 + math.sqrt(2.0))  # 2.295587...
 
@@ -239,34 +238,8 @@ def test_distance_rejects_mesh_mismatch():
 # ------------------------------------------------------------------ quadrature
 
 
-def test_default_quadrature_is_gauss3():
-    assert DEFAULT_QUADRATURE.n_points == 3
-    assert abs(float(np.sum(DEFAULT_QUADRATURE.weights)) - 1.0) <= 1e-15
-
-
-def test_quadrature_validation():
-    with pytest.raises(ValueError):
-        QuadratureRule(points=np.array([0.5]), weights=np.array([2.0]))
-    with pytest.raises(ValueError):
-        QuadratureRule(points=np.array([1.5]), weights=np.array([1.0]))
-    with pytest.raises(ValueError):
-        QuadratureRule(points=np.array([0.2, 0.8]), weights=np.array([1.5, -0.5]))
-    with pytest.raises(ValueError):
-        QuadratureRule.gauss(0)
-
-
 def test_gauss_rule_integrates_polynomials():
-    # Gauss(n) on [0, 1] is exact through degree 2n - 1
-    q = QuadratureRule.gauss(3)
+    # the shared Gauss(3) rule on [0, 1] is exact through degree 5
     for k in range(6):
-        val = float(np.sum(q.weights * q.points**k))
+        val = float(np.sum(GAUSS3_WEIGHTS * GAUSS3_POINTS**k))
         assert abs(val - 1.0 / (k + 1)) <= 1e-14
-
-
-def test_custom_quadrature_accepted_by_dissipation():
-    mesh = make_mesh(16)
-    hat = _hat(mesh)
-    q5 = QuadratureRule.gauss(5)
-    v3 = dissipation(hat, 1.0)
-    v5 = dissipation(hat, 1.0, q=q5)
-    assert abs(v5 - HAT_PSI_LAM1) <= abs(v3 - HAT_PSI_LAM1) + 1e-15

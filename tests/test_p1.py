@@ -14,7 +14,8 @@ What is verified:
   5. The general tridiagonal solve gives scipy.linalg.solve_banded's bits,
      pivoting included, and rejects non-finite systems.
   6. The shared Gauss(3) rule equals both spellings of the rule mapped to
-     [0, 1], 0.5 (x + 1) and (x + 1) / 2, and is the default quadrature.
+     [0, 1], 0.5 (x + 1) and (x + 1) / 2, is the package generator's
+     gauss_legendre(3) and refuses writes.
   7. The fixed-sum Newton step is the dense null-space Newton step, keeps
      the sum, and a single unknown is already stationary; the SPD banded
      solve handles tridiagonal, pentadiagonal and 1x1 systems.
@@ -25,7 +26,7 @@ import math
 import numpy as np
 import pytest
 
-from stripshear import DEFAULT_QUADRATURE, Field, dissipation, make_mesh
+from stripshear import Field, dissipation, make_mesh
 from stripshear._p1 import (
     GAUSS3_POINTS,
     GAUSS3_WEIGHTS,
@@ -33,6 +34,7 @@ from stripshear._p1 import (
     constrained_newton,
     convex_newton,
     damped_newton,
+    gauss_legendre,
     mass_vector,
     solve_banded_spd,
     solve_tridiagonal,
@@ -215,8 +217,11 @@ def test_gauss3_is_the_shared_rule():
     assert np.array_equal(GAUSS3_POINTS, (x + 1.0) / 2.0)
     assert np.array_equal(GAUSS3_POINTS, 0.5 * (x + 1.0))
     assert np.array_equal(GAUSS3_WEIGHTS, w / 2.0)
-    assert np.array_equal(DEFAULT_QUADRATURE.points, GAUSS3_POINTS)
-    assert np.array_equal(DEFAULT_QUADRATURE.weights, GAUSS3_WEIGHTS)
+    assert GAUSS3_POINTS is gauss_legendre(3)[0]
+    assert GAUSS3_WEIGHTS is gauss_legendre(3)[1]
+    for arr in gauss_legendre(3) + gauss_legendre(256):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def _dense_upper_banded(ab):

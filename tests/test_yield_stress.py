@@ -13,6 +13,8 @@ Anchors used here:
   * Profile identities: the onset profile is even, strictly decreasing away
     from the center, unit mass, boundary trace ratio (theta - 1)/theta, and
     its relaxed dissipation per unit mass equals theta_Y.
+  * theta_of_lambda returns across lam in [1e-7, 1e6], strictly inside
+    (1, 1 + lam) and with the exact inverse in its root finder's band.
   * The quadrature's own Gauss-Legendre rule: nodes equal scipy's
     roots_legendre to 1e-15, and the weights integrate every monomial of
     degree < 2n on [0, 1] and exp with the Gauss error term.
@@ -80,6 +82,17 @@ def test_strict_bounds():
     for lam in grid:
         t = theta_of_lambda(lam)
         assert 1.0 < t < 1.0 + lam
+
+
+@pytest.mark.parametrize("lam", [1e-7, 3e-6, 1e-5, 1.0, 1e4, 1e6])
+def test_inversion_across_the_domain(lam):
+    # near theta = 1 one ulp of theta moves lambda past a 1e-12 residual, and
+    # past lam ~ 1e4 the bracket's lower end 1 + 1e-4 lam^2 overtook 1 + lam;
+    # the root must lie in the root finder's own band around the exact inverse
+    t = theta_of_lambda(lam)
+    assert 1.0 < t < 1.0 + lam
+    tau = 1e-15 + 4 * np.finfo(float).eps * t
+    assert lambda_of_theta(t - tau) <= lam <= lambda_of_theta(t + tau)
 
 
 def test_asymptotic_forms():
@@ -227,9 +240,9 @@ def test_brentq_matches_scipy_bit_for_bit():
 def test_gauss_legendre_rule(n):
     from scipy.special import roots_legendre
 
-    from stripshear.yield_stress import _unit_gauss
+    from stripshear._p1 import gauss_legendre
 
-    z, w = _unit_gauss(n)
+    z, w = gauss_legendre(n)
     x_ref = roots_legendre(n)[0]
     assert float(np.max(np.abs(z - (x_ref + 1.0) * 0.5))) <= 1e-15
     # exact for every monomial of degree < 2n
