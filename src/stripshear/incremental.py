@@ -16,10 +16,23 @@ chain of convex minimizations: with gamma_0 = 0,
 
     gamma_k = argmin_v  E_tot(theta_k, v) + Psi(v - gamma_{k-1}),
 
-over nodal fields with zero boundary values.  Convexity of the objective
-makes the incremental minimizer a complete stability certificate, so both
-defining properties are checked a posteriori by re-minimization
-(stability_residual) and summation (energy_balance_residual).
+over nodal fields with zero boundary values.  Both defining properties are
+checked a posteriori: stability by a certificate from each step's own
+multiplier (below), energy balance by summation (energy_balance_residual).
+stability_residual, a re-minimization from the state, stays as an
+independent oracle: it bounds the stability defect from below.
+
+Stability certificate.  gamma is stable at theta iff
+r = theta m - A gamma lies in dPsi(0) = {c(xi) : |xi| <= 1 at every Gauss
+point} (c the adjoint of the Gauss-point map v -> (u, lam u_r)).  The last
+smoothing level of the step that produced gamma gives xi = (u, lam u_r) / R
+with c(xi) = r up to the Newton residual, which a minimum-norm correction
+removes.  With s = max|xi|, Psi(d) >= r'd / s for every d, so the defect
+max_d [r'd - d'Ad / 2 - Psi(d)] is 0 if s <= 1 and at most
+(1 - 1/s)^2 r'A^-1 r / 2 otherwise; the uncorrected xi gives a second
+bound, from the Newton residual (_IncrementProblem.stability_bound takes
+the smaller).  This upper bound is recorded on every TrajectoryStep, and
+evolve refuses a state whose bound exceeds stability_tol.
 
 Nonsmooth solver.  Psi is 1-homogeneous, hence nondifferentiable wherever
 the increment vanishes.  Each increment is solved by smoothing continuation:
@@ -59,7 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -147,6 +160,7 @@ class TrajectoryStep(NamedTuple):
     gamma: Field
     dissipation_increment: float
     total_energy: float
+    stability_bound: float  # upper bound on the global-stability defect
 
 
 @dataclass(frozen=True)
@@ -229,7 +243,56 @@ def _banded_matvec(banded: np.ndarray, x: np.ndarray) -> np.ndarray:
 # relative to theta_c, of order n_cells (1 + lam) ulps.  The residual
 # measured at n_cells = 2048, lam = 100 (5.7e-13 max m) bounds the move by
 # 1.4e-10 there, against a shrink of 2.1e-9.
+# The stability certificate inflates max|xi| by the same factor.
 _DUAL_MARGIN = 1e-14
+
+
+def _clamped(x: np.ndarray) -> np.ndarray:
+    """Interior values as a nodal field with zero boundary values."""
+    full = np.zeros(x.size + 2)
+    full[1:-1] = x
+    return full
+
+
+def _dual_gram(mesh: Mesh, lam: float) -> np.ndarray:
+    """K = c B: the P1 mass plus lam^2 stiffness matrix, banded (upper form).
+
+    B maps nodal values to (u, lam u_r) at the Gauss points and c is its
+    adjoint (rule weights included); Gauss(3) integrates both products
+    exactly, so K is the energy matrix at kappa = 1, Lambda = lam.
+    """
+    return _energy_banded(mesh, NondimParams(lam=lam, Lambda=lam, kappa=1.0))
+
+
+def _dual_field(
+    psi: SmoothedDissipation,
+    rad,
+    g: np.ndarray,
+    w: float,
+    target: np.ndarray,
+    K: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-point field xi with c(xi) = target, from a smoothed multiplier.
+
+    rad holds the radii of Psi_eps at some field and g the interior entries
+    of its gradient, so (u, lam u_r) / R has c = g.  Divided by w it misses
+    target by rho = g / w - target, which the minimum-norm field B K^-1 rho
+    (K from _dual_gram, interior block) removes.  Returns (xi_u, xi_s),
+    laid out as rad.u and rad.ls.
+    """
+    fix = psi.radius(_clamped(solve_banded_spd(K[:, 1:-1], g / w - target)), 0.0)
+    wR = w * rad.R
+    return rad.u / wR - fix.u, rad.ls / wR - fix.ls
+
+
+def _max_norm(xi_u: np.ndarray, xi_s: np.ndarray) -> float:
+    """max |xi| over the Gauss points."""
+    return float(np.sqrt(xi_u * xi_u + xi_s * xi_s).max())
+
+
+def _dual_shrink(n_cells: int, lam: float) -> float:
+    """1 minus the roundoff margin of a dual field's max norm."""
+    return 1.0 - _DUAL_MARGIN * n_cells * (1.0 + lam)
 
 
 class _ThresholdDual(NamedTuple):
@@ -254,24 +317,17 @@ def _threshold_dual(mesh: Mesh, lam: float, opts: SolverOptions) -> _ThresholdDu
     v minimizes Psi_eps at m'v = 1 down the smoothing schedule of opts by
     constrained Newton (the interior weights of m are all dr), within the
     Newton budget of opts, so options too tight to solve an increment fail
-    here too.  At the last level xi = (u, lam u_r) / R has
-    c(xi) = grad Psi_eps = g; divided by w = m'g / m'm it misses m by
-    rho = g / w - m, which the minimum-norm field B K^-1 rho removes (B maps
-    nodal values to (u, lam u_r) at the Gauss points; K = c B is the P1 mass
-    plus lam^2 stiffness matrix on the interior nodes).
+    here too.  At the last level the gradient g = c((u, lam u_r) / R),
+    scaled by w = m'g / m'm, is turned into a field with c(xi) = m by
+    _dual_field.
     """
     n = mesh.n_cells
     psi = SmoothedDissipation(mesh, lam)
     m = mass_vector(mesh)[1:-1]
 
-    def clamped(x: np.ndarray) -> np.ndarray:
-        full = np.zeros(n + 1)
-        full[1:-1] = x
-        return full
-
     def make_objective(eps: float):
         def evaluate(x: np.ndarray):
-            rad = psi.radius(clamped(x), eps)
+            rad = psi.radius(_clamped(x), eps)
             v = psi.total(rad)
             return v, (rad, v)
 
@@ -289,17 +345,12 @@ def _threshold_dual(mesh: Mesh, lam: float, opts: SolverOptions) -> _ThresholdDu
             x, *make_objective(eps), opts.newton_tol * mesh.dr, opts.max_newton_iters
         )
 
-    v = clamped(x)
+    v = _clamped(x)
     rad = psi.radius(v, opts.epsilon_schedule[-1])
     g = psi.grad_hess(rad)[0][1:-1]
     w = float(m @ g) / float(m @ m)
-    K = _energy_banded(mesh, NondimParams(lam=lam, Lambda=lam, kappa=1.0))
-    fix = psi.radius(clamped(solve_banded_spd(K[:, 1:-1], g / w - m)), 0.0)
-    wR = w * rad.R
-    xi_u = rad.u / wR - fix.u
-    xi_s = rad.ls / wR - fix.ls
-    shrink = 1.0 - _DUAL_MARGIN * n * (1.0 + lam)
-    lower = shrink / float(np.sqrt(xi_u * xi_u + xi_s * xi_s).max())
+    xi_u, xi_s = _dual_field(psi, rad, g, w, m, _dual_gram(mesh, lam))
+    lower = _dual_shrink(n, lam) / _max_norm(xi_u, xi_s)
     upper = psi.value(v, 0.0) / float(m @ x)
     return _ThresholdDual(v, xi_u, xi_s, lower, upper)
 
@@ -383,6 +434,60 @@ class _IncrementProblem:
             x[0] = x[-1] = 0.0
         return x
 
+    def solve_certified(
+        self, gamma_prev: np.ndarray, theta: float, opts: SolverOptions
+    ) -> tuple[np.ndarray, float]:
+        """solve, with its state's stability_bound; SolverError past stability_tol."""
+        gamma = self.solve(gamma_prev, theta, opts)
+        bound = self.stability_bound(gamma_prev, gamma, theta, opts)
+        if bound > opts.stability_tol:
+            raise SolverError(
+                f"state not certified stable: defect bound {bound:.3e} "
+                f"exceeds stability_tol {opts.stability_tol:.1e}",
+                residual=bound,
+            )
+        return gamma, bound
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        return _dual_gram(self.mesh, self.p.lam)
+
+    def stability_bound(
+        self, gamma_prev: np.ndarray, gamma: np.ndarray, theta: float, opts: SolverOptions
+    ) -> float:
+        """Upper bound on the global-stability defect of gamma at theta.
+
+        r = theta m - A gamma on the interior nodes.  The bound holds for any
+        gamma; it is tight when gamma is the increment solve from gamma_prev,
+        whose multiplier it reuses.  Any Gauss-point field eta with |eta| <= 1
+        gives Psi(d) >= c(eta)'d, so the defect
+        max_d [r'd - d'Ad / 2 - Psi(d)] is at most rho'A^-1 rho / 2 with
+        rho = r - c(eta).  Two such fields come from the multiplier of the
+        last smoothing level, xi0 = (u, lam u_r) / R with |xi0| < 1:
+          * xi0 itself: c(xi0) = g, the smoothed gradient, and rho is the
+            Newton residual of the increment;
+          * xi / s, with xi = xi0 made exact (c(xi) = r) by _dual_field and
+            s = max|xi| (inflated by the roundoff margin): rho = (1 - 1/s) r,
+            and s <= 1 certifies a defect of exactly 0.
+        The bound is the smaller of the two.  A zero state at a load within
+        the certified threshold bracket is stable whatever gamma_prev, and
+        gets 0 without any work.
+        """
+        n, lam = self.mesh.n_cells, self.p.lam
+        if not gamma.any() and abs(theta) <= _threshold_bracket(n, lam, opts)[0]:
+            return 0.0
+        r = (theta * self.m - _banded_matvec(self.A, gamma))[1:-1]
+        rad = self.psi.radius(gamma - gamma_prev, opts.epsilon_schedule[-1])
+        g = self.psi.grad_hess(rad)[0][1:-1]
+        xi_u, xi_s = _dual_field(self.psi, rad, g, 1.0, r, self._gram)
+        s = _max_norm(xi_u, xi_s) / _dual_shrink(n, lam)
+        if s <= 1.0:
+            return 0.0
+        A = self.A[:, 1:-1]
+        rho = r - g
+        scaled = (1.0 - 1.0 / s) ** 2 * float(r @ solve_banded_spd(A, r))
+        return 0.5 * min(scaled, float(rho @ solve_banded_spd(A, rho)))
+
 
 def _require_clamped(gamma: Field) -> None:
     if gamma.values[0] != 0.0 or gamma.values[-1] != 0.0:
@@ -427,7 +532,11 @@ def evolve(
 
     Starts from the virgin state at theta = 0 and records, per step, the
     dissipation increment Psi(gamma_k - gamma_{k-1}) and the total energy
-    E_tot(theta_k, gamma_k), both evaluated with the unsmoothed functionals.
+    E_tot(theta_k, gamma_k), both evaluated with the unsmoothed functionals,
+    and the stability certificate of gamma_k from its step's multiplier
+    (_IncrementProblem.stability_bound).  A state whose certificate exceeds
+    stability_tol is never returned: it raises SolverError, as a failed
+    solve does.
     """
     if opts is None:
         opts = DEFAULT_OPTIONS
@@ -438,10 +547,10 @@ def evolve(
     for k, theta in enumerate(load.theta_steps):
         if k == 0:
             gamma = zeros
-            dinc = 0.0
+            dinc = bound = 0.0
         else:
             try:
-                gamma = prob.solve(gamma_prev, theta, opts)
+                gamma, bound = prob.solve_certified(gamma_prev, theta, opts)
             except SolverError as err:
                 raise SolverError(
                     f"load step {k} (theta = {theta:g}) failed: {err}",
@@ -456,6 +565,7 @@ def evolve(
                 gamma=fld,
                 dissipation_increment=float(dinc),
                 total_energy=total_energy(theta, fld, p),
+                stability_bound=bound,
             )
         )
         gamma_prev = gamma
@@ -470,12 +580,13 @@ def stability_residual(
 ) -> float:
     """Global-stability defect max(0, E_tot(theta, gamma) - min_v [E_tot + Psi]).
 
-    The inner minimum is computed by one increment solve with gamma as the
-    dissipation offset and evaluated with the unsmoothed functionals, so the
-    returned value is a lower bound of the true defect up to solver accuracy;
-    zero (within stability_tol) certifies stability in the discrete space.
-    The certificate covers the mesh subspace only; stability against all
-    admissible profiles is monitored through mesh refinement instead.
+    The independent oracle of stability, a lower bound: the inner minimum
+    is computed by one increment solve with gamma as the dissipation offset
+    and evaluated with the unsmoothed functionals, so the returned value
+    is the true defect from below, up to solver accuracy.  The certificate
+    evolve records (TrajectoryStep.stability_bound) bounds it from above.
+    Both cover the mesh subspace only; stability against all admissible
+    profiles is monitored through mesh refinement instead.
     """
     if opts is None:
         opts = DEFAULT_OPTIONS

@@ -15,12 +15,17 @@ What is verified:
   7. Importing the CLI in a fresh interpreter loads no scipy subpackage
      beyond scipy.linalg: optimize, integrate and special cost start-up
      time and resident memory that nothing in the package needs.
+  8. Every (module, attribute) the benchmark's tracer wraps
+     (perfbench/spans.py INSTRUMENTED) resolves, so a traced run cannot
+     die on a name a cleanup removed.
 """
 
 import csv
+import importlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 
@@ -88,6 +93,12 @@ def test_simulate_artifacts(sim_dir):
     det = meta["detected_yield"]
     assert det["flow_observed"] is True
     assert abs(det["theta"] - 2.0) <= det["uncertainty"] + 1e-6
+    # the certificate column, summarized without any wall time
+    bounds = [float(r[5]) for r in rows]
+    assert meta["stability"] == {
+        "max_bound": max(bounds),
+        "positive_bounds": sum(b > 0.0 for b in bounds),
+    }
 
     svg = (sim_dir / "simulate.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
@@ -315,6 +326,15 @@ def test_cli_import_loads_no_heavy_scipy_subpackage():
     assert "stripshear.cli" in loaded
     for name in ("scipy.optimize", "scipy.integrate", "scipy.special"):
         assert name not in loaded, name
+
+
+def test_bench_tracer_names_resolve():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    instrumented = runpy.run_path(path)["INSTRUMENTED"]
+    assert instrumented
+    for module_name, attr, *_ in instrumented:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
 # ------------------------------------------------------------------ exit codes

@@ -23,6 +23,13 @@ What is verified:
      virgin state are finite or raise SolverError, are exact zeros below
      the bracket, and never exceed the zero field's E_tot + Psi by more
      than stability_tol.
+  9. The stability certificate evolve records is an upper bound that is not
+     vacuous: on the README sweep it dominates the re-minimization oracle
+     and stays within stability_tol, on states pushed off the minimizer it
+     is positive and still dominates the oracle, evolve refuses a state it
+     cannot certify, and over (lam, Lambda, kappa, n_cells) a load, unload,
+     reload cycle of certified increments ends finite and certified or
+     raises SolverError.
 """
 
 import math
@@ -320,3 +327,82 @@ def test_virgin_increment_properties(lam, half_cells, Lambda, kappa, load):
     # the zero field has E_tot + Psi = 0
     energy = total_energy(theta, gamma, p) + dissipation(gamma, lam)
     assert energy <= DEFAULT_OPTIONS.stability_tol
+
+
+# ------------------------------------------------------ stability certificate
+
+
+@pytest.fixture(scope="module")
+def readme_sweep():
+    """The README simulate sweep (theta_Y = 2, 300 steps to 3) at 128 cells."""
+    return evolve(LoadProgram(tuple(np.linspace(0.0, 3.0, 301))), P_REF, make_mesh(128))
+
+
+def test_stability_bound_dominates_oracle(readme_sweep):
+    for s in readme_sweep.steps:
+        oracle = stability_residual(s.gamma, s.theta, P_REF)
+        assert oracle <= s.stability_bound <= DEFAULT_OPTIONS.stability_tol
+
+
+@pytest.mark.parametrize("k", [250, 300])
+def test_stability_bound_off_the_minimizer(readme_sweep, k):
+    mesh = readme_sweep.mesh
+    prob = incremental._IncrementProblem(mesh, P_REF)
+    prev, state = readme_sweep.steps[k - 1], readme_sweep.steps[k]
+    bump = 1e-3 * np.sin(0.5 * np.pi * (mesh.nodes + 1.0))
+    bump[0] = bump[-1] = 0.0
+    gamma = state.gamma.values
+    oracles = []
+    for pushed in (1.01 * gamma, 0.99 * gamma, gamma + bump, gamma - bump):
+        bound = prob.stability_bound(
+            prev.gamma.values, pushed, state.theta, DEFAULT_OPTIONS
+        )
+        oracle = stability_residual(Field(mesh, pushed), state.theta, P_REF)
+        assert bound > 0.0 and bound >= oracle
+        oracles.append(oracle)
+    # less plastic strain than the minimizer is unstable, and the oracle sees it
+    assert oracles[1] > DEFAULT_OPTIONS.stability_tol
+
+
+def test_evolve_refuses_uncertified_state(monkeypatch):
+    mesh = make_mesh(32)
+    incremental._threshold_bracket(mesh.n_cells, P_REF.lam, DEFAULT_OPTIONS)
+    newton = incremental.damped_newton
+
+    def perturbed(*args, **kwargs):
+        # short of the minimizer: less plastic strain leaves it unstable
+        x, measure = newton(*args, **kwargs)
+        return 0.99 * x, measure
+
+    monkeypatch.setattr(incremental, "damped_newton", perturbed)
+    with pytest.raises(SolverError) as exc:
+        evolve(LoadProgram((0.0, 1.0, 2.4)), P_REF, mesh)
+    assert exc.value.step == 2
+    assert "load step 2" in str(exc.value) and "not certified" in str(exc.value)
+    assert exc.value.residual > DEFAULT_OPTIONS.stability_tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lam=st.floats(1e-3, 1e2),
+    half_cells=st.integers(1, 32),
+    Lambda=st.floats(0.1, 10.0),
+    kappa=st.floats(0.1, 10.0),
+    load=st.floats(0.0, 3.0),
+)
+def test_flowed_states_are_certified(lam, half_cells, Lambda, kappa, load):
+    mesh = make_mesh(2 * half_cells)
+    prob = incremental._IncrementProblem(
+        mesh, NondimParams(lam=lam, Lambda=Lambda, kappa=kappa)
+    )
+    _, upper = incremental._threshold_bracket(mesh.n_cells, lam, DEFAULT_OPTIONS)
+    theta = load * upper
+    gamma = np.zeros(mesh.n_cells + 1)
+    for target in (theta, -theta, theta):  # load, unload through zero, reload
+        try:
+            gamma_next, bound = prob.solve_certified(gamma, target, DEFAULT_OPTIONS)
+        except SolverError:
+            return
+        assert np.isfinite(gamma_next).all()
+        assert 0.0 <= bound <= DEFAULT_OPTIONS.stability_tol
+        gamma = gamma_next
