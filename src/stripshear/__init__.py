@@ -28,11 +28,9 @@ from .functionals import (
     total_energy,
 )
 from .incremental import (
-    DEFAULT_EPSILON_SCHEDULE,
     DEFAULT_OPTIONS,
     DetectedYield,
     LoadProgram,
-    SolverOptions,
     Trajectory,
     TrajectoryStep,
     detect_yield,
@@ -83,11 +81,9 @@ __all__ = [
     "plastic_energy",
     "relaxed_dissipation",
     "total_energy",
-    "DEFAULT_EPSILON_SCHEDULE",
     "DEFAULT_OPTIONS",
     "DetectedYield",
     "LoadProgram",
-    "SolverOptions",
     "Trajectory",
     "TrajectoryStep",
     "detect_yield",

@@ -15,7 +15,6 @@ import numpy as np
 
 from .functionals import dissipation, mass, plastic_energy, relaxed_dissipation
 from .incremental import (
-    DEFAULT_OPTIONS,
     LoadProgram,
     Trajectory,
     detect_yield,

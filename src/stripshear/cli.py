@@ -22,9 +22,7 @@ import numpy as np
 from .acceptance import run_all
 from .functionals import mass, relaxed_dissipation
 from .incremental import (
-    DEFAULT_OPTIONS,
     LoadProgram,
-    SolverOptions,
     detect_yield,
     evolve,
     # the independent stability oracle; simulate writes evolve's certificate
@@ -62,7 +60,6 @@ _COMMAND_SPECS: dict[str, dict[str, object]] = {
         "lambda_max": "10",
         "points": "40",
         "cells": "512",
-        "newton_tol": "",
         "out": ".",
     },
     "profile": {
@@ -77,7 +74,6 @@ _COMMAND_SPECS: dict[str, dict[str, object]] = {
         "theta_max": _REQUIRED,
         "steps": _REQUIRED,
         "cells": "512",
-        "newton_tol": "",
         "out": ".",
     },
     "visco": {
@@ -96,7 +92,6 @@ _COMMAND_SPECS: dict[str, dict[str, object]] = {
         "t_end": "1",
         "steps": _REQUIRED,
         "cells": "256",
-        "newton_tol": "",
         "out": ".",
     },
     "verify": {
@@ -146,16 +141,6 @@ def _as_int(params: dict[str, str], key: str) -> int:
         raise ConfigError(f"key {key!r}: not an integer: {params[key]!r}") from err
 
 
-def _options(params: dict[str, str]) -> SolverOptions:
-    raw = params.get("newton_tol", "")
-    if not raw:
-        return DEFAULT_OPTIONS
-    try:
-        return SolverOptions(newton_tol=float(raw))
-    except ValueError as err:
-        raise ConfigError(f"key 'newton_tol': {err}") from err
-
-
 def _out_dir(params: dict[str, str]) -> Path:
     out = Path(params["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -189,13 +174,12 @@ def _run_yield_curve(params: dict[str, str]) -> int:
         raise ConfigError("need 0 < lambda_min < lambda_max")
     if points < 2:
         raise ConfigError("points must be >= 2")
-    opts = _options(params)
     out = _out_dir(params)
 
     grid = np.exp(np.linspace(math.log(lam_min), math.log(lam_max), points))
     mesh = make_mesh(cells)
 
-    theta_var = [yield_variational(lam, mesh, opts).theta_Y for lam in grid]
+    theta_var = [yield_variational(lam, mesh).theta_Y for lam in grid]
     theta_form = [theta_of_lambda(lam) for lam in grid]
     asym = [asymptotic_theta(lam) for lam in grid]
 
@@ -297,12 +281,11 @@ def _run_simulate(params: dict[str, str]) -> int:
         raise ConfigError("steps must be >= 1")
     if theta_max <= 0.0:
         raise ConfigError("theta_max must be positive")
-    opts = _options(params)
     out = _out_dir(params)
 
     p = NondimParams(lam=lam, Lambda=Lambda, kappa=kappa)
     load = LoadProgram(tuple(np.linspace(0.0, theta_max, steps + 1)))
-    traj = evolve(load, p, make_mesh(cells), opts)
+    traj = evolve(load, p, make_mesh(cells))
 
     rows = []
     dis_cum = 0.0
@@ -331,7 +314,7 @@ def _run_simulate(params: dict[str, str]) -> int:
         ],
         rows,
     )
-    detected = detect_yield(traj, opts)
+    detected = detect_yield(traj)
     bounds = [s.stability_bound for s in traj.steps]
     json_path = out / "simulate.json"
     _write_json(
@@ -403,12 +386,11 @@ def _run_visco(params: dict[str, str]) -> int:
         raise ConfigError("steps must be >= 1")
     if t_end <= 0.0:
         raise ConfigError("t_end must be positive")
-    opts = _options(params)
     out = _out_dir(params)
 
     times = np.linspace(0.0, t_end, steps + 1)
     load = [(t, tau_max * t / t_end) for t in times]
-    states = simulate_visco(load, p, make_mesh(cells), opts)
+    states = simulate_visco(load, p, make_mesh(cells))
 
     rows = [
         (

@@ -47,6 +47,10 @@ of a positive-definite 2x2 block), so Newton steps are O(n) banded solves.
 The schedule ends at eps = 1e-11: below the yield threshold the smoothed
 minimizer has spurious amplitude O(eps / sqrt(threshold gap)), and the tail
 of the schedule keeps that amplitude far below the yield detection tolerance.
+The schedule, one decade per level from 1e-1, the Newton tolerance 1e-9
+with a budget of 100 iterations per level, stability_tol 1e-8 and
+yield_tol 1e-8 form the one solver configuration, the read-only record
+DEFAULT_OPTIONS, which every solver in the package reads.
 
 At eps this small the objective is 1/eps-stiff wherever the increment
 vanishes, so re-minimizing from an already-converged state cannot reach an
@@ -63,7 +67,7 @@ increment from gamma = 0 iff theta m lies in the subdifferential of Psi at
 0, whatever Lambda and kappa, that is iff |theta| is at most the clamped
 discrete yield threshold theta_c = min {Psi(v) : m'v = 1}.  A dual field xi
 with c(xi) = m (c the adjoint of the Gauss-point map v -> (u, lam u_r))
-proves theta_c >= 1 / max|xi|; it is built once per (n_cells, lam, options)
+proves theta_c >= 1 / max|xi|; it is built once per (n_cells, lam)
 from a constrained Newton solve for the threshold profile, and below that
 bound the solve returns the exact zero field with no Newton iteration.
 """
@@ -90,7 +94,6 @@ from .model import Field, Mesh, NondimParams, SolverError
 
 __all__ = [
     "LoadProgram",
-    "SolverOptions",
     "TrajectoryStep",
     "Trajectory",
     "DetectedYield",
@@ -100,9 +103,6 @@ __all__ = [
     "energy_balance_residual",
     "detect_yield",
 ]
-
-DEFAULT_EPSILON_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 12))
-
 
 @dataclass(frozen=True)
 class LoadProgram:
@@ -124,35 +124,22 @@ class LoadProgram:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    epsilon_schedule: tuple = DEFAULT_EPSILON_SCHEDULE
-    newton_tol: float = 1e-9
-    max_newton_iters: int = 100
-    stability_tol: float = 1e-8
-    yield_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        sched = tuple(float(e) for e in self.epsilon_schedule)
-        if len(sched) < 1:
-            raise ValueError("epsilon_schedule must be nonempty")
-        if any((not math.isfinite(e)) or e <= 0.0 for e in sched):
-            raise ValueError("epsilon_schedule entries must be finite and positive")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("epsilon_schedule must be strictly decreasing")
-        if sched[-1] > 1e-8:
-            raise ValueError("epsilon_schedule must end at or below 1e-8")
-        for name in ("newton_tol", "stability_tol", "yield_tol"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be finite and positive, got {v}")
-            object.__setattr__(self, name, v)
-        if int(self.max_newton_iters) < 1:
-            raise ValueError("max_newton_iters must be >= 1")
-        object.__setattr__(self, "epsilon_schedule", sched)
-        object.__setattr__(self, "max_newton_iters", int(self.max_newton_iters))
+class _SolverSettings:
+    epsilon_schedule: tuple  # smoothing widths, strictly decreasing
+    newton_tol: float
+    max_newton_iters: int
+    stability_tol: float  # largest certified stability defect evolve accepts
+    yield_tol: float  # max|gamma| above which detect_yield declares flow
 
 
-DEFAULT_OPTIONS = SolverOptions()
+# The one solver configuration, read by every solver in the package.
+DEFAULT_OPTIONS = _SolverSettings(
+    epsilon_schedule=tuple(10.0 ** (-k) for k in range(1, 12)),
+    newton_tol=1e-9,
+    max_newton_iters=100,
+    stability_tol=1e-8,
+    yield_tol=1e-8,
+)
 
 
 class TrajectoryStep(NamedTuple):
@@ -303,7 +290,7 @@ class _ThresholdDual(NamedTuple):
     upper: float  # Psi(v) / m'v
 
 
-def _threshold_dual(mesh: Mesh, lam: float, opts: SolverOptions) -> _ThresholdDual:
+def _threshold_dual(mesh: Mesh, lam: float) -> _ThresholdDual:
     """Bracket of the clamped discrete yield threshold, with its witnesses.
 
     Zero is the increment from the virgin state iff theta m lies in
@@ -314,12 +301,11 @@ def _threshold_dual(mesh: Mesh, lam: float, opts: SolverOptions) -> _ThresholdDu
     theta_c = min {Psi(v) : m'v = 1} lies between 1 / max|xi| for any xi
     with c(xi) = m and Psi(v) / m'v for any v with m'v > 0.
 
-    v minimizes Psi_eps at m'v = 1 down the smoothing schedule of opts by
+    v minimizes Psi_eps at m'v = 1 down the smoothing schedule by
     constrained Newton (the interior weights of m are all dr), within the
-    Newton budget of opts, so options too tight to solve an increment fail
-    here too.  At the last level the gradient g = c((u, lam u_r) / R),
-    scaled by w = m'g / m'm, is turned into a field with c(xi) = m by
-    _dual_field.
+    increments' Newton budget.  At the last level the gradient
+    g = c((u, lam u_r) / R), scaled by w = m'g / m'm, is turned into a
+    field with c(xi) = m by _dual_field.
     """
     n = mesh.n_cells
     psi = SmoothedDissipation(mesh, lam)
@@ -339,14 +325,17 @@ def _threshold_dual(mesh: Mesh, lam: float, opts: SolverOptions) -> _ThresholdDu
         return evaluate, derivatives
 
     x = np.full(n - 1, 1.0 / float(m.sum()))
-    for eps in opts.epsilon_schedule:
+    for eps in DEFAULT_OPTIONS.epsilon_schedule:
         # g is of order theta_c dr
         x, _ = damped_newton(
-            x, *make_objective(eps), opts.newton_tol * mesh.dr, opts.max_newton_iters
+            x,
+            *make_objective(eps),
+            DEFAULT_OPTIONS.newton_tol * mesh.dr,
+            DEFAULT_OPTIONS.max_newton_iters,
         )
 
     v = _clamped(x)
-    rad = psi.radius(v, opts.epsilon_schedule[-1])
+    rad = psi.radius(v, DEFAULT_OPTIONS.epsilon_schedule[-1])
     g = psi.grad_hess(rad)[0][1:-1]
     w = float(m @ g) / float(m @ m)
     xi_u, xi_s = _dual_field(psi, rad, g, w, m, _dual_gram(mesh, lam))
@@ -356,11 +345,13 @@ def _threshold_dual(mesh: Mesh, lam: float, opts: SolverOptions) -> _ThresholdDu
 
 
 @lru_cache(maxsize=64)
-def _threshold_bracket(
-    n_cells: int, lam: float, opts: SolverOptions
-) -> tuple[float, float]:
-    """(lower, upper) of _threshold_dual, shared by every solve on one strip."""
-    dual = _threshold_dual(Mesh(n_cells), lam, opts)
+def _threshold_bracket(n_cells: int, lam: float) -> tuple[float, float]:
+    """(lower, upper) of _threshold_dual, shared by every solve on one strip.
+
+    A property of the strip alone: the lower bound is certified for
+    whatever dual field the constrained solve ends with.
+    """
+    dual = _threshold_dual(Mesh(n_cells), lam)
     return dual.lower, dual.upper
 
 
@@ -382,9 +373,9 @@ class _IncrementProblem:
         self.m = mass_vector(mesh)
         self.psi = SmoothedDissipation(mesh, p.lam)
 
-    def solve(self, gamma_prev: np.ndarray, theta: float, opts: SolverOptions) -> np.ndarray:
+    def solve(self, gamma_prev: np.ndarray, theta: float) -> np.ndarray:
         if not gamma_prev.any():
-            lower, _ = _threshold_bracket(self.mesh.n_cells, self.p.lam, opts)
+            lower, _ = _threshold_bracket(self.mesh.n_cells, self.p.lam)
             if abs(theta) <= lower:
                 return np.zeros_like(gamma_prev)  # the exact discrete minimizer
         A, m, psi = self.A, self.m, self.psi
@@ -427,23 +418,27 @@ class _IncrementProblem:
 
             return evaluate, derivatives
 
-        for eps in opts.epsilon_schedule:
+        for eps in DEFAULT_OPTIONS.epsilon_schedule:
             x, _ = damped_newton(
-                x, *make_objective(eps), opts.newton_tol, opts.max_newton_iters
+                x,
+                *make_objective(eps),
+                DEFAULT_OPTIONS.newton_tol,
+                DEFAULT_OPTIONS.max_newton_iters,
             )
             x[0] = x[-1] = 0.0
         return x
 
     def solve_certified(
-        self, gamma_prev: np.ndarray, theta: float, opts: SolverOptions
+        self, gamma_prev: np.ndarray, theta: float
     ) -> tuple[np.ndarray, float]:
         """solve, with its state's stability_bound; SolverError past stability_tol."""
-        gamma = self.solve(gamma_prev, theta, opts)
-        bound = self.stability_bound(gamma_prev, gamma, theta, opts)
-        if bound > opts.stability_tol:
+        gamma = self.solve(gamma_prev, theta)
+        bound = self.stability_bound(gamma_prev, gamma, theta)
+        tol = DEFAULT_OPTIONS.stability_tol
+        if bound > tol:
             raise SolverError(
                 f"state not certified stable: defect bound {bound:.3e} "
-                f"exceeds stability_tol {opts.stability_tol:.1e}",
+                f"exceeds stability_tol {tol:.1e}",
                 residual=bound,
             )
         return gamma, bound
@@ -453,7 +448,7 @@ class _IncrementProblem:
         return _dual_gram(self.mesh, self.p.lam)
 
     def stability_bound(
-        self, gamma_prev: np.ndarray, gamma: np.ndarray, theta: float, opts: SolverOptions
+        self, gamma_prev: np.ndarray, gamma: np.ndarray, theta: float
     ) -> float:
         """Upper bound on the global-stability defect of gamma at theta.
 
@@ -474,10 +469,10 @@ class _IncrementProblem:
         gets 0 without any work.
         """
         n, lam = self.mesh.n_cells, self.p.lam
-        if not gamma.any() and abs(theta) <= _threshold_bracket(n, lam, opts)[0]:
+        if not gamma.any() and abs(theta) <= _threshold_bracket(n, lam)[0]:
             return 0.0
         r = (theta * self.m - _banded_matvec(self.A, gamma))[1:-1]
-        rad = self.psi.radius(gamma - gamma_prev, opts.epsilon_schedule[-1])
+        rad = self.psi.radius(gamma - gamma_prev, DEFAULT_OPTIONS.epsilon_schedule[-1])
         g = self.psi.grad_hess(rad)[0][1:-1]
         xi_u, xi_s = _dual_field(self.psi, rad, g, 1.0, r, self._gram)
         s = _max_norm(xi_u, xi_s) / _dual_shrink(n, lam)
@@ -498,7 +493,6 @@ def increment_solve(
     gamma_prev: Field,
     theta: float,
     p: NondimParams,
-    opts: SolverOptions | None = None,
 ) -> Field:
     """One incremental minimization: argmin_v E_tot(theta, v) + Psi(v - gamma_prev).
 
@@ -515,10 +509,8 @@ def increment_solve(
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     _require_clamped(gamma_prev)
-    if opts is None:
-        opts = DEFAULT_OPTIONS
     prob = _IncrementProblem(gamma_prev.mesh, p)
-    x = prob.solve(gamma_prev.values, theta, opts)
+    x = prob.solve(gamma_prev.values, theta)
     return Field(gamma_prev.mesh, x)
 
 
@@ -526,7 +518,6 @@ def evolve(
     load: LoadProgram,
     p: NondimParams,
     mesh: Mesh,
-    opts: SolverOptions | None = None,
 ) -> Trajectory:
     """March the incremental minimization along the load program.
 
@@ -538,8 +529,6 @@ def evolve(
     stability_tol is never returned: it raises SolverError, as a failed
     solve does.
     """
-    if opts is None:
-        opts = DEFAULT_OPTIONS
     prob = _IncrementProblem(mesh, p)
     zeros = np.zeros(mesh.n_cells + 1)
     steps = []
@@ -550,7 +539,7 @@ def evolve(
             dinc = bound = 0.0
         else:
             try:
-                gamma, bound = prob.solve_certified(gamma_prev, theta, opts)
+                gamma, bound = prob.solve_certified(gamma_prev, theta)
             except SolverError as err:
                 raise SolverError(
                     f"load step {k} (theta = {theta:g}) failed: {err}",
@@ -576,7 +565,6 @@ def stability_residual(
     gamma: Field,
     theta: float,
     p: NondimParams,
-    opts: SolverOptions | None = None,
 ) -> float:
     """Global-stability defect max(0, E_tot(theta, gamma) - min_v [E_tot + Psi]).
 
@@ -588,10 +576,8 @@ def stability_residual(
     Both cover the mesh subspace only; stability against all admissible
     profiles is monitored through mesh refinement instead.
     """
-    if opts is None:
-        opts = DEFAULT_OPTIONS
     _require_clamped(gamma)
-    competitor = increment_solve(gamma, theta, p, opts)
+    competitor = increment_solve(gamma, theta, p)
     here = total_energy(theta, gamma, p)
     there = total_energy(theta, competitor, p) + dissipation(
         Field(gamma.mesh, competitor.values - gamma.values), p.lam
@@ -619,7 +605,7 @@ def energy_balance_residual(traj: Trajectory) -> float:
     return abs(final + dis + work)
 
 
-def detect_yield(traj: Trajectory, opts: SolverOptions | None = None) -> DetectedYield:
+def detect_yield(traj: Trajectory) -> DetectedYield:
     """Largest load with no plastic flow anywhere up to it.
 
     Flow is declared once the max norm of gamma exceeds yield_tol.  The
@@ -627,13 +613,11 @@ def detect_yield(traj: Trajectory, opts: SolverOptions | None = None) -> Detecte
     stays below the tolerance the final load is returned with
     flow_observed = False.
     """
-    if opts is None:
-        opts = DEFAULT_OPTIONS
     steps = traj.steps
     thetas = [s.theta for s in steps]
     k_flow = None
     for k, s in enumerate(steps):
-        if float(np.max(np.abs(s.gamma.values))) > opts.yield_tol:
+        if float(np.max(np.abs(s.gamma.values))) > DEFAULT_OPTIONS.yield_tol:
             k_flow = k
             break
     if k_flow is None:

@@ -48,7 +48,7 @@ from ._p1 import (
     damped_newton,
     solve_tridiagonal,
 )
-from .incremental import DEFAULT_OPTIONS, LoadProgram, SolverOptions, evolve
+from .incremental import DEFAULT_OPTIONS, LoadProgram, evolve
 from .model import Field, Mesh, PhysicalParams, SolverError, nondimensionalize
 
 __all__ = [
@@ -313,7 +313,6 @@ def visco_step(
     tau_next: float,
     dt: float,
     p: ViscoParams,
-    opts: SolverOptions | None = None,
     gamma_init: np.ndarray | None = None,
 ) -> ViscoState:
     """One backward-Euler step of the viscoplastic balance to stress tau_next.
@@ -335,8 +334,6 @@ def visco_step(
         raise ValueError(f"tau_next must be finite, got {tau_next}")
     if not math.isfinite(dt) or dt <= 0.0:
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    if opts is None:
-        opts = DEFAULT_OPTIONS
     base = p.base
     mesh = state.gamma.mesh
     dy = base.h * mesh.dr
@@ -346,7 +343,7 @@ def visco_step(
     eps_v = _RATE_EPS_FACTOR * base.d0
 
     # residual entries scale like stress * dy
-    tol = opts.newton_tol * base.S0 * dy * max(1.0, abs(tau_next) / base.S0)
+    tol = DEFAULT_OPTIONS.newton_tol * base.S0 * dy * max(1.0, abs(tau_next) / base.S0)
 
     def make_merit(eps: float):
         # merit max|R|: along the Newton step its slope is -max|R|, and one
@@ -371,7 +368,9 @@ def visco_step(
         return evaluate, derivatives
 
     def solve(x0, eps: float):
-        return damped_newton(x0, *make_merit(eps), tol, opts.max_newton_iters)[0]
+        return damped_newton(
+            x0, *make_merit(eps), tol, DEFAULT_OPTIONS.max_newton_iters
+        )[0]
 
     candidates = []
     if gamma_init is not None:
@@ -429,7 +428,6 @@ def simulate_visco(
     load: Sequence,
     p: ViscoParams,
     mesh: Mesh,
-    opts: SolverOptions | None = None,
 ) -> list[ViscoState]:
     """March visco_step along a (t, tau) series from the virgin state.
 
@@ -438,15 +436,13 @@ def simulate_visco(
     including the initial one.
     """
     pairs = _validate_load(load)
-    if opts is None:
-        opts = DEFAULT_OPTIONS
     states = [ViscoState.virgin(mesh, p, t=pairs[0][0])]
     guess = None
     for k in range(1, len(pairs)):
         t_next, tau_next = pairs[k]
         dt = t_next - pairs[k - 1][0]
         try:
-            states.append(visco_step(states[-1], tau_next, dt, p, opts, guess))
+            states.append(visco_step(states[-1], tau_next, dt, p, guess))
         except SolverError as err:
             raise SolverError(
                 f"load point {k} (t = {t_next:g}, tau = {tau_next:g}) failed: {err}",
@@ -486,7 +482,6 @@ def rate_independent_limit_study(
     p: ViscoParams,
     mesh: Mesh,
     load: Sequence,
-    opts: SolverOptions | None = None,
 ) -> LimitStudyReport:
     """Discrepancy between the viscoplastic and rate-independent responses.
 
@@ -509,17 +504,15 @@ def rate_independent_limit_study(
     taus = [s for _, s in pairs]
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("limit study requires a strictly increasing ramp")
-    if opts is None:
-        opts = DEFAULT_OPTIONS
 
     thetas = tuple(tau / p.base.S0 for tau in taus)
-    reference = evolve(LoadProgram(thetas), nondimensionalize(p.base), mesh, opts)
+    reference = evolve(LoadProgram(thetas), nondimensionalize(p.base), mesh)
     gamma_ref = reference.steps[-1].gamma.values
 
     discrepancies = []
     for m in ms:
         pm = replace(p, base=replace(p.base, m_rate=m))
-        states = simulate_visco(pairs, pm, mesh, opts)
+        states = simulate_visco(pairs, pm, mesh)
         gamma_m = states[-1].gamma.values
         discrepancies.append(float(np.max(np.abs(gamma_m - gamma_ref))))
     return LimitStudyReport(m_values=tuple(ms), discrepancies=tuple(discrepancies))

@@ -41,7 +41,7 @@ from ._p1 import (
     gauss_legendre,
     mass_vector,
 )
-from .incremental import DEFAULT_OPTIONS, SolverOptions, stability_residual
+from .incremental import DEFAULT_OPTIONS, stability_residual
 from .model import Field, Mesh, NondimParams, SolverError, make_mesh
 
 __all__ = [
@@ -58,6 +58,10 @@ __all__ = [
 ]
 
 _METHODS = ("formula", "quadrature", "variational", "simulation")
+
+# theta_of_lambda's root-finder tolerance: |theta - root| <= xtol + rtol theta
+_INVERSION_XTOL = 1e-15
+_INVERSION_RTOL = 4 * float(np.finfo(float).eps)
 
 # |mass| at which a yield_variational probe counts as diverged: 50x the unit
 # mass sought, reached only by runaways above the threshold
@@ -82,10 +86,8 @@ class YieldResult:
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        lam = float(self.lam)
+        lam = _check_lam(self.lam)
         th = float(self.theta_Y)
-        if not (math.isfinite(lam) and lam > 0.0):
-            raise ValueError(f"lam must be finite and positive, got {lam}")
         if not (1.0 < th < 1.0 + lam):
             raise ValueError(
                 f"theta_Y must lie strictly between 1 and 1 + lam = {1.0 + lam}, got {th}"
@@ -124,6 +126,18 @@ class ProfileResult:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+
+def _check_lam(lam: float) -> float:
+    lam = float(lam)
+    if not math.isfinite(lam) or lam <= 0.0:
+        raise ValueError(f"lam must be finite and positive, got {lam}")
+    return lam
+
+
+def _inversion_band(theta_Y: float) -> float:
+    """Half-width tau of the band in which theta_of_lambda pins its root."""
+    return _INVERSION_XTOL + _INVERSION_RTOL * theta_Y
 
 
 def _check_theta_domain(theta_Y: float) -> float:
@@ -234,24 +248,21 @@ def theta_of_lambda(lam: float) -> float:
     moves lambda by more than the residual bound, and for large lam the
     rounding of lambda_of_theta can put lam just outside the band.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise ValueError(f"lam must be finite and positive, got {lam}")
+    lam = _check_lam(lam)
     if lam < 1e-7:
         return 1.0 + 0.5 * math.pi * math.pi * lam * lam
     delta = min(max(1e-4 * lam * lam, 4e-16), 0.5 * lam)
-    xtol, rtol = 1e-15, 4 * np.finfo(float).eps
     th = _brentq(
         lambda t: lambda_of_theta(t) - lam,
         1.0 + delta,
         1.0 + lam,
-        xtol=xtol,
-        rtol=rtol,
+        xtol=_INVERSION_XTOL,
+        rtol=_INVERSION_RTOL,
         maxiter=200,
     )
     residual = abs(lambda_of_theta(th) - lam)
     if residual > 1e-12 * max(1.0, lam):
-        tau = xtol + rtol * th
+        tau = _inversion_band(th)
         if not lambda_of_theta(th - tau) <= lam <= lambda_of_theta(th + tau):
             raise SolverError(
                 f"inversion residual {residual:.3e} exceeds tolerance for lam = {lam:g}",
@@ -266,9 +277,7 @@ def asymptotic_theta(lam: float) -> tuple[float, float]:
     The first is the small-lam expansion, the second the large-lam linear
     law; neither is a bound in the cross-over region lam ~ 1.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise ValueError(f"lam must be finite and positive, got {lam}")
+    lam = _check_lam(lam)
     return 1.0 + 0.5 * math.pi * math.pi * lam * lam, lam + 0.25 * math.pi
 
 
@@ -276,7 +285,6 @@ def stability_indicator(
     theta: float,
     p: NondimParams,
     mesh: Mesh,
-    opts: SolverOptions | None = None,
 ) -> float:
     """Stability indicator m(theta) = min over fields of E_tot + Psi.
 
@@ -287,18 +295,14 @@ def stability_indicator(
     flow is energetically favorable.
     """
     # 0.0 - r, not -r: a stable state reads +0.0
-    return 0.0 - stability_residual(Field.zeros(mesh), theta, p, opts)
+    return 0.0 - stability_residual(Field.zeros(mesh), theta, p)
 
 
 class _Diverged(Exception):
     """Inner minimization ran away: the multiplier sits above the threshold."""
 
 
-def yield_variational(
-    lam: float,
-    mesh: Mesh,
-    opts: SolverOptions | None = None,
-) -> YieldResult:
+def yield_variational(lam: float, mesh: Mesh) -> YieldResult:
     """Discrete yield threshold from the constrained variational problem.
 
     Minimizes the relaxed dissipation over nodal profiles with unit
@@ -316,12 +320,7 @@ def yield_variational(
     an upper bound for the discrete threshold that is insensitive to the
     residual mass error.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise ValueError(f"lam must be finite and positive, got {lam}")
-    if opts is None:
-        opts = DEFAULT_OPTIONS
-
+    lam = _check_lam(lam)
     psi = SmoothedDissipation(mesh, lam)
     m = mass_vector(mesh)
     upper = 1.0 + lam
@@ -356,15 +355,15 @@ def yield_variational(
     phi_warm = np.full(mesh.n_cells + 1, 0.5)
     newton_calls = 0
     mu_star = None
-    for eps in opts.epsilon_schedule:
+    for eps in DEFAULT_OPTIONS.epsilon_schedule:
 
         def probe(mu: float):
             nonlocal phi_warm, newton_calls
             newton_calls += 1
             try:
                 x, _ = damped_newton(
-                    phi_warm, *make_objective(eps, mu), opts.newton_tol,
-                    opts.max_newton_iters,
+                    phi_warm, *make_objective(eps, mu), DEFAULT_OPTIONS.newton_tol,
+                    DEFAULT_OPTIONS.max_newton_iters,
                 )
             except _Diverged:
                 return None
@@ -407,7 +406,7 @@ def yield_variational(
         diagnostics={
             "mass_residual": abs(mass_raw - 1.0),
             "multiplier": mu_star,
-            "epsilon_final": opts.epsilon_schedule[-1],
+            "epsilon_final": DEFAULT_OPTIONS.epsilon_schedule[-1],
             "newton_calls": newton_calls,
             "n_cells": mesh.n_cells,
         },
@@ -468,17 +467,22 @@ def minimizer_profile(lam: float, n_samples: int = 1 << 16) -> ProfileResult:
     formula.  The profile is resampled on a uniform mesh with n_samples
     cells, evenly extended and normalized to unit mass.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise ValueError(f"lam must be finite and positive, got {lam}")
+    lam = _check_lam(lam)
     n_samples = int(n_samples)
     if n_samples < 8 or n_samples % 2:
         raise ValueError(f"n_samples must be an even integer >= 8, got {n_samples}")
     theta_Y = theta_of_lambda(lam)
 
     # closure tolerance: the inversion residual of theta_of_lambda enters
-    # r(pi/2) - 1 divided by lam
-    tol = max(1e-10, 2e-12 / lam)
+    # r(pi/2) - 1 divided by lam, and its root error tau by about
+    # tau / (2 (theta_Y - 1)), which dominates near theta_Y = 1 (small lam)
+    tau = _inversion_band(theta_Y)
+    if theta_Y - 1.0 <= tau:
+        raise SolverError(
+            f"theta_Y - 1 = {theta_Y - 1.0:.1e} at lam = {lam:g} is within the "
+            f"inversion tolerance {tau:.1e}: the profile ODE cannot be closed"
+        )
+    tol = max(1e-10, 2e-12 / lam, tau / (theta_Y - 1.0))
     n_int = max(n_samples, 1 << 15)
     while True:
         s, r, lnphi = _profile_arrays(theta_Y, lam, n_int)

@@ -17,7 +17,11 @@ What is verified:
      time and resident memory that nothing in the package needs.
   8. Every (module, attribute) the benchmark's tracer wraps
      (perfbench/spans.py INSTRUMENTED) resolves, so a traced run cannot
-     die on a name a cleanup removed.
+     die on a name a cleanup removed; the solver settings and the
+     yield_variational diagnostic the benchmark reads keep their types,
+     and the settings keep the values the README states.
+  9. profile closes its ODE down to lam = 3e-7, where theta_Y - 1 is
+     about 4e-13.
 """
 
 import csv
@@ -32,6 +36,7 @@ import sys
 import numpy as np
 import pytest
 
+import stripshear
 import stripshear.cli as cli
 from stripshear import SolverError
 
@@ -142,6 +147,18 @@ def test_profile_at_large_lambda(tmp_path):
     assert cli.main(argv) == 0
     meta = json.loads((tmp_path / "profile.json").read_text())
     assert 1.0e4 < meta["theta_Y"] < 1.0e4 + 1.0
+
+
+@pytest.mark.parametrize("lam", [3e-7, 1e-6, 3e-6])
+def test_profile_at_small_lambda(tmp_path, lam):
+    # the closure tolerance used to ignore theta_of_lambda's root error,
+    # which r(pi/2) - 1 divides by theta_Y - 1: these exited 2
+    argv = ["profile", "--lambda", str(lam), "--samples", "64", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    meta = json.loads((tmp_path / "profile.json").read_text())
+    assert meta["theta_Y"] == pytest.approx(1.0 + 0.5 * math.pi**2 * lam**2, abs=1e-15)
+    assert 0.0 < meta["jump_ratio"] < 1.0
+    assert abs(meta["psi_bar"] - meta["theta_Y"]) <= 1e-10
 
 
 def test_yield_curve_artifacts(tmp_path):
@@ -337,6 +354,20 @@ def test_bench_tracer_names_resolve():
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
+def test_bench_reads_solver_settings():
+    # perfbench/workloads.py and spans.py read these off the package
+    settings = stripshear.DEFAULT_OPTIONS
+    for name in ("yield_tol", "stability_tol"):
+        value = getattr(settings, name)
+        assert isinstance(value, float) and value > 0.0, name
+    # the one configuration, as the README states it
+    assert settings.epsilon_schedule == tuple(10.0 ** (-k) for k in range(1, 12))
+    assert (settings.newton_tol, settings.max_newton_iters) == (1e-9, 100)
+    assert (settings.stability_tol, settings.yield_tol) == (1e-8, 1e-8)
+    result = stripshear.yield_variational(1.0, stripshear.make_mesh(16))
+    assert isinstance(result.diagnostics["newton_calls"], int)
+
+
 # ------------------------------------------------------------------ exit codes
 
 
@@ -357,6 +388,11 @@ def test_config_errors_exit_one(tmp_path, capsys):
         # no hardening: the increment past yield would be unbounded
         ["simulate", "--lambda", "1", "--theta-max", "3", "--steps", "2",
          "--cells", "16", "--kappa", "0"],
+        # the solver configuration is fixed
+        ["simulate", "--lambda", "1", "--theta-max", "1", "--steps", "1",
+         "--newton_tol", "1e-6"],
+        ["yield-curve", "--newton-tol", "1e-6"],
+        ["visco", "--tau-max", "1", "--steps", "2", "--newton_tol", "1e-6"],
     ]
     for argv in cases:
         out_args = argv + ["--out", str(tmp_path)] if argv[0] != "no-such-command" else argv
@@ -365,7 +401,7 @@ def test_config_errors_exit_one(tmp_path, capsys):
 
 
 def test_solver_failure_exits_two(tmp_path, monkeypatch, capsys):
-    def explode(load, p, mesh, opts):
+    def explode(load, p, mesh):
         raise SolverError("synthetic breakdown", residual=1.0, step=3)
 
     monkeypatch.setattr(cli, "evolve", explode)

@@ -1,7 +1,7 @@
 """Quasistatic evolution by incremental minimization.
 
 What is verified:
-  1. Load program and option validation.
+  1. Load program validation.
   2. Below the threshold the trajectory is identically zero (to solver
      tolerance) and no flow is reported.
   3. A medium-resolution run detects the threshold at the known value for
@@ -12,7 +12,8 @@ What is verified:
      unloading leaves it unchanged (rate-independent hysteresis).
   6. increment_solve agrees with an exhaustive two-stage grid search of the
      same discrete objective on a 4-cell mesh (3 free nodes).
-  7. Failure paths raise SolverError carrying residual and step context;
+  7. Failure paths raise SolverError carrying residual and step context
+     (a Newton budget strangled by patching the one solver configuration);
      kappa = 0 (no stored energy, unbounded flow past yield) is rejected
      with ValueError before any solve.
   8. The clamped discrete yield threshold is bracketed tightly by a primal
@@ -32,6 +33,7 @@ What is verified:
      raises SolverError.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -40,13 +42,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stripshear import (
-    DEFAULT_EPSILON_SCHEDULE,
     DEFAULT_OPTIONS,
     Field,
     LoadProgram,
     NondimParams,
     SolverError,
-    SolverOptions,
     detect_yield,
     dissipation,
     energy_balance_residual,
@@ -80,22 +80,6 @@ def test_load_program_validation():
         LoadProgram((0.0, math.nan))
     with pytest.raises(ValueError):
         LoadProgram(())
-
-
-def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(newton_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(epsilon_schedule=())
-    with pytest.raises(ValueError):
-        SolverOptions(epsilon_schedule=(1e-3, 1e-2))
-    with pytest.raises(ValueError):
-        SolverOptions(max_newton_iters=0)
-    assert DEFAULT_OPTIONS.newton_tol == 1e-9
-    assert DEFAULT_OPTIONS.epsilon_schedule == DEFAULT_EPSILON_SCHEDULE
-    assert all(
-        b < a for a, b in zip(DEFAULT_EPSILON_SCHEDULE, DEFAULT_EPSILON_SCHEDULE[1:])
-    )
 
 
 # ------------------------------------------------------------- below threshold
@@ -220,21 +204,35 @@ def test_increment_matches_grid_search():
 # ---------------------------------------------------------------- failure paths
 
 
-def test_strangled_budget_raises_solver_error():
-    opts = SolverOptions(epsilon_schedule=(1e-11,), max_newton_iters=1)
+@pytest.fixture
+def strangled(monkeypatch):
+    """One Newton iteration, straight at the last smoothing level."""
+    monkeypatch.setattr(
+        incremental,
+        "DEFAULT_OPTIONS",
+        dataclasses.replace(
+            incremental.DEFAULT_OPTIONS, epsilon_schedule=(1e-11,), max_newton_iters=1
+        ),
+    )
+    # brackets certified under the real budget would spare the virgin steps
+    incremental._threshold_bracket.cache_clear()
+    yield
+    incremental._threshold_bracket.cache_clear()
+
+
+def test_strangled_budget_raises_solver_error(strangled):
     with pytest.raises(SolverError) as exc:
-        increment_solve(Field.zeros(make_mesh(32)), 2.5, P_REF, opts)
+        increment_solve(Field.zeros(make_mesh(32)), 2.5, P_REF)
     assert math.isfinite(exc.value.residual)
     assert exc.value.residual > 0.0
 
 
-def test_evolve_attaches_step_context():
+def test_evolve_attaches_step_context(strangled):
     # one Newton iteration cannot even absorb the smoothing at theta = 0.5,
     # so the walk dies at the first nonzero load step and must say which
-    opts = SolverOptions(epsilon_schedule=(1e-11,), max_newton_iters=1)
     load = LoadProgram((0.0, 0.5, 2.5))
     with pytest.raises(SolverError) as exc:
-        evolve(load, P_REF, make_mesh(32), opts)
+        evolve(load, P_REF, make_mesh(32))
     assert exc.value.step == 1
     assert "load step 1" in str(exc.value)
 
@@ -268,7 +266,7 @@ def _adjoint(xi_u, xi_s, mesh, lam):
 @pytest.mark.parametrize("lam", [1e-3, 0.1, 1.179812, 10.0, 100.0])
 def test_threshold_bracket(lam, n_cells):
     mesh = make_mesh(n_cells)
-    dual = incremental._threshold_dual(mesh, lam, DEFAULT_OPTIONS)
+    dual = incremental._threshold_dual(mesh, lam)
     assert 0.0 < dual.lower <= dual.upper
     assert (dual.upper - dual.lower) / dual.upper <= 1e-6
     m = mesh.dr * np.ones(n_cells - 1)  # interior trapezoid weights
@@ -286,7 +284,7 @@ def test_threshold_bracket(lam, n_cells):
 def test_virgin_increment_below_bracket_skips_newton(monkeypatch):
     mesh = make_mesh(64)
     p = NondimParams(lam=0.3, Lambda=2.0, kappa=0.5)
-    lower, upper = incremental._threshold_bracket(mesh.n_cells, p.lam, DEFAULT_OPTIONS)
+    lower, upper = incremental._threshold_bracket(mesh.n_cells, p.lam)
     calls = []
     newton = incremental.damped_newton
 
@@ -315,7 +313,7 @@ def test_virgin_increment_below_bracket_skips_newton(monkeypatch):
 def test_virgin_increment_properties(lam, half_cells, Lambda, kappa, load):
     mesh = make_mesh(2 * half_cells)
     p = NondimParams(lam=lam, Lambda=Lambda, kappa=kappa)
-    lower, upper = incremental._threshold_bracket(mesh.n_cells, lam, DEFAULT_OPTIONS)
+    lower, upper = incremental._threshold_bracket(mesh.n_cells, lam)
     theta = load * upper
     try:
         gamma = increment_solve(Field.zeros(mesh), theta, p)
@@ -354,9 +352,7 @@ def test_stability_bound_off_the_minimizer(readme_sweep, k):
     gamma = state.gamma.values
     oracles = []
     for pushed in (1.01 * gamma, 0.99 * gamma, gamma + bump, gamma - bump):
-        bound = prob.stability_bound(
-            prev.gamma.values, pushed, state.theta, DEFAULT_OPTIONS
-        )
+        bound = prob.stability_bound(prev.gamma.values, pushed, state.theta)
         oracle = stability_residual(Field(mesh, pushed), state.theta, P_REF)
         assert bound > 0.0 and bound >= oracle
         oracles.append(oracle)
@@ -366,7 +362,7 @@ def test_stability_bound_off_the_minimizer(readme_sweep, k):
 
 def test_evolve_refuses_uncertified_state(monkeypatch):
     mesh = make_mesh(32)
-    incremental._threshold_bracket(mesh.n_cells, P_REF.lam, DEFAULT_OPTIONS)
+    incremental._threshold_bracket(mesh.n_cells, P_REF.lam)
     newton = incremental.damped_newton
 
     def perturbed(*args, **kwargs):
@@ -395,12 +391,12 @@ def test_flowed_states_are_certified(lam, half_cells, Lambda, kappa, load):
     prob = incremental._IncrementProblem(
         mesh, NondimParams(lam=lam, Lambda=Lambda, kappa=kappa)
     )
-    _, upper = incremental._threshold_bracket(mesh.n_cells, lam, DEFAULT_OPTIONS)
+    _, upper = incremental._threshold_bracket(mesh.n_cells, lam)
     theta = load * upper
     gamma = np.zeros(mesh.n_cells + 1)
     for target in (theta, -theta, theta):  # load, unload through zero, reload
         try:
-            gamma_next, bound = prob.solve_certified(gamma, target, DEFAULT_OPTIONS)
+            gamma_next, bound = prob.solve_certified(gamma, target)
         except SolverError:
             return
         assert np.isfinite(gamma_next).all()

@@ -27,7 +27,9 @@ What is verified:
      decreases along a decreasing m sequence and is negligible for loads
      that never reach the threshold.
   9. Failure plumbing: visco_step wraps a non-converged Newton solve in
-     SolverError with the residual, simulate_visco adds the load point.
+     SolverError with the residual, simulate_visco adds the load point; on
+     a real step whose direct solve fails, the continuation ladder over
+     wider rate smoothings runs and rescues it.
  10. Work bound: the unloading steps of a load-unload series stop at the
      residual's roundoff floor instead of backtracking inside it, so the
      series costs a few hundred residual evaluations.
@@ -399,8 +401,35 @@ def test_step_failure_carries_residual(monkeypatch):
     assert info.value.residual == 0.123
 
 
+def test_continuation_ladder_rescues_a_failed_step(monkeypatch):
+    # a long dissipative length (theta_Y near 5) loaded in one step to
+    # tau = 3: the direct solve at the nominal rate smoothing fails
+    p = ViscoParams(
+        base=PhysicalParams(S0=1.0, kappa=0.04, L=1.9, ell=4.2, h=1.0, G=1.0,
+                            d0=1.0, m_rate=0.025),
+        hardening=Hardening.zero(),
+    )
+    outcomes = []
+    newton = viscoplastic.damped_newton
+
+    def recorded(*args, **kwargs):
+        try:
+            result = newton(*args, **kwargs)
+        except SolverError:
+            outcomes.append("raised")
+            raise
+        outcomes.append("converged")
+        return result
+
+    monkeypatch.setattr(viscoplastic, "damped_newton", recorded)
+    st = visco_step(ViscoState.virgin(make_mesh(128), p), 3.0, 0.05, p)
+    assert outcomes[0] == "raised"
+    assert len(outcomes) > 2 and outcomes[-1] == "converged"
+    assert np.isfinite(st.gamma.values).all() and np.isfinite(st.S.values).all()
+
+
 def test_simulate_reports_failing_load_point(monkeypatch):
-    def explode(state, tau_next, dt, p, opts=None, gamma_init=None):
+    def explode(state, tau_next, dt, p, gamma_init=None):
         raise SolverError("inner failure", residual=7.0)
 
     monkeypatch.setattr(viscoplastic, "visco_step", explode)

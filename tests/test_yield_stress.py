@@ -14,7 +14,9 @@ Anchors used here:
     from the center, unit mass, boundary trace ratio (theta - 1)/theta, and
     its relaxed dissipation per unit mass equals theta_Y.
   * theta_of_lambda returns across lam in [1e-7, 1e6], strictly inside
-    (1, 1 + lam) and with the exact inverse in its root finder's band.
+    (1, 1 + lam) and with the exact inverse in its root finder's band;
+    minimizer_profile raises SolverError where theta_Y - 1 falls inside
+    that band.
   * The quadrature's own Gauss-Legendre rule: nodes equal scipy's
     roots_legendre to 1e-15, and the weights integrate every monomial of
     degree < 2n on [0, 1] and exp with the Gauss error term.
@@ -27,6 +29,7 @@ import pytest
 
 from stripshear import (
     NondimParams,
+    SolverError,
     asymptotic_theta,
     lambda_of_theta,
     make_mesh,
@@ -133,6 +136,21 @@ def test_input_validation():
         minimizer_profile(-1.0)
     with pytest.raises(ValueError):
         minimizer_profile(1.0, n_samples=33)
+    lam_message = "lam must be finite and positive"
+    with pytest.raises(ValueError, match=lam_message):
+        asymptotic_theta(-2.0)
+    with pytest.raises(ValueError, match=lam_message):
+        yield_variational(math.nan, make_mesh(8))
+    with pytest.raises(ValueError, match=lam_message):
+        minimizer_profile(0.0)
+
+
+@pytest.mark.parametrize("lam", [1e-9, 1e-8])
+def test_profile_refuses_unresolvable_threshold(lam):
+    # theta_Y - 1 (0 and one ulp here) is inside theta_of_lambda's root
+    # band, so the ODE closure cannot check anything
+    with pytest.raises(SolverError, match="cannot be closed"):
+        minimizer_profile(lam, n_samples=64)
 
 
 # ---------------------------------------------------------- variational route
