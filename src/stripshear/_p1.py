@@ -12,8 +12,9 @@ One home for what the solvers have in common:
 
   with its gradient and tridiagonal Hessian (eps = 0 is the plain
   dissipation; only the value is defined there);
-* the trapezoidal mass vector, the banded solves and the damped Newton
-  driver of every solver (convex_newton adapts it to minimization,
+* the trapezoidal mass vector, the banded solves (LAPACK, called in the
+  library numpy's linalg extension loads) and the damped Newton driver of
+  every solver (convex_newton adapts it to minimization,
   constrained_newton to minimization at fixed sum).
 
 Gauss-point arrays are laid out (n_points, n_cells), so each quadrature
@@ -23,12 +24,14 @@ products.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError
 
 from .model import Mesh, SolverError
 
@@ -133,8 +136,9 @@ class SmoothedDissipation:
     g = (c u + e l) / R, with c the P1 shape function and e = -+lam/dr the
     slope factor, and the second derivatives are (k - g g') / R with
     k = c c' + e e'.  The two shape functions sum to one, so the right-end
-    g is u / R minus the left-end one.  The Hessian is returned in the upper
-    banded form of scipy.linalg.solveh_banded.
+    g is u / R minus the left-end one.  The Hessian is returned in LAPACK's
+    upper band storage, row-major: banded[1] is the diagonal and
+    banded[0, i] couples nodes i - 1 and i (banded[0, 0] is unused).
     """
 
     def __init__(self, mesh: Mesh, lam: float):
@@ -206,10 +210,122 @@ def mass_vector(mesh: Mesh) -> np.ndarray:
     return w
 
 
-# the banded LAPACK solvers scipy.linalg.solveh_banded and
-# solve_banded((1, 1), ...) dispatch to, called directly: their argument
-# checks cost more than the solve at this size
-_PTSV, _GTSV, _PBSV = get_lapack_funcs(("ptsv", "gtsv", "pbsv"), (np.empty(1),))
+# The banded solves call LAPACK's ptsv (SPD tridiagonal), pbsv (SPD band,
+# upper storage: row kd is the diagonal, row kd - j holds the j-th
+# superdiagonal right-aligned) and gtsv (general tridiagonal, partial
+# pivoting) in the LAPACK numpy's linalg extension already loads.  LAPACK
+# overwrites its arguments, so the inputs are copied in.
+_ROUTINES = ("ptsv", "gtsv", "pbsv")
+# exported names, in lookup order: ILP64 with numpy's prefix, ILP64, LP64
+_SPELLINGS = ("scipy_d{}_64_", "d{}_64_", "d{}_")
+
+
+def _numpy_lapack():
+    """(ptsv, gtsv, pbsv, Fortran integer type) from numpy's LAPACK, or None."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for spelling in _SPELLINGS:
+        try:
+            fns = [getattr(lib, spelling.format(name)) for name in _ROUTINES]
+        except AttributeError:
+            continue
+        for fn in fns:
+            fn.restype = None
+        return (*fns, ctypes.c_int64 if "_64_" in spelling else ctypes.c_int)
+    return None
+
+
+def _block(fn, fint, layout):
+    """call(*inputs) -> (x, info): fn on one size, its arguments built once.
+
+    layout lists the Fortran arguments before info: integers (passed by
+    reference), one-letter options (bytes, with their hidden lengths
+    appended after info) and buffers the inputs are copied into, the last
+    of which holds the right-hand side and then the solution.
+    """
+    info = fint()
+    buffers = [a for a in layout if isinstance(a, np.ndarray)]
+    x = buffers[-1]
+    args = [
+        ctypes.c_void_p(a.ctypes.data) if isinstance(a, np.ndarray)
+        else ctypes.c_char_p(a) if isinstance(a, bytes)
+        else ctypes.byref(fint(a))
+        for a in layout
+    ]
+    args.append(ctypes.byref(info))
+    args += [ctypes.c_size_t(len(a)) for a in layout if isinstance(a, bytes)]
+
+    def call(*inputs):
+        for buf, a in zip(buffers, inputs):
+            buf[...] = a
+        fn(*args)
+        return x.copy(), info.value
+
+    return call
+
+
+def _ptsv_layout(d, e, b):
+    n = b.size
+    return n, 1, np.empty(n), np.empty(n - 1), np.empty(n), n
+
+
+def _gtsv_layout(dl, d, du, b):
+    n = b.size
+    return n, 1, np.empty(n - 1), np.empty(n), np.empty(n - 1), np.empty(n), n
+
+
+def _pbsv_layout(ab, b):
+    kd, n = ab.shape[0] - 1, b.size
+    return b"U", n, kd, 1, np.empty(ab.shape, order="F"), kd + 1, np.empty(n), n
+
+
+def _bind(fn, fint, layout):
+    """routine(*inputs) -> (x, info) through one block per input shape.
+
+    The blocks are per thread: LAPACK runs with the GIL released, so two
+    threads must never share a block's buffers.
+    """
+    local = threading.local()
+
+    def routine(*inputs):
+        try:
+            blocks = local.blocks
+        except AttributeError:
+            blocks = local.blocks = {}
+        block = blocks.get(inputs[0].shape)
+        if block is None:
+            block = blocks[inputs[0].shape] = _block(fn, fint, layout(*inputs))
+        return block(*inputs)
+
+    return routine
+
+
+def _lapack_routines():
+    """ptsv, gtsv and pbsv as (*inputs) -> (x, info).
+
+    numpy builds that export no LAPACK (lapack_lite) go through scipy's
+    wrappers instead, imported only then.
+    """
+    found = _numpy_lapack()
+    if found is None:
+        from scipy.linalg import get_lapack_funcs
+
+        ptsv, gtsv, pbsv = get_lapack_funcs(_ROUTINES, (np.empty(1),))
+        return (
+            lambda d, e, b: ptsv(d, e, b)[2:],
+            lambda dl, d, du, b: gtsv(dl, d, du, b)[3:],
+            lambda ab, b: pbsv(ab, b)[1:],
+        )
+    *fns, fint = found
+    layouts = (_ptsv_layout, _gtsv_layout, _pbsv_layout)
+    return tuple(_bind(fn, fint, layout) for fn, layout in zip(fns, layouts))
+
+
+_PTSV, _GTSV, _PBSV = _lapack_routines()
 
 _DIAGONAL_LIFT = 1e-14  # ~50 ulps per pivot: clears one rounded to <= 0
 _ARMIJO = 1e-4  # sufficient-decrease share of the linear model (textbook)
@@ -219,17 +335,15 @@ _ROUNDOFF = 1e-15  # roundoff of a sum of terms, relative to their magnitudes
 
 def _factor_solve(banded: np.ndarray, rhs: np.ndarray):
     if banded.shape[0] == 2 and rhs.size > 1:  # ptsv needs n >= 2
-        _, _, x, info = _PTSV(banded[1], banded[0, 1:], rhs)
-    else:
-        _, x, info = _PBSV(banded, rhs)
-    return x, info
+        return _PTSV(banded[1], banded[0, 1:], rhs)
+    return _PBSV(banded, rhs)
 
 
 def solve_banded_spd(banded: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve an SPD system in upper banded form, lifting the diagonal on breakdown.
 
-    Tridiagonal systems go to ptsv, as in scipy.linalg.solveh_banded; wider
-    bands and single unknowns go to pbsv.
+    banded is in upper band storage.  Tridiagonal systems go to ptsv, as in
+    scipy.linalg.solveh_banded; wider bands and single unknowns go to pbsv.
     """
     x, info = _factor_solve(banded, rhs)
     if info > 0:
@@ -244,10 +358,15 @@ def solve_banded_spd(banded: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """scipy.linalg.solve_banded((1, 1), ab, rhs), bit for bit."""
+    """Solve a general tridiagonal system by gtsv (partial pivoting).
+
+    ab holds the superdiagonal, diagonal and subdiagonal in its rows, as
+    scipy.linalg.solve_banded((1, 1), ab, rhs) reads them; the result is
+    that call's, bit for bit.
+    """
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("Newton system contains infs or NaNs")
-    _, _, _, x, info = _GTSV(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    x, info = _GTSV(ab[2, :-1], ab[1], ab[0, 1:], rhs)
     if info != 0:
         raise LinAlgError("singular matrix")
     return x

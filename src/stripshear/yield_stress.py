@@ -63,6 +63,9 @@ _METHODS = ("formula", "quadrature", "variational", "simulation")
 _INVERSION_XTOL = 1e-15
 _INVERSION_RTOL = 4 * float(np.finfo(float).eps)
 
+# the smallest lam whose threshold 1 + pi^2 lam^2 / 2 rounds above 1.0
+_LAM_FLOOR = 4.743186923619967e-09
+
 # |mass| at which a yield_variational probe counts as diverged: 50x the unit
 # mass sought, reached only by runaways above the threshold
 _MASS_CAP = 50.0
@@ -232,7 +235,9 @@ def yield_integral(theta_Y: float, n_quad: int = 256) -> float:
 def theta_of_lambda(lam: float) -> float:
     """Yield threshold theta_Y for the length-scale ratio lam.
 
-    Domain: every finite lam > 0; anything else raises ValueError.
+    Domain: every finite lam from the smallest one whose threshold
+    1 + pi^2 lam^2 / 2 rounds above 1 in double precision (about 4.74e-9)
+    up; anything else raises ValueError, which names that floor.
     Inverts lambda_of_theta on the bracket [1 + delta, 1 + lam]; the upper
     end is the constant-competitor bound, the lower end is far inside the
     small-lam asymptote, delta = 1e-4 lam^2 capped at lam / 2 so that it
@@ -249,6 +254,11 @@ def theta_of_lambda(lam: float) -> float:
     rounding of lambda_of_theta can put lam just outside the band.
     """
     lam = _check_lam(lam)
+    if lam < _LAM_FLOOR:
+        raise ValueError(
+            f"lam = {lam:g} is below {_LAM_FLOOR!r}, the smallest lam whose "
+            "threshold rounds above 1"
+        )
     if lam < 1e-7:
         return 1.0 + 0.5 * math.pi * math.pi * lam * lam
     delta = min(max(1e-4 * lam * lam, 4e-16), 0.5 * lam)
@@ -471,17 +481,21 @@ def minimizer_profile(lam: float, n_samples: int = 1 << 16) -> ProfileResult:
     n_samples = int(n_samples)
     if n_samples < 8 or n_samples % 2:
         raise ValueError(f"n_samples must be an even integer >= 8, got {n_samples}")
+    # where theta_Y - 1 (pi^2 lam^2 / 2 to relative O(lam^2) there) is inside
+    # theta_of_lambda's root band, the closure identity checks nothing
+    gap = 0.5 * math.pi * math.pi * lam * lam
+    tau = _inversion_band(1.0 + gap)
+    if gap <= tau:
+        raise SolverError(
+            f"theta_Y - 1 = {gap:.1e} at lam = {lam:g} is within the "
+            f"inversion tolerance {tau:.1e}: the profile ODE cannot be closed"
+        )
     theta_Y = theta_of_lambda(lam)
 
     # closure tolerance: the inversion residual of theta_of_lambda enters
     # r(pi/2) - 1 divided by lam, and its root error tau by about
     # tau / (2 (theta_Y - 1)), which dominates near theta_Y = 1 (small lam)
     tau = _inversion_band(theta_Y)
-    if theta_Y - 1.0 <= tau:
-        raise SolverError(
-            f"theta_Y - 1 = {theta_Y - 1.0:.1e} at lam = {lam:g} is within the "
-            f"inversion tolerance {tau:.1e}: the profile ODE cannot be closed"
-        )
     tol = max(1e-10, 2e-12 / lam, tau / (theta_Y - 1.0))
     n_int = max(n_samples, 1 << 15)
     while True:
@@ -500,6 +514,14 @@ def minimizer_profile(lam: float, n_samples: int = 1 << 16) -> ProfileResult:
 
     mesh = make_mesh(n_samples)
     half = mesh.nodes[n_samples // 2 :]
+    # the node r = 1 takes the arc's end, which the closure puts within tol
+    # of it; an arc ending before the node below would repeat its end there
+    if r[-1] <= half[-2]:
+        raise SolverError(
+            f"profile arc ends at r = {r[-1]:.6f}, short of the sample node "
+            f"{half[-2]:.6f} (closure {closure:.1e} within tolerance {tol:.1e})",
+            residual=closure,
+        )
     phi_half = np.interp(half, r, phi_rel)
     zeta_half = np.interp(half, r, np.sin(s))
     values = np.concatenate([phi_half[::-1], phi_half[1:]])

@@ -19,14 +19,23 @@ What is verified:
   7. The fixed-sum Newton step is the dense null-space Newton step, keeps
      the sum, and a single unknown is already stationary; the SPD banded
      solve handles tridiagonal, pentadiagonal and 1x1 systems.
+  8. The banded solves call the LAPACK numpy loads, and give scipy's ptsv
+     and pbsv bits: n = 1, 2 and 513, a pentadiagonal constrained_newton
+     system, and the diagonal lift after a failed first factorization.  A
+     non-finite right-hand side raises ValueError, a singular general
+     tridiagonal system numpy.linalg.LinAlgError.  Threads solving at the
+     same size do not share argument blocks.
+  9. Where numpy exports no LAPACK symbol, the solves go through scipy's
+     wrappers, with the same bits.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from stripshear import Field, dissipation, make_mesh
+from stripshear import Field, _p1, dissipation, make_mesh
 from stripshear._p1 import (
     GAUSS3_POINTS,
     GAUSS3_WEIGHTS,
@@ -267,3 +276,142 @@ def test_constrained_newton_step_is_the_null_space_step():
 def test_constrained_newton_single_unknown_is_stationary():
     measure, _ = constrained_newton(np.array([3.0]), np.array([[0.0], [2.0]]), 1.0)
     assert measure == 0.0
+
+
+# ------------------------------------------------- LAPACK, scipy as the oracle
+
+
+def _scipy_lapack():
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("ptsv", "gtsv", "pbsv"), (np.empty(1),))
+
+
+def _scipy_spd_solve(ab, rhs):
+    """scipy's solve of an upper banded SPD system: (x, info)."""
+    ptsv, _, pbsv = _scipy_lapack()
+    if ab.shape[0] == 2 and rhs.size > 1:
+        return ptsv(ab[1], ab[0, 1:], rhs)[2:]
+    return pbsv(ab, rhs)[1:]
+
+
+def _spd_tridiagonal(rng, n):
+    ab = np.empty((2, n))
+    ab[0] = rng.uniform(-1.0, 1.0, n)
+    ab[0, 0] = 0.0
+    ab[1] = rng.uniform(2.0, 3.0, n)  # diagonally dominant
+    return ab
+
+
+def test_solves_use_numpys_lapack():
+    assert _p1._numpy_lapack() is not None
+    assert _p1.LinAlgError is np.linalg.LinAlgError
+
+
+@pytest.mark.parametrize("n", [1, 2, 513])
+def test_spd_solve_matches_scipy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        ab = _spd_tridiagonal(rng, n)
+        rhs = rng.standard_normal(n)
+        x, info = _scipy_spd_solve(ab, rhs)
+        assert info == 0
+        assert solve_banded_spd(ab, rhs).tobytes() == x.tobytes()
+
+
+def test_pentadiagonal_solve_matches_scipy_bit_for_bit(monkeypatch):
+    # the reduced Hessian constrained_newton forms, as it passes it on
+    systems = []
+    solve = _p1.solve_banded_spd
+
+    def record(S, rhs):
+        x = solve(S, rhs)
+        systems.append((S.copy(), rhs.copy(), x))
+        return x
+
+    monkeypatch.setattr(_p1, "solve_banded_spd", record)
+    rng = np.random.default_rng(17)
+    H = _spd_tridiagonal(rng, 65)
+    constrained_newton(rng.standard_normal(65), H, 1.0)[1]()
+    (S, rhs, x), = systems
+    assert S.shape == (3, 64)
+    ref, info = _scipy_spd_solve(S, rhs)
+    assert info == 0 and x.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 513])
+def test_diagonal_lift_matches_scipy_bit_for_bit(n):
+    # the Neumann Laplacian is singular: the last pivot is exactly 0
+    ab = np.empty((2, n))
+    ab[0] = -1.0
+    ab[0, 0] = 0.0
+    ab[1] = 2.0
+    ab[1, [0, -1]] = 1.0
+    rhs = np.random.default_rng(n).standard_normal(n)
+    assert _scipy_spd_solve(ab, rhs)[1] == n
+    lifted = ab.copy()
+    lifted[1] += 1e-14 * (1.0 + np.abs(ab[1]))
+    ref, info = _scipy_spd_solve(lifted, rhs)
+    assert info == 0
+    assert solve_banded_spd(ab, rhs).tobytes() == ref.tobytes()
+
+
+def test_solves_reject_non_finite_and_singular_systems():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 513):
+        rhs = rng.standard_normal(n)
+        rhs[-1] = math.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_banded_spd(_spd_tridiagonal(rng, n), rhs)
+    ab = np.zeros((3, 5))
+    ab[1] = [1.0, 2.0, 0.0, 3.0, 4.0]  # a zero column
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        solve_tridiagonal(ab, np.ones(5))
+
+
+def test_threads_keep_their_own_argument_blocks():
+    rng = np.random.default_rng(23)
+    systems = [(_spd_tridiagonal(rng, 257), rng.standard_normal(257)) for _ in range(64)]
+    serial = [solve_banded_spd(ab, rhs).tobytes() for ab, rhs in systems]
+
+    def solve_all(shift):
+        order = systems[shift:] + systems[:shift]
+        return [solve_banded_spd(ab, rhs).tobytes() for ab, rhs in order * 20]
+
+    with ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(solve_all, (0, 32)))
+    assert results[0] == serial * 20
+    assert results[1] == (serial[32:] + serial[:32]) * 20
+
+
+def test_fallback_to_scipy_gives_the_same_bits(monkeypatch):
+    import scipy.linalg
+
+    rng = np.random.default_rng(29)
+    spd = [_spd_tridiagonal(rng, n) for n in (1, 2, 33)]
+    penta = np.vstack([rng.uniform(-0.5, 0.5, (2, 33)), rng.uniform(3.0, 4.0, 33)])
+    general = rng.standard_normal((3, 33))
+    rhs = {n: rng.standard_normal(n) for n in (1, 2, 33)}
+
+    def solve_all():
+        out = [solve_banded_spd(ab, rhs[ab.shape[1]]) for ab in spd]
+        out.append(solve_banded_spd(penta, rhs[33]))
+        out.append(solve_tridiagonal(general, rhs[33]))
+        return [x.tobytes() for x in out]
+
+    native = solve_all()
+    looked_up = []
+    get_lapack_funcs = scipy.linalg.get_lapack_funcs
+
+    def spy(names, arrays):
+        looked_up.append(names)
+        return get_lapack_funcs(names, arrays)
+
+    monkeypatch.setattr(_p1, "_SPELLINGS", ("no_such_d{}_",))
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", spy)
+    assert _p1._numpy_lapack() is None
+    routines = _p1._lapack_routines()
+    assert looked_up == [("ptsv", "gtsv", "pbsv")]
+    for name, routine in zip(("_PTSV", "_GTSV", "_PBSV"), routines):
+        monkeypatch.setattr(_p1, name, routine)
+    assert solve_all() == native

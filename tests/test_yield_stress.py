@@ -16,7 +16,10 @@ Anchors used here:
   * theta_of_lambda returns across lam in [1e-7, 1e6], strictly inside
     (1, 1 + lam) and with the exact inverse in its root finder's band;
     minimizer_profile raises SolverError where theta_Y - 1 falls inside
-    that band.
+    that band, or where its arc ends short of the last interior sample.
+  * theta_of_lambda refuses lam below the smallest lam whose threshold
+    rounds above 1, naming it; from that floor up, lambda_of_theta inverts
+    the threshold to within its one-ulp rounding.
   * The quadrature's own Gauss-Legendre rule: nodes equal scipy's
     roots_legendre to 1e-15, and the weights integrate every monomial of
     degree < 2n on [0, 1] and exp with the Gauss error term.
@@ -40,6 +43,7 @@ from stripshear import (
     stability_indicator,
     theta_of_lambda,
     yield_integral,
+    yield_stress,
     yield_variational,
 )
 
@@ -145,10 +149,37 @@ def test_input_validation():
         minimizer_profile(0.0)
 
 
+def test_threshold_floor():
+    floor = yield_stress._LAM_FLOOR
+    below = math.nextafter(floor, 0.0)
+    assert 1.0 + 0.5 * math.pi * math.pi * below * below == 1.0  # as theta_of_lambda
+    for lam in (below, 1e-9, 4e-9):
+        with pytest.raises(ValueError, match=repr(floor)):
+            theta_of_lambda(lam)
+    for lam in (floor, math.nextafter(floor, 1.0), 2.0 * floor, 5e-9, 1e-8, 1e-7):
+        t = theta_of_lambda(lam)
+        assert 1.0 < t < 1.0 + lam
+        back = lambda_of_theta(t)
+        assert math.isfinite(back) and back > 0.0
+        # t is the double nearest the threshold: the exact inverse lies
+        # between the inverses of its neighbours (1 itself has none)
+        lower = math.nextafter(t, 0.0)
+        assert (lambda_of_theta(lower) if lower > 1.0 else 0.0) <= lam
+        assert lam <= lambda_of_theta(math.nextafter(t, 2.0))
+
+
+def test_profile_refuses_an_arc_short_of_the_samples():
+    # the closure holds within its tolerance, but the arc ends before the
+    # last interior sample, where resampling would repeat its end (the CLI
+    # test covers lam = 1e-7)
+    with pytest.raises(SolverError, match="short of the sample node"):
+        minimizer_profile(5e-8, n_samples=64)
+
+
 @pytest.mark.parametrize("lam", [1e-9, 1e-8])
 def test_profile_refuses_unresolvable_threshold(lam):
-    # theta_Y - 1 (0 and one ulp here) is inside theta_of_lambda's root
-    # band, so the ODE closure cannot check anything
+    # theta_Y - 1 (about 5e-18 and 5e-16 here) is inside theta_of_lambda's
+    # root band, so the ODE closure cannot check anything
     with pytest.raises(SolverError, match="cannot be closed"):
         minimizer_profile(lam, n_samples=64)
 
