@@ -14,7 +14,8 @@ lam per unit).  This module provides:
   which bracket the threshold from the energetic side;
 * the discrete constrained minimization (yield_variational) that reproduces
   theta_Y on a mesh without using the closed form;
-* the minimizer-profile ODE reconstruction (minimizer_profile);
+* the yield-onset profile, the closed-form solution of its first-order
+  ODE (minimizer_profile);
 * both asymptotic regimes of theta_Y(lam).
 
 The closed form,
@@ -66,6 +67,16 @@ _INVERSION_RTOL = 4 * float(np.finfo(float).eps)
 # the smallest lam whose threshold 1 + pi^2 lam^2 / 2 rounds above 1.0
 _LAM_FLOOR = 4.743186923619967e-09
 
+# the largest lam theta_of_lambda inverts: its root band 4 eps theta_Y is
+# 0.09 here, and must stay below the 1 - pi/4 = 0.21 between theta_Y
+# (about lam + pi/4) and the bracket end 1 + lam; from 7.3e14 up the root
+# lands on that end
+_LAM_CEILING = 1e14
+
+# above this theta_Y, lam = theta_Y - pi/4 + O(1 / theta_Y) rounds to
+# theta_Y itself, and theta_Y^2 overflows from about 1.34e154 up
+_THETA_LINEAR = 1e150
+
 # |mass| at which a yield_variational probe counts as diverged: 50x the unit
 # mass sought, reached only by runaways above the threshold
 _MASS_CAP = 50.0
@@ -101,11 +112,11 @@ class YieldResult:
 
 @dataclass(frozen=True)
 class ProfileResult:
-    """Yield-onset flow profile reconstructed from its first-order ODE.
+    """Yield-onset flow profile, the closed-form solution of its ODE.
 
     r and zeta sample the strictly increasing map zeta(r) on [0, 1];
     phi is the even, unit-mass extension on [-1, 1] with free (jumping)
-    boundary values; jump_ratio = phi(1-) / phi(0).
+    boundary values; jump_ratio = phi(1-) / phi(0) = (theta_Y - 1) / theta_Y.
     """
 
     r: np.ndarray
@@ -154,9 +165,12 @@ def lambda_of_theta(theta_Y: float) -> float:
     """Length-scale ratio lam for which theta_Y is the yield threshold.
 
     Strictly increasing: the thinner the strip relative to ell, the larger
-    lam and the stronger the specimen.
+    lam and the stronger the specimen.  Every finite theta_Y > 1 has a
+    value: above 1e150 it is theta_Y itself, lam to double precision.
     """
     th = _check_theta_domain(theta_Y)
+    if th > _THETA_LINEAR:
+        return th
     root = math.sqrt(th * th - 1.0)
     gap = 1.0 / (th + root)  # = th - root without cancellation
     return 2.0 * root / (math.pi * gap + 2.0 * th * math.atan(1.0 / root))
@@ -235,9 +249,11 @@ def yield_integral(theta_Y: float, n_quad: int = 256) -> float:
 def theta_of_lambda(lam: float) -> float:
     """Yield threshold theta_Y for the length-scale ratio lam.
 
-    Domain: every finite lam from the smallest one whose threshold
+    Domain: every lam from the smallest one whose threshold
     1 + pi^2 lam^2 / 2 rounds above 1 in double precision (about 4.74e-9)
-    up; anything else raises ValueError, which names that floor.
+    up to 1e14, beyond which the root finder's band is too wide to keep
+    theta_Y below 1 + lam; anything else raises ValueError, which names
+    the bound it crosses.
     Inverts lambda_of_theta on the bracket [1 + delta, 1 + lam]; the upper
     end is the constant-competitor bound, the lower end is far inside the
     small-lam asymptote, delta = 1e-4 lam^2 capped at lam / 2 so that it
@@ -258,6 +274,11 @@ def theta_of_lambda(lam: float) -> float:
         raise ValueError(
             f"lam = {lam:g} is below {_LAM_FLOOR!r}, the smallest lam whose "
             "threshold rounds above 1"
+        )
+    if lam > _LAM_CEILING:
+        raise ValueError(
+            f"lam = {lam:g} is above {_LAM_CEILING!r}, the largest lam whose "
+            "threshold is resolved strictly below 1 + lam"
         )
     if lam < 1e-7:
         return 1.0 + 0.5 * math.pi * math.pi * lam * lam
@@ -443,91 +464,75 @@ def reduced_stability_indicator_sign(theta: float, lam: float, mesh: Mesh) -> in
     return 1
 
 
-def _profile_arrays(theta_Y: float, lam: float, n_int: int):
-    """Composite-Simpson (RK4 on s-quadratures) pass over [0, pi/2]."""
-    h = 0.5 * math.pi / n_int
-    s = np.linspace(0.0, 0.5 * math.pi, n_int + 1)
-    s_mid = s[:-1] + 0.5 * h
+def _arc(s: np.ndarray, theta_Y: float) -> np.ndarray:
+    """r(s) / lam along the yield-onset profile, zeta = sin s, in closed form.
 
-    def slope_r(sv: np.ndarray) -> np.ndarray:
-        c = np.cos(sv)
-        return lam * c / (theta_Y - c)
-
-    def slope_lnphi(sv: np.ndarray) -> np.ndarray:
-        return -np.sin(sv) / (theta_Y - np.cos(sv))
-
-    def cumulate(fn) -> np.ndarray:
-        inc = (h / 6.0) * (fn(s[:-1]) + 4.0 * fn(s_mid) + fn(s[1:]))
-        out = np.empty(n_int + 1)
-        out[0] = 0.0
-        np.cumsum(inc, out=out[1:])
-        return out
-
-    return s, cumulate(slope_r), cumulate(slope_lnphi)
+    The profile ODE r'(s) = lam cos s / (theta_Y - cos s), r(0) = 0,
+    integrates to lam (-s + k arctan(c tan(s/2))) with
+    k = 2 theta_Y / sqrt(theta_Y^2 - 1), c = sqrt((theta_Y + 1) / (theta_Y - 1)).
+    Evaluated as (k/2 - 1) s + k arctan((c - 1) t / (1 + c t^2)), t = tan(s/2),
+    with k/2 - 1 and c - 1 in cancellation-free form; sqrt(theta_Y^2 - 1)
+    is formed as in lambda_of_theta, so arc(pi/2) = 1 / lambda_of_theta.
+    """
+    root = math.sqrt(theta_Y * theta_Y - 1.0)
+    c = math.sqrt((theta_Y + 1.0) / (theta_Y - 1.0))
+    c_less_1 = 2.0 / ((theta_Y - 1.0) * (c + 1.0))
+    t = np.tan(0.5 * s)
+    return s / ((theta_Y + root) * root) + (2.0 * theta_Y / root) * np.arctan(
+        c_less_1 * t / (1.0 + c * t * t)
+    )
 
 
 def minimizer_profile(lam: float, n_samples: int = 1 << 16) -> ProfileResult:
-    """Yield-onset profile from its defining first-order ODE.
+    """Yield-onset profile from the closed-form solution of its ODE.
 
-    Marches the pair (r, ln phi) in the variable s with zeta = sin s, which
-    keeps both right-hand sides smooth all the way to the boundary (in r the
-    profile has a square-root cusp at |r| = 1).  The arc must end exactly at
-    r = 1; the integrator is refined until that closure identity holds,
-    which cross-checks theta_of_lambda against the ODE without reusing the
-    formula.  The profile is resampled on a uniform mesh with n_samples
-    cells, evenly extended and normalized to unit mass.
+    With zeta = sin s the profile is phi(s) / phi(0) = (theta_Y - 1) /
+    (theta_Y - cos s) and r(s) = lam arc(s) (see _arc); arc(pi/2) equals
+    1 / lambda_of_theta(theta_Y), so the arc misses r = 1 only by
+    theta_of_lambda's inversion residual and is scaled onto [0, 1].  Each
+    node r_i of a uniform mesh with n_samples cells takes the s that solves
+    r(s) = r_i, found by bisection to the last bit; the profile is evenly
+    extended and normalized to unit mass.  Being the formula's own
+    solution, it does not check theta_Y independently: criteria 1, 6 and 8
+    do that.
     """
     lam = _check_lam(lam)
     n_samples = int(n_samples)
     if n_samples < 8 or n_samples % 2:
         raise ValueError(f"n_samples must be an even integer >= 8, got {n_samples}")
     # where theta_Y - 1 (pi^2 lam^2 / 2 to relative O(lam^2) there) is inside
-    # theta_of_lambda's root band, the closure identity checks nothing
+    # theta_of_lambda's root band, the profile has no resolvable shape
     gap = 0.5 * math.pi * math.pi * lam * lam
     tau = _inversion_band(1.0 + gap)
     if gap <= tau:
         raise SolverError(
             f"theta_Y - 1 = {gap:.1e} at lam = {lam:g} is within the "
-            f"inversion tolerance {tau:.1e}: the profile ODE cannot be closed"
+            f"inversion tolerance {tau:.1e}: the profile cannot be resolved"
         )
     theta_Y = theta_of_lambda(lam)
 
-    # closure tolerance: the inversion residual of theta_of_lambda enters
-    # r(pi/2) - 1 divided by lam, and its root error tau by about
-    # tau / (2 (theta_Y - 1)), which dominates near theta_Y = 1 (small lam)
-    tau = _inversion_band(theta_Y)
-    tol = max(1e-10, 2e-12 / lam, tau / (theta_Y - 1.0))
-    n_int = max(n_samples, 1 << 15)
-    while True:
-        s, r, lnphi = _profile_arrays(theta_Y, lam, n_int)
-        closure = abs(r[-1] - 1.0)
-        if closure <= tol:
-            break
-        if n_int >= 1 << 21:
-            raise SolverError(
-                "profile integration inconsistent with formula", residual=closure
-            )
-        n_int *= 2
-
-    phi_rel = np.exp(lnphi)
-    jump_ratio = float(phi_rel[-1])
-
     mesh = make_mesh(n_samples)
     half = mesh.nodes[n_samples // 2 :]
-    # the node r = 1 takes the arc's end, which the closure puts within tol
-    # of it; an arc ending before the node below would repeat its end there
-    if r[-1] <= half[-2]:
-        raise SolverError(
-            f"profile arc ends at r = {r[-1]:.6f}, short of the sample node "
-            f"{half[-2]:.6f} (closure {closure:.1e} within tolerance {tol:.1e})",
-            residual=closure,
-        )
-    phi_half = np.interp(half, r, phi_rel)
-    zeta_half = np.interp(half, r, np.sin(s))
+    end = np.float64(0.5 * math.pi)
+    target = half[1:-1] * _arc(end, theta_Y)
+    # bisect on the bit patterns of s >= 0, which order like the values
+    lo = np.zeros(target.size, dtype=np.int64)
+    hi = np.full(target.size, end.view(np.int64))
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) >> 1
+        below = _arc(mid.view(np.float64), theta_Y) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    s = np.concatenate([[0.0], hi.view(np.float64), [end]])
+
+    d = theta_Y - 1.0
+    phi_half = d / (d + 2.0 * np.sin(0.5 * s) ** 2)  # theta_Y - cos s, no cancellation
     values = np.concatenate([phi_half[::-1], phi_half[1:]])
-    raw = RelaxedField(mesh, values)
-    total = mass(raw)
-    phi = RelaxedField(mesh, values / total)
+    phi = RelaxedField(mesh, values / mass(RelaxedField(mesh, values)))
     return ProfileResult(
-        r=half.copy(), zeta=zeta_half, phi=phi, jump_ratio=jump_ratio, theta_Y=theta_Y
+        r=half.copy(),
+        zeta=np.sin(s),
+        phi=phi,
+        jump_ratio=float(phi_half[-1]),
+        theta_Y=theta_Y,
     )

@@ -20,9 +20,9 @@ What is verified:
      die on a name a cleanup removed; the solver settings and the
      yield_variational diagnostic the benchmark reads keep their types,
      and the settings keep the values the README states.
-  9. profile closes its ODE down to lam = 3e-7, where theta_Y - 1 is
-     about 4e-13; at lam = 1e-7, where the closed arc ends short of the
-     samples, it exits 2 as a solver failure.
+  9. profile writes a whole profile, the closed-form solution of its ODE,
+     down to lam = 1e-7, where theta_Y - 1 is about 5e-14 and the
+     integrated arc of earlier versions ended short of the samples.
 """
 
 import csv
@@ -162,11 +162,20 @@ def test_profile_at_small_lambda(tmp_path, lam):
     assert abs(meta["psi_bar"] - meta["theta_Y"]) <= 1e-10
 
 
-def test_profile_short_arc_exits_two(tmp_path, capsys):
+def test_profile_where_the_arc_once_fell_short(tmp_path):
+    # the integrated arc ended short of the samples here and this exited 2
     argv = ["profile", "--lambda", "1e-7", "--samples", "64", "--out", str(tmp_path)]
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert "solver failure" in err and "short of the sample node" in err
+    assert cli.main(argv) == 0
+    _, rows = _read_csv(tmp_path / "profile.csv")
+    r, zeta, phi = (np.array([float(x[k]) for x in rows]) for k in range(3))
+    assert r[0] == 0.0 and r[-1] == 1.0 and zeta[-1] == 1.0
+    assert np.all(np.diff(phi) < 0.0)
+    # the even extension of the half profile has unit trapezoidal mass
+    assert abs(float(np.sum(phi[1:] + phi[:-1])) * (r[1] - r[0]) - 1.0) <= 1e-14
+    meta = json.loads((tmp_path / "profile.json").read_text())
+    t = meta["theta_Y"]
+    assert meta["jump_ratio"] == pytest.approx((t - 1.0) / t, rel=1e-15)
+    assert phi[-1] / phi[0] == pytest.approx(meta["jump_ratio"], rel=1e-15)
 
 
 def test_yield_curve_artifacts(tmp_path):

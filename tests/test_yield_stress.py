@@ -12,14 +12,20 @@ Anchors used here:
       theta_of_lambda(1)       = 1.8252250262013787
   * Profile identities: the onset profile is even, strictly decreasing away
     from the center, unit mass, boundary trace ratio (theta - 1)/theta, and
-    its relaxed dissipation per unit mass equals theta_Y.
+    its relaxed dissipation per unit mass equals theta_Y.  The profile is
+    the closed-form solution of its ODE, so it is also checked against an
+    independent adaptive quadrature of that ODE, down to lam = 1e-5 where
+    its boundary layer is about 2e-5 wide in zeta; and the arc's closed
+    form at zeta = 1 reproduces 1 / lambda_of_theta (the closure identity).
   * theta_of_lambda returns across lam in [1e-7, 1e6], strictly inside
     (1, 1 + lam) and with the exact inverse in its root finder's band;
     minimizer_profile raises SolverError where theta_Y - 1 falls inside
-    that band, or where its arc ends short of the last interior sample.
+    that band, and returns a whole profile just above it.
   * theta_of_lambda refuses lam below the smallest lam whose threshold
-    rounds above 1, naming it; from that floor up, lambda_of_theta inverts
-    the threshold to within its one-ulp rounding.
+    rounds above 1 and above the largest lam it resolves strictly below
+    1 + lam, naming each; from the floor up, lambda_of_theta inverts the
+    threshold to within its one-ulp rounding, and it has a finite value
+    for every finite theta_Y > 1.
   * The quadrature's own Gauss-Legendre rule: nodes equal scipy's
     roots_legendre to 1e-15, and the weights integrate every monomial of
     degree < 2n on [0, 1] and exp with the Gauss error term.
@@ -168,19 +174,50 @@ def test_threshold_floor():
         assert lam <= lambda_of_theta(math.nextafter(t, 2.0))
 
 
-def test_profile_refuses_an_arc_short_of_the_samples():
-    # the closure holds within its tolerance, but the arc ends before the
-    # last interior sample, where resampling would repeat its end (the CLI
-    # test covers lam = 1e-7)
-    with pytest.raises(SolverError, match="short of the sample node"):
-        minimizer_profile(5e-8, n_samples=64)
+def test_threshold_ceiling():
+    ceiling = yield_stress._LAM_CEILING
+    for lam in (math.nextafter(ceiling, math.inf), 7.3e14, 1e15, 1e155, 1e300):
+        with pytest.raises(ValueError, match=repr(ceiling)):
+            theta_of_lambda(lam)
+    # strictly inside (1, 1 + lam) on a log grid up to the ceiling itself
+    for lam in np.logspace(6.0, math.log10(ceiling), 161):
+        t = theta_of_lambda(float(lam))
+        assert 1.0 < lam < t < 1.0 + lam
+    assert 0.5 < theta_of_lambda(ceiling) - ceiling < 1.0
+
+
+def test_lambda_of_theta_is_finite_for_every_finite_theta():
+    big = [1e14, 1e150, math.nextafter(1e150, math.inf), 1.34e154, 1.35e154, 1e200]
+    for th in big + [1e300, float(np.finfo(float).max)]:
+        lam = lambda_of_theta(th)
+        assert math.isfinite(lam) and 0.0 < lam <= th
+    # lam = theta - pi/4 + O(1/theta): theta itself once pi/4 is below an ulp
+    assert lambda_of_theta(1e14) == pytest.approx(1e14 - 0.25 * math.pi, abs=0.05)
+    assert lambda_of_theta(1e150) == 1e150
+    vals = [lambda_of_theta(th) for th in big]
+    assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("lam", [5e-8, 1e-7])
+def test_profile_where_the_arc_once_fell_short(lam):
+    # the integrated arc used to end short of the last interior sample here;
+    # the closed-form arc is scaled onto [0, 1] and cannot (the CLI test
+    # covers lam = 1e-7)
+    prof = minimizer_profile(lam, n_samples=64)
+    vals = prof.phi.values
+    assert np.array_equal(vals, vals[::-1])
+    assert bool(np.all(np.diff(vals[vals.size // 2 :]) < 0.0))
+    assert abs(mass(prof.phi) - 1.0) <= 1e-14
+    t = prof.theta_Y
+    assert prof.jump_ratio == pytest.approx((t - 1.0) / t, rel=1e-15)
+    assert prof.zeta[-1] == 1.0 and prof.r[-1] == 1.0
 
 
 @pytest.mark.parametrize("lam", [1e-9, 1e-8])
 def test_profile_refuses_unresolvable_threshold(lam):
     # theta_Y - 1 (about 5e-18 and 5e-16 here) is inside theta_of_lambda's
-    # root band, so the ODE closure cannot check anything
-    with pytest.raises(SolverError, match="cannot be closed"):
+    # root band, so the profile's shape would be rounding noise
+    with pytest.raises(SolverError, match="cannot be resolved"):
         minimizer_profile(lam, n_samples=64)
 
 
@@ -234,6 +271,49 @@ def test_profile_shape_and_identities():
         assert abs(prof.jump_ratio - (t - 1.0) / t) <= 1e-8
         # value per unit mass recovers the threshold
         assert abs(relaxed_dissipation(prof.phi, lam) - t) <= 1e-6 * t
+
+
+def test_profile_closure_identity():
+    # the closed-form arc at zeta = 1 is 1 / lambda_of_theta: the identity
+    # the integrated profile used to be refined against
+    end = np.array(0.5 * math.pi)
+    worst = 0.0
+    for lam in np.logspace(-5.0, 6.0, 221):
+        t = theta_of_lambda(float(lam))
+        worst = max(worst, abs(float(yield_stress._arc(end, t)) * lambda_of_theta(t) - 1.0))
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("lam", [1e-5, 1e-3, 1.0, 1e3])
+def test_profile_matches_independent_quadrature(lam):
+    # r(zeta) = lam int_0^zeta dz / (theta - sqrt(1 - z^2)) and
+    # phi / phi(0) = (theta - 1) / (theta - sqrt(1 - zeta^2)), with
+    # theta - sqrt(1 - z^2) = (theta - 1) + z^2 / (1 + sqrt(1 - z^2)) so the
+    # reference does not cancel; lam = 1 / int_0^1 is taken from the same
+    # quadrature, because lambda_of_theta drops (theta - 1)^2 from
+    # theta^2 - 1 and is off by 1.2e-10 at lam = 1e-5 (its agreement with
+    # the arc is the closure test's)
+    from scipy.integrate import quad
+
+    prof = minimizer_profile(lam, n_samples=1 << 12)
+    d = prof.theta_Y - 1.0
+
+    def denominator(z):
+        return d + z * z / (1.0 + math.sqrt(1.0 - z * z))
+
+    def integral(z):
+        # split at the boundary layer, z ~ sqrt(theta - 1) (2e-5 at lam = 1e-5)
+        pts = [math.sqrt(d)] if math.sqrt(d) < z else None
+        return quad(lambda x: 1.0 / denominator(x), 0.0, z, epsabs=0.0, epsrel=1e-13,
+                    limit=200, points=pts)[0]
+
+    whole = integral(1.0)
+    center = prof.phi.values[prof.phi.values.size // 2]
+    for i in range(0, prof.r.size, 64):
+        z = float(prof.zeta[i])
+        assert abs(integral(z) / whole - prof.r[i]) <= 1e-12
+        ratio = prof.phi.values[prof.phi.values.size // 2 + i] / center
+        assert abs(ratio - d / denominator(z)) <= 1e-12 * (d / denominator(z))
 
 
 def test_profile_auxiliary_arc():
