@@ -333,6 +333,10 @@ def _run_simulate(params: dict[str, str]) -> int:
                 "max_bound": max(bounds),
                 "positive_bounds": sum(b > 0.0 for b in bounds),
             },
+            "newton": {
+                "evaluations": sum(s.evaluations for s in traj.steps),
+                "retries": sum(s.retried for s in traj.steps),
+            },
         },
     )
     thetas = np.array([r[0] for r in rows])
@@ -511,7 +515,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser of main, built on the first call and then reused."""
+    global _parser
+    if _parser is not None:
+        return _parser
     parser = _Parser(
         prog="stripshear",
         description="Strain-gradient plasticity laboratory for the sheared strip",
@@ -528,6 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cp.add_argument(
                 *flags, dest=f"key_{key}", default=None, help=f"{key}{req}"
             )
+    _parser = parser
     return parser
 
 

@@ -24,7 +24,8 @@ The closed form,
                               + 2 th arctan(1 / sqrt(th^2 - 1))),
 
 is evaluated with th - sqrt(th^2 - 1) rewritten as 1 / (th + sqrt(th^2 - 1))
-so large arguments do not cancel.
+so large arguments do not cancel, and with th^2 - 1 formed as
+(th - 1)(th + 1) so arguments near 1 do not either.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def lambda_of_theta(theta_Y: float) -> float:
     th = _check_theta_domain(theta_Y)
     if th > _THETA_LINEAR:
         return th
-    root = math.sqrt(th * th - 1.0)
+    root = math.sqrt((th - 1.0) * (th + 1.0))
     gap = 1.0 / (th + root)  # = th - root without cancellation
     return 2.0 * root / (math.pi * gap + 2.0 * th * math.atan(1.0 / root))
 
@@ -474,7 +475,7 @@ def _arc(s: np.ndarray, theta_Y: float) -> np.ndarray:
     with k/2 - 1 and c - 1 in cancellation-free form; sqrt(theta_Y^2 - 1)
     is formed as in lambda_of_theta, so arc(pi/2) = 1 / lambda_of_theta.
     """
-    root = math.sqrt(theta_Y * theta_Y - 1.0)
+    root = math.sqrt((theta_Y - 1.0) * (theta_Y + 1.0))
     c = math.sqrt((theta_Y + 1.0) / (theta_Y - 1.0))
     c_less_1 = 2.0 / ((theta_Y - 1.0) * (c + 1.0))
     t = np.tan(0.5 * s)

@@ -8,7 +8,8 @@ What is verified:
   2. CSV floats carry 17 significant digits and round-trip bit-exactly.
   3. Identical configs give byte-identical artifacts.
   4. key=value config files merge beneath command-line flags; dashed flag
-     spellings alias underscore keys.
+     spellings alias underscore keys.  The argument parser is built once
+     per process, and a parse leaves nothing behind for the next one.
   5. Exit codes: 0 success, 1 config error, 2 solver failure, 3 verify
      FAIL; --help exits 0 through argparse.
   6. SVG artifacts are standalone documents containing the plotted series.
@@ -105,6 +106,9 @@ def test_simulate_artifacts(sim_dir):
         "max_bound": max(bounds),
         "positive_bounds": sum(b > 0.0 for b in bounds),
     }
+    # deterministic Newton counters of evolve, again without any wall time
+    assert set(meta["newton"]) == {"evaluations", "retries"}
+    assert meta["newton"]["evaluations"] > 0 and meta["newton"]["retries"] == 0
 
     svg = (sim_dir / "simulate.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
@@ -341,6 +345,15 @@ def test_dashed_and_underscored_flags_agree(tmp_path):
     d = tmp_path / "d"
     assert cli.main(dashed + ["--out", str(d)]) == 0
     assert _artifact_bytes(c) == _artifact_bytes(d)
+
+
+def test_parser_is_built_once():
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    first = parser.parse_args(["profile", "--lambda", "1", "--samples", "512"])
+    second = parser.parse_args(["profile", "--lambda", "2"])
+    assert (first.key_lambda, first.key_samples) == ("1", "512")
+    assert (second.key_lambda, second.key_samples) == ("2", None)
 
 
 # ---------------------------------------------------------------- import scope

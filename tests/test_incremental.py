@@ -31,6 +31,12 @@ What is verified:
      cannot certify, and over (lam, Lambda, kappa, n_cells) a load, unload,
      reload cycle of certified increments ends finite and certified or
      raises SolverError.
+ 10. The warm-started ladder: on the README sweep it needs at most half the
+     whole schedule's objective evaluations with no retry, and every flowed
+     state is within 1e-6 of the whole schedule's from the same previous
+     state; a warm solve that raises or fails its certificate is redone
+     down the whole schedule, which solve_certified then returns bit for
+     bit, with the retry counted.
 """
 
 import dataclasses
@@ -402,3 +408,60 @@ def test_flowed_states_are_certified(lam, half_cells, Lambda, kappa, load):
         assert np.isfinite(gamma_next).all()
         assert 0.0 <= bound <= DEFAULT_OPTIONS.stability_tol
         gamma = gamma_next
+
+
+# ------------------------------------------------------- warm-started ladder
+
+
+def _whole_schedule(prob, gamma_prev, theta):
+    schedule = DEFAULT_OPTIONS.epsilon_schedule
+    return prob._descend(gamma_prev, theta, gamma_prev, schedule)
+
+
+def test_warm_ladder_halves_the_evaluations(readme_sweep):
+    # the whole schedule from gamma_prev took 3936 evaluations on this sweep
+    steps = readme_sweep.steps
+    assert sum(s.evaluations for s in steps) <= 1980
+    assert not any(s.retried for s in steps)
+    assert all(s.stability_bound <= DEFAULT_OPTIONS.stability_tol for s in steps)
+    assert steps[0].evaluations == 0
+
+
+def test_warm_ladder_matches_whole_schedule(readme_sweep):
+    prob = incremental._IncrementProblem(readme_sweep.mesh, P_REF)
+    flowed = 0
+    for prev, state in zip(readme_sweep.steps, readme_sweep.steps[1:]):
+        if not prev.gamma.values.any():
+            continue
+        full = _whole_schedule(prob, prev.gamma.values, state.theta)
+        assert float(np.max(np.abs(state.gamma.values - full))) <= 1e-6
+        flowed += 1
+    assert flowed >= 90
+
+
+@pytest.mark.parametrize("failure", ["raises", "uncertified"])
+def test_failed_warm_solve_falls_back_to_whole_schedule(
+    readme_sweep, monkeypatch, failure
+):
+    prob = incremental._IncrementProblem(readme_sweep.mesh, P_REF)
+    prev, state = readme_sweep.steps[250], readme_sweep.steps[251]
+    gamma_prev = prev.gamma.values
+    full = _whole_schedule(prob, gamma_prev, state.theta)
+    ladder = incremental._ladder
+    calls = []
+
+    def failing_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            return ladder(*args, **kwargs)
+        if failure == "raises":
+            raise SolverError("forced at the warm level", residual=1.0)
+        return 0.99 * ladder(*args, **kwargs)  # short of the minimizer: unstable
+
+    monkeypatch.setattr(incremental, "_ladder", failing_first)
+    retries = prob.retries
+    gamma, bound = prob.solve_certified(gamma_prev, state.theta)
+    assert len(calls) == 2
+    assert prob.retries == retries + 1
+    assert gamma.tobytes() == full.tobytes()
+    assert bound <= DEFAULT_OPTIONS.stability_tol

@@ -26,6 +26,9 @@ Anchors used here:
     1 + lam, naming each; from the floor up, lambda_of_theta inverts the
     threshold to within its one-ulp rounding, and it has a finite value
     for every finite theta_Y > 1.
+  * lambda_of_theta against the closed form in 50-digit arithmetic
+    (mpmath) for theta_Y - 1 in [1e-9, 10], to a few ulps: sqrt(th^2 - 1)
+    must not lose th - 1 to the rounding of th^2.
   * The quadrature's own Gauss-Legendre rule: nodes equal scipy's
     roots_legendre to 1e-15, and the weights integrate every monomial of
     degree < 2n on [0, 1] and exp with the Gauss error term.
@@ -196,6 +199,21 @@ def test_lambda_of_theta_is_finite_for_every_finite_theta():
     assert lambda_of_theta(1e150) == 1e150
     vals = [lambda_of_theta(th) for th in big]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def test_lambda_of_theta_near_one_matches_high_precision():
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(50):
+        for gap in np.geomspace(1e-9, 10.0, 241):
+            th = mpmath.mpf(1.0 + float(gap))  # the double itself, exactly
+            root = mpmath.sqrt((th - 1) * (th + 1))
+            gap_term = mpmath.pi * (th - root) + 2 * th * mpmath.atan(1 / root)
+            exact = 2 * root / gap_term
+            err = abs(mpmath.mpf(lambda_of_theta(float(th))) - exact) / exact
+            worst = max(worst, float(err))
+    # th * th - 1 rounded to 1.1e-16 absolute cost up to 2.5e-9 here
+    assert worst <= 1e-15
 
 
 @pytest.mark.parametrize("lam", [5e-8, 1e-7])
