@@ -442,7 +442,8 @@ def damped_newton(
     measure <= tol, or the decrement -slope/2 falls below the floor (no
     representable iterate can still improve the merit).  Iterates inside
     the floor wander, so the best-measure iterate seen is returned.  Raises
-    SolverError on stagnation away from stationarity.
+    SolverError on stagnation away from stationarity, and when a step's
+    linear solve breaks down (LinAlgError).
     """
     merit, state = evaluate(x)
     measure, newton_step = derivatives(state)
@@ -451,7 +452,12 @@ def damped_newton(
     for _ in range(max_iters):
         if measure <= tol:
             return x, measure
-        step, slope, floor = newton_step()
+        try:
+            step, slope, floor = newton_step()
+        except LinAlgError as err:
+            raise SolverError(
+                f"Newton step failed: {err} (measure {measure:.3e})", residual=measure
+            ) from err
         dec = -0.5 * slope
         if dec <= floor:
             return x_best, m_best

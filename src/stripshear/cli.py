@@ -134,6 +134,13 @@ def _as_float(params: dict[str, str], key: str) -> float:
         raise ConfigError(f"key {key!r}: not a number: {params[key]!r}") from err
 
 
+def _as_finite(params: dict[str, str], key: str) -> float:
+    value = _as_float(params, key)
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: must be finite, got {params[key]!r}")
+    return value
+
+
 def _as_int(params: dict[str, str], key: str) -> int:
     try:
         return int(params[key])
@@ -166,8 +173,8 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _run_yield_curve(params: dict[str, str]) -> int:
-    lam_min = _as_float(params, "lambda_min")
-    lam_max = _as_float(params, "lambda_max")
+    lam_min = _as_finite(params, "lambda_min")
+    lam_max = _as_finite(params, "lambda_max")
     points = _as_int(params, "points")
     cells = _as_int(params, "cells")
     if not (0.0 < lam_min < lam_max):
@@ -179,8 +186,9 @@ def _run_yield_curve(params: dict[str, str]) -> int:
     grid = np.exp(np.linspace(math.log(lam_min), math.log(lam_max), points))
     mesh = make_mesh(cells)
 
-    theta_var = [yield_variational(lam, mesh).theta_Y for lam in grid]
+    # the formula first: it names the bound of its domain that a lam crosses
     theta_form = [theta_of_lambda(lam) for lam in grid]
+    theta_var = [yield_variational(lam, mesh).theta_Y for lam in grid]
     asym = [asymptotic_theta(lam) for lam in grid]
 
     rows = [
@@ -274,7 +282,7 @@ def _run_simulate(params: dict[str, str]) -> int:
     lam = _as_float(params, "lambda")
     Lambda = _as_float(params, "Lambda")
     kappa = _as_float(params, "kappa")
-    theta_max = _as_float(params, "theta_max")
+    theta_max = _as_finite(params, "theta_max")
     steps = _as_int(params, "steps")
     cells = _as_int(params, "cells")
     if steps < 1:
@@ -382,8 +390,8 @@ def _run_visco(params: dict[str, str]) -> int:
         )
     p = ViscoParams(base=base, hardening=hardening)
 
-    tau_max = _as_float(params, "tau_max")
-    t_end = _as_float(params, "t_end")
+    tau_max = _as_finite(params, "tau_max")
+    t_end = _as_finite(params, "t_end")
     steps = _as_int(params, "steps")
     cells = _as_int(params, "cells")
     if steps < 1:

@@ -8,8 +8,9 @@ characterized variationally:
 with Psi_bar the relaxed dissipation (free boundary values, jumps priced at
 lam per unit).  This module provides:
 
-* the closed-form relation between lam = ell / h and theta_Y together with
-  its quadrature oracle (yield_integral), each invertible against the other;
+* the closed-form relation between lam = ell / h and theta_Y, inverted by
+  bisection on the bit patterns of theta_Y (theta_of_lambda), together with
+  its quadrature oracle (yield_integral);
 * the stability indicators m(theta) and the sign of the reduced indicator,
   which bracket the threshold from the energetic side;
 * the discrete constrained minimization (yield_variational) that reproduces
@@ -61,18 +62,18 @@ __all__ = [
 
 _METHODS = ("formula", "quadrature", "variational", "simulation")
 
-# theta_of_lambda's root-finder tolerance: |theta - root| <= xtol + rtol theta
-_INVERSION_XTOL = 1e-15
-_INVERSION_RTOL = 4 * float(np.finfo(float).eps)
-
 # the smallest lam whose threshold 1 + pi^2 lam^2 / 2 rounds above 1.0
 _LAM_FLOOR = 4.743186923619967e-09
 
-# the largest lam theta_of_lambda inverts: its root band 4 eps theta_Y is
-# 0.09 here, and must stay below the 1 - pi/4 = 0.21 between theta_Y
-# (about lam + pi/4) and the bracket end 1 + lam; from 7.3e14 up the root
-# lands on that end
+# the largest lam theta_of_lambda inverts: an ulp is 1/64 here and
+# lambda_of_theta is good to 1.5 ulps, far inside the 1 - pi/4 = 0.21
+# between theta_Y (about lam + pi/4) and 1 + lam; at 1e15 one ulp is 0.125
 _LAM_CEILING = 1e14
+
+# the smallest theta_Y - 1 whose profile minimizer_profile resolves: a
+# threshold near 1 carries theta_Y - 1 only to half an ulp of 1, so this
+# keeps its relative rounding within 1/16
+_PROFILE_MIN_GAP = 8.0 * float(np.finfo(float).eps)
 
 # above this theta_Y, lam = theta_Y - pi/4 + O(1 / theta_Y) rounds to
 # theta_Y itself, and theta_Y^2 overflows from about 1.34e154 up
@@ -150,11 +151,6 @@ def _check_lam(lam: float) -> float:
     return lam
 
 
-def _inversion_band(theta_Y: float) -> float:
-    """Half-width tau of the band in which theta_of_lambda pins its root."""
-    return _INVERSION_XTOL + _INVERSION_RTOL * theta_Y
-
-
 def _check_theta_domain(theta_Y: float) -> float:
     theta_Y = float(theta_Y)
     if not math.isfinite(theta_Y) or theta_Y <= 1.0:
@@ -177,58 +173,23 @@ def lambda_of_theta(theta_Y: float) -> float:
     return 2.0 * root / (math.pi * gap + 2.0 * th * math.atan(1.0 / root))
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """Root of f in [xa, xb] by Brent's method, as scipy.optimize.brentq.
+def _bisect_bits(f, lo: float, hi: float, target):
+    """Neighbouring doubles a < b in [lo, hi] with f(a) < target <= f(b).
 
-    The same operations in the same order as scipy's C routine, so the root
-    is the same double.  Written out because importing scipy.optimize for
-    this one scalar solve costs about 20 MB of resident memory.
+    f is nondecreasing on [lo, hi], 0 <= lo, and is called on arrays of
+    target's shape.  The bisection runs on the int64 bit patterns, which
+    order like nonnegative doubles, so it closes on neighbours within 64
+    halvings whatever the scale; a target outside (f(lo), f(hi)] ends it
+    at that end.  The path depends on target only through f(mid) < target,
+    so with the bracket fixed, a and b are nondecreasing in target.
     """
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre)
-    fcur = f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (
-            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
-        ):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise SolverError(f"root bracket [{xa}, {xb}] did not converge in {maxiter} steps")
+    a, b = np.array([lo, hi], dtype=np.float64).view(np.int64)
+    for _ in range(int(b - a - 1).bit_length()):  # the halvings to width 1
+        mid = a + ((b - a) >> 1)  # a + b can overflow
+        below = f(mid.view(np.float64)) < target
+        # where below, a moves up to mid, elsewhere b moves down to it
+        a, b = a + (mid - a) * below, mid + (b - mid) * below
+    return a.view(np.float64), b.view(np.float64)
 
 
 def yield_integral(theta_Y: float, n_quad: int = 256) -> float:
@@ -252,23 +213,13 @@ def theta_of_lambda(lam: float) -> float:
 
     Domain: every lam from the smallest one whose threshold
     1 + pi^2 lam^2 / 2 rounds above 1 in double precision (about 4.74e-9)
-    up to 1e14, beyond which the root finder's band is too wide to keep
-    theta_Y below 1 + lam; anything else raises ValueError, which names
-    the bound it crosses.
-    Inverts lambda_of_theta on the bracket [1 + delta, 1 + lam]; the upper
-    end is the constant-competitor bound, the lower end is far inside the
-    small-lam asymptote, delta = 1e-4 lam^2 capped at lam / 2 so that it
-    stays below theta_Y (about lam + pi/4) for large lam.  Below lam ~ 1e-7
-    the quadratic asymptote already agrees with the inverse to better than
-    the inversion tolerance and the bracket degenerates in double
-    precision, so it is returned directly.  A root is accepted when its
-    residual is within 1e-12 max(1, lam), or else when the exact inverse
-    lies inside the root finder's own tolerance band,
-    lambda(theta - tau) <= lam <= lambda(theta + tau) with
-    tau = 1e-15 + 4 eps theta; SolverError is raised if neither holds.
-    Both are needed: near theta = 1 (lam up to ~1e-5) one ulp of theta
-    moves lambda by more than the residual bound, and for large lam the
-    rounding of lambda_of_theta can put lam just outside the band.
+    up to 1e14, beyond which theta_Y is not resolved strictly below
+    1 + lam; anything else raises ValueError, which names the bound it
+    crosses.  Bisects lambda_of_theta on the bit patterns of theta over
+    the one bracket [nextafter(1, 2), 1 + 1e14] down to two neighbouring
+    doubles whose lambdas straddle lam, and returns the one whose lambda
+    is nearer.  The bracket does not depend on lam, so theta_Y is
+    nondecreasing in lam down to the last bit.
     """
     lam = _check_lam(lam)
     if lam < _LAM_FLOOR:
@@ -281,26 +232,9 @@ def theta_of_lambda(lam: float) -> float:
             f"lam = {lam:g} is above {_LAM_CEILING!r}, the largest lam whose "
             "threshold is resolved strictly below 1 + lam"
         )
-    if lam < 1e-7:
-        return 1.0 + 0.5 * math.pi * math.pi * lam * lam
-    delta = min(max(1e-4 * lam * lam, 4e-16), 0.5 * lam)
-    th = _brentq(
-        lambda t: lambda_of_theta(t) - lam,
-        1.0 + delta,
-        1.0 + lam,
-        xtol=_INVERSION_XTOL,
-        rtol=_INVERSION_RTOL,
-        maxiter=200,
-    )
-    residual = abs(lambda_of_theta(th) - lam)
-    if residual > 1e-12 * max(1.0, lam):
-        tau = _inversion_band(th)
-        if not lambda_of_theta(th - tau) <= lam <= lambda_of_theta(th + tau):
-            raise SolverError(
-                f"inversion residual {residual:.3e} exceeds tolerance for lam = {lam:g}",
-                residual=residual,
-            )
-    return float(th)
+    bracket = math.nextafter(1.0, 2.0), 1.0 + _LAM_CEILING
+    a, b = (float(t) for t in _bisect_bits(lambda_of_theta, *bracket, lam))
+    return a if abs(lambda_of_theta(a) - lam) <= abs(lambda_of_theta(b) - lam) else b
 
 
 def asymptotic_theta(lam: float) -> tuple[float, float]:
@@ -501,14 +435,13 @@ def minimizer_profile(lam: float, n_samples: int = 1 << 16) -> ProfileResult:
     n_samples = int(n_samples)
     if n_samples < 8 or n_samples % 2:
         raise ValueError(f"n_samples must be an even integer >= 8, got {n_samples}")
-    # where theta_Y - 1 (pi^2 lam^2 / 2 to relative O(lam^2) there) is inside
-    # theta_of_lambda's root band, the profile has no resolvable shape
+    # theta_Y - 1 sets the profile's shape; it is pi^2 lam^2 / 2 to relative
+    # O(lam^2) where this refuses
     gap = 0.5 * math.pi * math.pi * lam * lam
-    tau = _inversion_band(1.0 + gap)
-    if gap <= tau:
+    if gap <= _PROFILE_MIN_GAP:
         raise SolverError(
-            f"theta_Y - 1 = {gap:.1e} at lam = {lam:g} is within the "
-            f"inversion tolerance {tau:.1e}: the profile cannot be resolved"
+            f"theta_Y - 1 = {gap:.1e} at lam = {lam:g} is at most "
+            f"{_PROFILE_MIN_GAP:.1e}, 8 ulps of 1: the profile cannot be resolved"
         )
     theta_Y = theta_of_lambda(lam)
 
@@ -516,15 +449,8 @@ def minimizer_profile(lam: float, n_samples: int = 1 << 16) -> ProfileResult:
     half = mesh.nodes[n_samples // 2 :]
     end = np.float64(0.5 * math.pi)
     target = half[1:-1] * _arc(end, theta_Y)
-    # bisect on the bit patterns of s >= 0, which order like the values
-    lo = np.zeros(target.size, dtype=np.int64)
-    hi = np.full(target.size, end.view(np.int64))
-    while np.any(hi - lo > 1):
-        mid = (lo + hi) >> 1
-        below = _arc(mid.view(np.float64), theta_Y) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    s = np.concatenate([[0.0], hi.view(np.float64), [end]])
+    _, s_nodes = _bisect_bits(lambda s: _arc(s, theta_Y), 0.0, end, target)
+    s = np.concatenate([[0.0], s_nodes, [end]])
 
     d = theta_Y - 1.0
     phi_half = d / (d + 2.0 * np.sin(0.5 * s) ** 2)  # theta_Y - cos s, no cancellation

@@ -11,7 +11,10 @@ What is verified:
      spellings alias underscore keys.  The argument parser is built once
      per process, and a parse leaves nothing behind for the next one.
   5. Exit codes: 0 success, 1 config error, 2 solver failure, 3 verify
-     FAIL; --help exits 0 through argparse.
+     FAIL; --help exits 0 through argparse.  A yield-curve lam outside
+     the formula's domain, and a non-finite grid or load end (lambda_max,
+     theta_max, tau_max, t_end), are config errors that name the bound or
+     the key, with no numpy warning on the way.
   6. SVG artifacts are standalone documents containing the plotted series.
   7. Importing the CLI in a fresh interpreter loads no scipy module at
      all: the banded solves call the LAPACK numpy already loads, and scipy
@@ -34,6 +37,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -427,6 +431,37 @@ def test_config_errors_exit_one(tmp_path, capsys):
         out_args = argv + ["--out", str(tmp_path)] if argv[0] != "no-such-command" else argv
         assert cli.main(out_args) == 1, argv
         assert "config error" in capsys.readouterr().err
+
+
+def test_yield_curve_names_the_formula_domain(tmp_path, capsys):
+    # the formula runs before the variational solve, whose banded
+    # factorization would otherwise fail first at lam = 1e15
+    argv = ["yield-curve", "--lambda-min", "1", "--lambda-max", "1e15",
+            "--points", "2", "--cells", "8", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert repr(stripshear.yield_stress._LAM_CEILING) in err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["simulate", "--lambda", "1", "--theta-max", "inf", "--steps", "2"], "theta_max"),
+        (["simulate", "--lambda", "1", "--theta-max", "nan", "--steps", "2"], "theta_max"),
+        (["visco", "--tau-max", "inf", "--steps", "2"], "tau_max"),
+        (["visco", "--tau-max", "1", "--t-end", "inf", "--steps", "2"], "t_end"),
+        (["yield-curve", "--lambda-max", "inf", "--points", "2"], "lambda_max"),
+    ],
+)
+def test_non_finite_ends_are_refused_by_key(tmp_path, capsys, argv, key):
+    # refused before numpy builds the lam grid or the load, so no RuntimeWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv + ["--cells", "8", "--out", str(tmp_path)])
+    assert code == 1
+    assert f"key {key!r}: must be finite" in capsys.readouterr().err
+    assert not caught
 
 
 def test_solver_failure_exits_two(tmp_path, monkeypatch, capsys):

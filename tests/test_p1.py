@@ -10,7 +10,9 @@ What is verified:
      goes on to form the derivatives, and forming them leaves it unchanged.
   4. The Newton method forms derivatives only at accepted iterates: line
      search trial points cost one evaluate() each.  A start already on the
-     merit's roundoff floor returns after that one evaluation.
+     merit's roundoff floor returns after that one evaluation.  A step
+     whose linear solve breaks down raises SolverError carrying the
+     current measure, not the solve's LinAlgError.
   5. The general tridiagonal solve gives scipy.linalg.solve_banded's bits,
      pivoting included, and rejects non-finite systems.
   6. The shared Gauss(3) rule equals both spellings of the rule mapped to
@@ -35,7 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from stripshear import Field, _p1, dissipation, make_mesh
+from stripshear import Field, SolverError, _p1, dissipation, make_mesh
 from stripshear._p1 import (
     GAUSS3_POINTS,
     GAUSS3_WEIGHTS,
@@ -204,6 +206,22 @@ def test_newton_returns_at_once_on_the_roundoff_floor():
     x, measure = damped_newton(x0, evaluate, derivatives, 1e-9, 100)
     assert x is x0 and measure == 1.0
     assert len(evaluated) == 1 and len(solved) == 1
+
+
+def test_newton_turns_a_failed_step_solve_into_a_solver_error():
+    def evaluate(x):
+        return 1.0, x
+
+    def derivatives(x):
+        def newton_step():
+            solve_tridiagonal(np.zeros((3, x.size)), np.ones(x.size))  # singular
+
+        return 0.25, newton_step
+
+    with pytest.raises(SolverError, match="singular") as info:
+        damped_newton(np.ones(4), evaluate, derivatives, 1e-9, 100)
+    assert info.value.residual == 0.25
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_tridiagonal_solve_matches_scipy_bit_for_bit():

@@ -18,9 +18,12 @@ Anchors used here:
     its boundary layer is about 2e-5 wide in zeta; and the arc's closed
     form at zeta = 1 reproduces 1 / lambda_of_theta (the closure identity).
   * theta_of_lambda returns across lam in [1e-7, 1e6], strictly inside
-    (1, 1 + lam) and with the exact inverse in its root finder's band;
-    minimizer_profile raises SolverError where theta_Y - 1 falls inside
-    that band, and returns a whole profile just above it.
+    (1, 1 + lam); it bisects on a bracket that does not depend on lam, so
+    it is nondecreasing over runs of adjacent doubles of lam, and the
+    double it returns and its neighbour across lam have lambdas that
+    straddle lam, the returned one nearer.  minimizer_profile raises
+    SolverError where theta_Y - 1 spans at most 8 ulps of 1, too few to
+    resolve the profile's shape, and returns a whole profile just above.
   * theta_of_lambda refuses lam below the smallest lam whose threshold
     rounds above 1 and above the largest lam it resolves strictly below
     1 + lam, naming each; from the floor up, lambda_of_theta inverts the
@@ -93,6 +96,32 @@ def test_threshold_strictly_increasing_in_lam():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("lam0", [1.0, 10.0, 1e3, 1e6])
+def test_threshold_nondecreasing_over_adjacent_doubles(lam0):
+    # thinner strips are stronger down to the last bit, which needs an
+    # inversion whose bracket and stopping rule do not move with lam
+    lam, prev = lam0, theta_of_lambda(lam0)
+    for _ in range(1500):
+        lam = math.nextafter(lam, math.inf)
+        t = theta_of_lambda(lam)
+        assert t >= prev, lam
+        prev = t
+
+
+def test_inversion_returns_the_nearer_of_two_straddling_doubles():
+    floor, ceiling = yield_stress._LAM_FLOOR, yield_stress._LAM_CEILING
+    grid = np.exp(np.linspace(math.log(floor), math.log(ceiling), 301))
+    for lam in [floor] + [float(x) for x in grid[1:-1]] + [ceiling]:
+        t = theta_of_lambda(lam)
+        below = lambda_of_theta(t) < lam
+        other = math.nextafter(t, math.inf if below else 1.0)
+        # lambda_of_theta tends to 0 at theta = 1, which is outside its domain
+        lam_other = lambda_of_theta(other) if other > 1.0 else 0.0
+        lo, hi = sorted((lambda_of_theta(t), lam_other))
+        assert lo <= lam <= hi, lam
+        assert abs(lambda_of_theta(t) - lam) <= abs(lam_other - lam), lam
+
+
 def test_strict_bounds():
     grid = np.exp(np.linspace(math.log(1e-3), math.log(1e2), 40))
     for lam in grid:
@@ -102,9 +131,8 @@ def test_strict_bounds():
 
 @pytest.mark.parametrize("lam", [1e-7, 3e-6, 1e-5, 1.0, 1e4, 1e6])
 def test_inversion_across_the_domain(lam):
-    # near theta = 1 one ulp of theta moves lambda past a 1e-12 residual, and
-    # past lam ~ 1e4 the bracket's lower end 1 + 1e-4 lam^2 overtook 1 + lam;
-    # the root must lie in the root finder's own band around the exact inverse
+    # near theta = 1 one ulp of theta moves lambda by more than 1e-12, so
+    # the check is on theta: the exact inverse lies within 1e-15 + 4 eps theta
     t = theta_of_lambda(lam)
     assert 1.0 < t < 1.0 + lam
     tau = 1e-15 + 4 * np.finfo(float).eps * t
@@ -233,8 +261,8 @@ def test_profile_where_the_arc_once_fell_short(lam):
 
 @pytest.mark.parametrize("lam", [1e-9, 1e-8])
 def test_profile_refuses_unresolvable_threshold(lam):
-    # theta_Y - 1 (about 5e-18 and 5e-16 here) is inside theta_of_lambda's
-    # root band, so the profile's shape would be rounding noise
+    # theta_Y - 1 (about 5e-18 and 5e-16 here) spans at most 8 ulps of 1,
+    # so the profile's shape would be rounding noise
     with pytest.raises(SolverError, match="cannot be resolved"):
         minimizer_profile(lam, n_samples=64)
 
@@ -260,6 +288,13 @@ def test_variational_minimizer_is_normalized_eigenfunction():
     assert abs(relaxed_dissipation(res.minimizer, 1.0) - res.theta_Y) <= 1e-12
     for key in ("epsilon_final", "n_cells", "newton_calls"):
         assert key in res.diagnostics
+
+
+def test_variational_breakdown_is_a_solver_error():
+    # past the formula's domain the Hessian's banded factorization fails,
+    # and a solver reports its failures as SolverError
+    with pytest.raises(SolverError, match="not positive definite"):
+        yield_variational(1e15, make_mesh(8))
 
 
 def test_variational_improves_under_refinement():
@@ -361,26 +396,6 @@ def test_stability_indicator_sign():
     mesh = make_mesh(256)
     assert stability_indicator(0.9 * t, p, mesh) >= -1e-12
     assert stability_indicator(1.1 * t, p, mesh) < 0.0
-
-
-def test_brentq_matches_scipy_bit_for_bit():
-    # theta_of_lambda's root finder is a transcription of scipy's brentq;
-    # the inverted thresholds must be the very same doubles
-    from scipy.optimize import brentq
-
-    from stripshear.yield_stress import _brentq
-
-    rtol = 4 * np.finfo(float).eps
-    for lam in np.exp(np.linspace(math.log(1e-6), math.log(1e3), 301)):
-        lam = float(lam)
-        lo, hi = 1.0 + max(1e-4 * lam * lam, 4e-16), 1.0 + lam
-        f = lambda t: lambda_of_theta(t) - lam  # noqa: E731
-        ref = brentq(f, lo, hi, xtol=1e-15, rtol=rtol, maxiter=200)
-        assert _brentq(f, lo, hi, 1e-15, rtol, 200) == ref
-    for f, a, b in [(lambda x: x**3 - 2 * x - 5, 2.0, 3.0), (math.cos, 0.0, 3.0)]:
-        assert _brentq(f, a, b, 2e-12, rtol, 100) == brentq(f, a, b)
-    with pytest.raises(ValueError, match="different signs"):
-        _brentq(math.exp, 0.0, 1.0, 2e-12, rtol, 100)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 256, 4096])
