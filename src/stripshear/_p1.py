@@ -339,6 +339,12 @@ def _factor_solve(banded: np.ndarray, rhs: np.ndarray):
     return _PBSV(banded, rhs)
 
 
+def _ordinal(n: int) -> str:
+    """n with its English ordinal suffix: 1st, 2nd, 3rd, 4th, 11th, 21st."""
+    suffix = {1: "st", 2: "nd", 3: "rd"}.get(n % 10, "th")
+    return f"{n}{'th' if n % 100 in (11, 12, 13) else suffix}"
+
+
 def solve_banded_spd(banded: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve an SPD system in upper banded form, lifting the diagonal on breakdown.
 
@@ -351,7 +357,7 @@ def solve_banded_spd(banded: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         lifted[-1] += _DIAGONAL_LIFT * (1.0 + np.abs(banded[-1]))
         x, info = _factor_solve(lifted, rhs)
         if info > 0:
-            raise LinAlgError(f"{info}th leading minor not positive definite")
+            raise LinAlgError(f"{_ordinal(info)} leading minor not positive definite")
     if info < 0 or not np.isfinite(x).all():
         raise ValueError("Newton system contains infs or NaNs")
     return x

@@ -52,18 +52,20 @@ with a budget of 100 iterations per level, stability_tol 1e-8 and
 yield_tol 1e-8 form the one solver configuration, the read-only record
 DEFAULT_OPTIONS, which every solver in the package reads.
 
-Warm-started increments.  An increment from a flowed state (gamma_prev not
-identically 0) enters the schedule at eps = 1e-4 (_WARM_EPS), and evolve
-starts it from the secant extrapolation of its last two states when both
-have flowed.  Increments from the virgin state run the whole schedule.  A
-level that takes no Newton step sends the ladder straight to its last
-level (_ladder, which the threshold dual below shares).  The last level,
-eps = 1e-11 at the Newton tolerance, runs on every increment, so the
-accuracy contract is the whole schedule's.  A warm-started solve that
-raises SolverError or fails its certificate is redone once down the whole
-schedule from gamma_prev, and only that second result can raise.  Each
-TrajectoryStep records its objective evaluations and whether it was
-redone.
+Warm-started increments.  Every increment that is not the certified zero
+field below is one damped-Newton solve at the schedule's last level,
+eps = 1e-11, from a predictor.  From a flowed state (gamma_prev not
+identically 0) the predictor is gamma_prev, or the secant extrapolation
+of the last two states that evolve passes.  From the virgin state it is
+the threshold witness v of _threshold_dual scaled by its exact
+one-dimensional optimum: along t v the objective is
+t^2 v'Av / 2 - theta t m'v + |t| Psi(v), minimized at
+t = sign(theta) max(0, |theta| m'v - Psi(v)) / v'Av.  A solve that raises
+SolverError or fails its certificate is redone once down the whole
+schedule from gamma_prev (_ladder, which the threshold dual below shares:
+a level that takes no Newton step sends it straight to its last level),
+and only that second result can raise.  Each TrajectoryStep records its
+objective evaluations and whether it was redone.
 
 At eps this small the objective is 1/eps-stiff wherever the increment
 vanishes, so re-minimizing from an already-converged state cannot reach an
@@ -154,13 +156,6 @@ DEFAULT_OPTIONS = _SolverSettings(
     yield_tol=1e-8,
 )
 
-# Where an increment from a flowed state enters the smoothing schedule: the
-# wider levels only re-smooth a field that is already close.  On the README
-# sweep, entering here cut the objective evaluations from 3833 to 1076 and
-# left each state within 1e-6 of the whole schedule's from the same
-# previous state.
-_WARM_EPS = 1e-4
-
 
 class TrajectoryStep(NamedTuple):
     theta: float
@@ -169,7 +164,7 @@ class TrajectoryStep(NamedTuple):
     total_energy: float
     stability_bound: float  # upper bound on the global-stability defect
     evaluations: int = 0  # objective evaluations of the step's increment solve
-    retried: bool = False  # the warm-started ladder failed; the full one ran
+    retried: bool = False  # the warm-started solve failed; the full ladder ran
 
 
 @dataclass(frozen=True)
@@ -384,14 +379,16 @@ def _threshold_dual(mesh: Mesh, lam: float) -> _ThresholdDual:
 
 
 @lru_cache(maxsize=64)
-def _threshold_bracket(n_cells: int, lam: float) -> tuple[float, float]:
-    """(lower, upper) of _threshold_dual, shared by every solve on one strip.
+def _threshold_bracket(n_cells: int, lam: float) -> tuple[float, float, np.ndarray]:
+    """(lower, upper, v) of _threshold_dual, shared by every solve on one strip.
 
     A property of the strip alone: the lower bound is certified for
-    whatever dual field the constrained solve ends with.
+    whatever dual field the constrained solve ends with.  The primal
+    witness v is read-only, as every caller shares it.
     """
     dual = _threshold_dual(Mesh(n_cells), lam)
-    return dual.lower, dual.upper
+    dual.v.flags.writeable = False
+    return dual.lower, dual.upper, dual.v
 
 
 class _IncrementProblem:
@@ -421,25 +418,30 @@ class _IncrementProblem:
     def _solve(
         self, gamma_prev: np.ndarray, theta: float, start: np.ndarray | None
     ) -> tuple[np.ndarray, bool]:
-        """(gamma, warm): the increment, and whether the warm ladder gave it.
+        """(gamma, warm): the increment, and whether the warm solve gave it.
 
-        From the virgin state the whole schedule runs from zero, unless the
-        certified threshold bracket proves zero the minimizer.  A flowed
-        increment enters the schedule at _WARM_EPS, from start (a predictor
-        with zero boundary values) or else from gamma_prev; if that raises
-        SolverError, the whole schedule runs from gamma_prev instead.
+        From the virgin state at a load within the certified threshold
+        bracket, zero is the minimizer.  Any other increment runs the last
+        smoothing level alone: a virgin one from the scaled threshold
+        witness, a flowed one from start (a predictor with zero boundary
+        values) or else from gamma_prev.  If that raises SolverError, the
+        whole schedule runs from gamma_prev instead.
         """
-        schedule = DEFAULT_OPTIONS.epsilon_schedule
-        if not gamma_prev.any():
-            lower, _ = _threshold_bracket(self.mesh.n_cells, self.p.lam)
+        if gamma_prev.any():
+            x = gamma_prev if start is None else start
+        else:
+            lower, _, v = _threshold_bracket(self.mesh.n_cells, self.p.lam)
             if abs(theta) <= lower:
                 # the exact discrete minimizer
                 return np.zeros_like(gamma_prev), False
-            return self._descend(gamma_prev, theta, gamma_prev, schedule), False
-        warm = tuple(eps for eps in schedule if eps <= _WARM_EPS)
-        x = gamma_prev if start is None else start
+            # the minimizer along the witness ray t v
+            gain = abs(theta) * float(self.m @ v) - self.psi.value(v, 0.0)
+            vAv = float(v @ _banded_matvec(self.A, v))
+            x = math.copysign(max(0.0, gain) / vAv, theta) * v
         try:
-            return self._descend(gamma_prev, theta, x, warm), True
+            return self._descend(
+                gamma_prev, theta, x, DEFAULT_OPTIONS.epsilon_schedule[-1:]
+            ), True
         except SolverError:
             return self._retry(gamma_prev, theta), False
 
@@ -580,11 +582,12 @@ def increment_solve(
     positive-definite Hessian), so the Newton continuation converges to the
     unique discrete minimizer; each level ends with gradient norm at most
     newton_tol or at double-precision stationarity, whichever comes first.
-    From a flowed gamma_prev the continuation enters the schedule at
-    eps = 1e-4 and runs the whole schedule only if that fails.
     From gamma_prev = 0 at a load no larger in magnitude than the certified
     lower bound on the yield threshold, the exact zero field is returned
-    without any Newton iteration.
+    without any Newton iteration.  Any other increment is solved at the
+    last smoothing level alone, from gamma_prev or, from gamma_prev = 0,
+    from the scaled threshold witness, and runs the whole schedule from
+    gamma_prev only if that fails.
     """
     theta = float(theta)
     if not math.isfinite(theta):
@@ -621,8 +624,9 @@ def evolve(
             dinc = bound = 0.0
         else:
             start = None
-            if gamma_prev.any() and gamma_back.any():
-                # secant predictor through the last two flowed states
+            if gamma_prev.any():
+                # secant predictor through the last two states (step 0 is
+                # the virgin state, so a flowed gamma_prev means k >= 2)
                 theta_prev = load.theta_steps[k - 1]
                 slope = (theta - theta_prev) / (theta_prev - load.theta_steps[k - 2])
                 start = gamma_prev + slope * (gamma_prev - gamma_back)
@@ -668,11 +672,13 @@ def stability_residual(
     """
     _require_clamped(gamma)
     competitor = increment_solve(gamma, theta, p)
-    here = total_energy(theta, gamma, p)
-    there = total_energy(theta, competitor, p) + dissipation(
-        Field(gamma.mesh, competitor.values - gamma.values), p.lam
-    )
-    return max(0.0, here - there)
+    # E_tot(gamma) - E_tot(competitor) - Psi(d) from d alone: the two
+    # totals are far larger than their difference
+    d = competitor.values - gamma.values
+    A = _energy_banded(gamma.mesh, p)
+    r = theta * mass_vector(gamma.mesh) - _banded_matvec(A, gamma.values)
+    defect = float(d @ r) - 0.5 * float(d @ _banded_matvec(A, d))
+    return max(0.0, defect - dissipation(Field(gamma.mesh, d), p.lam))
 
 
 def energy_balance_residual(traj: Trajectory) -> float:

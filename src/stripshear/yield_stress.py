@@ -161,9 +161,13 @@ def _check_theta_domain(theta_Y: float) -> float:
 def lambda_of_theta(theta_Y: float) -> float:
     """Length-scale ratio lam for which theta_Y is the yield threshold.
 
-    Strictly increasing: the thinner the strip relative to ell, the larger
-    lam and the stronger the specimen.  Every finite theta_Y > 1 has a
-    value: above 1e150 it is theta_Y itself, lam to double precision.
+    Strictly increasing in exact arithmetic: the thinner the strip
+    relative to ell, the larger lam and the stronger the specimen.  In
+    floating point it can drop by up to 2 ulps between neighbouring
+    doubles: theta_Y = 2.5927696451910442 gives a larger lam than the next
+    double.  theta_of_lambda does not rely on it (see _bisect_bits).  Every
+    finite theta_Y > 1 has a value: above 1e150 it is theta_Y itself, lam
+    to double precision.
     """
     th = _check_theta_domain(theta_Y)
     if th > _THETA_LINEAR:
@@ -176,12 +180,14 @@ def lambda_of_theta(theta_Y: float) -> float:
 def _bisect_bits(f, lo: float, hi: float, target):
     """Neighbouring doubles a < b in [lo, hi] with f(a) < target <= f(b).
 
-    f is nondecreasing on [lo, hi], 0 <= lo, and is called on arrays of
-    target's shape.  The bisection runs on the int64 bit patterns, which
-    order like nonnegative doubles, so it closes on neighbours within 64
-    halvings whatever the scale; a target outside (f(lo), f(hi)] ends it
-    at that end.  The path depends on target only through f(mid) < target,
-    so with the bracket fixed, a and b are nondecreasing in target.
+    0 <= lo, and f is called on arrays of target's shape.  The bisection
+    runs on the int64 bit patterns, which order like nonnegative doubles,
+    so it closes on neighbours within 64 halvings whatever the scale.
+    Each halving keeps f(a) < target <= f(b) once it holds at lo and hi,
+    whether or not f is monotone; for a nondecreasing f, a target outside
+    (f(lo), f(hi)] ends it at that end.  The path depends on target only
+    through f(mid) < target, so with the bracket fixed, a and b are
+    nondecreasing in target, again for any f.
     """
     a, b = np.array([lo, hi], dtype=np.float64).view(np.int64)
     for _ in range(int(b - a - 1).bit_length()):  # the halvings to width 1

@@ -31,12 +31,15 @@ What is verified:
      cannot certify, and over (lam, Lambda, kappa, n_cells) a load, unload,
      reload cycle of certified increments ends finite and certified or
      raises SolverError.
- 10. The warm-started ladder: on the README sweep it needs at most half the
-     whole schedule's objective evaluations with no retry, and every flowed
-     state is within 1e-6 of the whole schedule's from the same previous
-     state; a warm solve that raises or fails its certificate is redone
-     down the whole schedule, which solve_certified then returns bit for
-     bit, with the retry counted.
+ 10. The warm-started solve at the last smoothing level: on the README
+     sweep it needs under a tenth of the whole schedule's objective
+     evaluations with no retry, and every flowed state, the first one from
+     the virgin state included, is within 1e-6 of the whole schedule's
+     from the same previous state; a virgin increment above the bracket,
+     started from the scaled threshold witness, takes at most 10
+     evaluations; a warm solve that raises or fails its certificate is
+     redone down the whole schedule, which solve_certified then returns
+     bit for bit, with the retry counted.
 """
 
 import dataclasses
@@ -290,7 +293,7 @@ def test_threshold_bracket(lam, n_cells):
 def test_virgin_increment_below_bracket_skips_newton(monkeypatch):
     mesh = make_mesh(64)
     p = NondimParams(lam=0.3, Lambda=2.0, kappa=0.5)
-    lower, upper = incremental._threshold_bracket(mesh.n_cells, p.lam)
+    lower, upper, _ = incremental._threshold_bracket(mesh.n_cells, p.lam)
     calls = []
     newton = incremental.damped_newton
 
@@ -319,7 +322,7 @@ def test_virgin_increment_below_bracket_skips_newton(monkeypatch):
 def test_virgin_increment_properties(lam, half_cells, Lambda, kappa, load):
     mesh = make_mesh(2 * half_cells)
     p = NondimParams(lam=lam, Lambda=Lambda, kappa=kappa)
-    lower, upper = incremental._threshold_bracket(mesh.n_cells, lam)
+    lower, upper, _ = incremental._threshold_bracket(mesh.n_cells, lam)
     theta = load * upper
     try:
         gamma = increment_solve(Field.zeros(mesh), theta, p)
@@ -397,7 +400,7 @@ def test_flowed_states_are_certified(lam, half_cells, Lambda, kappa, load):
     prob = incremental._IncrementProblem(
         mesh, NondimParams(lam=lam, Lambda=Lambda, kappa=kappa)
     )
-    _, upper = incremental._threshold_bracket(mesh.n_cells, lam)
+    _, upper, _ = incremental._threshold_bracket(mesh.n_cells, lam)
     theta = load * upper
     gamma = np.zeros(mesh.n_cells + 1)
     for target in (theta, -theta, theta):  # load, unload through zero, reload
@@ -419,9 +422,10 @@ def _whole_schedule(prob, gamma_prev, theta):
 
 
 def test_warm_ladder_halves_the_evaluations(readme_sweep):
-    # the whole schedule from gamma_prev took 3936 evaluations on this sweep
+    # the whole schedule from gamma_prev took 3936 evaluations on this
+    # sweep, the last level alone takes 338
     steps = readme_sweep.steps
-    assert sum(s.evaluations for s in steps) <= 1980
+    assert sum(s.evaluations for s in steps) <= 350
     assert not any(s.retried for s in steps)
     assert all(s.stability_bound <= DEFAULT_OPTIONS.stability_tol for s in steps)
     assert steps[0].evaluations == 0
@@ -431,12 +435,27 @@ def test_warm_ladder_matches_whole_schedule(readme_sweep):
     prob = incremental._IncrementProblem(readme_sweep.mesh, P_REF)
     flowed = 0
     for prev, state in zip(readme_sweep.steps, readme_sweep.steps[1:]):
-        if not prev.gamma.values.any():
-            continue
+        if not state.gamma.values.any():
+            continue  # the certified zero field
         full = _whole_schedule(prob, prev.gamma.values, state.theta)
         assert float(np.max(np.abs(state.gamma.values - full))) <= 1e-6
         flowed += 1
-    assert flowed >= 90
+    # the first flowed step, from the virgin state, is among them
+    assert flowed >= 91
+
+
+@pytest.mark.parametrize("load", [1.0001, 1.01, 1.2, 2.0, -1.5])
+def test_virgin_increment_above_bracket_is_warm(load):
+    # the whole schedule from zero took 13-74 evaluations here; the scaled
+    # threshold witness leaves 3-7 at the last level
+    mesh = make_mesh(128)
+    prob = incremental._IncrementProblem(mesh, P_REF)
+    upper = incremental._threshold_bracket(mesh.n_cells, P_REF.lam)[1]
+    gamma, bound = prob.solve_certified(np.zeros(mesh.n_cells + 1), load * upper)
+    assert prob.evaluations <= 10
+    assert prob.retries == 0
+    assert float(np.max(np.abs(gamma))) > 0.0
+    assert bound <= DEFAULT_OPTIONS.stability_tol
 
 
 @pytest.mark.parametrize("failure", ["raises", "uncertified"])

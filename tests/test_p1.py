@@ -387,6 +387,20 @@ def test_solves_reject_non_finite_and_singular_systems():
         solve_tridiagonal(ab, np.ones(5))
 
 
+@pytest.mark.parametrize(
+    "k, ordinal",
+    [(1, "1st"), (2, "2nd"), (3, "3rd"), (4, "4th"), (11, "11th"), (12, "12th"),
+     (13, "13th"), (21, "21st"), (22, "22nd"), (23, "23rd")],
+)
+def test_breakdown_names_the_minor_by_its_ordinal(k, ordinal):
+    banded = np.zeros((2, 25))
+    banded[1] = 1.0
+    banded[1, k - 1] = -1.0  # the leading minor of order k is the first not PD
+    with pytest.raises(np.linalg.LinAlgError) as exc:
+        solve_banded_spd(banded, np.ones(25))
+    assert str(exc.value) == f"{ordinal} leading minor not positive definite"
+
+
 def test_threads_keep_their_own_argument_blocks():
     rng = np.random.default_rng(23)
     systems = [(_spd_tridiagonal(rng, 257), rng.standard_normal(257)) for _ in range(64)]

@@ -292,8 +292,9 @@ def test_variational_minimizer_is_normalized_eigenfunction():
 
 def test_variational_breakdown_is_a_solver_error():
     # past the formula's domain the Hessian's banded factorization fails,
-    # and a solver reports its failures as SolverError
-    with pytest.raises(SolverError, match="not positive definite"):
+    # and a solver reports its failures as SolverError, naming the minor
+    # with its English ordinal
+    with pytest.raises(SolverError, match="3rd leading minor not positive definite"):
         yield_variational(1e15, make_mesh(8))
 
 
