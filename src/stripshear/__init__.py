@@ -21,7 +21,6 @@ from .model import (
 from .functionals import (
     RelaxedField,
     dissipation,
-    dissipation_distance,
     mass,
     plastic_energy,
     relaxed_dissipation,
@@ -45,8 +44,6 @@ from .yield_stress import (
     asymptotic_theta,
     lambda_of_theta,
     minimizer_profile,
-    reduced_stability_indicator_sign,
-    stability_indicator,
     theta_of_lambda,
     yield_integral,
     yield_variational,
@@ -76,7 +73,6 @@ __all__ = [
     "nondimensionalize",
     "RelaxedField",
     "dissipation",
-    "dissipation_distance",
     "mass",
     "plastic_energy",
     "relaxed_dissipation",
@@ -96,8 +92,6 @@ __all__ = [
     "asymptotic_theta",
     "lambda_of_theta",
     "minimizer_profile",
-    "reduced_stability_indicator_sign",
-    "stability_indicator",
     "theta_of_lambda",
     "yield_integral",
     "yield_variational",

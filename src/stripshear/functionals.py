@@ -42,7 +42,6 @@ __all__ = [
     "dissipation",
     "relaxed_dissipation",
     "total_energy",
-    "dissipation_distance",
 ]
 
 
@@ -115,17 +114,3 @@ def total_energy(theta: float, gamma: Field, p: NondimParams) -> float:
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     return plastic_energy(gamma, p) - theta * mass(gamma)
-
-
-def dissipation_distance(gamma1: Field, gamma2: Field, lam: float) -> float:
-    """Psi(gamma1 - gamma2): the dissipative cost of moving between states.
-
-    Symmetric (Psi is even) and zero exactly when the fields coincide.
-    """
-    if gamma1.mesh != gamma2.mesh:
-        raise ValueError(
-            f"fields live on different meshes ({gamma1.mesh.n_cells} vs {gamma2.mesh.n_cells} cells)"
-        )
-    lam = _check_lam(lam)
-    diff = gamma1.values - gamma2.values
-    return SmoothedDissipation(gamma1.mesh, lam).value(diff, 0.0)

@@ -185,14 +185,6 @@ class Trajectory:
     def mesh(self) -> Mesh:
         return self.steps[0].gamma.mesh
 
-    @property
-    def thetas(self) -> np.ndarray:
-        return np.array([s.theta for s in self.steps])
-
-    @property
-    def fields(self) -> tuple:
-        return tuple(s.gamma for s in self.steps)
-
 
 class DetectedYield(NamedTuple):
     theta: float
@@ -411,10 +403,6 @@ class _IncrementProblem:
         self.evaluations = 0  # objective evaluations over every solve so far
         self.retries = 0  # warm-started solves redone down the whole schedule
 
-    def solve(self, gamma_prev: np.ndarray, theta: float) -> np.ndarray:
-        """The increment from gamma_prev at theta (see _solve)."""
-        return self._solve(gamma_prev, theta, None)[0]
-
     def _solve(
         self, gamma_prev: np.ndarray, theta: float, start: np.ndarray | None
     ) -> tuple[np.ndarray, bool]:
@@ -594,7 +582,7 @@ def increment_solve(
         raise ValueError(f"theta must be finite, got {theta}")
     _require_clamped(gamma_prev)
     prob = _IncrementProblem(gamma_prev.mesh, p)
-    x = prob.solve(gamma_prev.values, theta)
+    x, _ = prob._solve(gamma_prev.values, theta, None)
     return Field(gamma_prev.mesh, x)
 
 

@@ -1,18 +1,24 @@
-"""Yield stress of the strip, computed three independent ways.
+"""Yield stress of the strip: the closed form and the variational route.
 
 The threshold load at which plastic flow starts from the virgin state is
 characterized variationally:
 
-    theta_Y = inf { Psi_bar(phi) : phi piecewise H1, int_I phi dr = 1 },
+    theta_Y = inf { Psi_bar_lam(phi) : phi piecewise H1, int_I phi dr = 1 },
 
-with Psi_bar the relaxed dissipation (free boundary values, jumps priced at
-lam per unit).  This module provides:
+with Psi_bar_lam the relaxed dissipation (free boundary values, jumps priced
+at lam per unit),
 
-* the closed-form relation between lam = ell / h and theta_Y, inverted by
-  bisection on the bit patterns of theta_Y (theta_of_lambda), together with
-  its quadrature oracle (yield_integral);
-* the stability indicators m(theta) and the sign of the reduced indicator,
-  which bracket the threshold from the energetic side;
+    Psi_bar_lam(phi) = int sqrt(phi^2 + lam^2 phi_r^2) dr
+                       + lam (|phi(-1)| + |phi(1)|).
+
+Each term is nondecreasing in lam for every phi, so the infimum is too:
+theta_Y is nondecreasing in lam = ell / h, and thinner strips are no
+weaker.  The discrete Psi_bar of functionals.relaxed_dissipation obeys the
+same monotonicity term by term.  This module provides:
+
+* the closed-form relation between lam and theta_Y, inverted by bisection
+  on the bit patterns of theta_Y (theta_of_lambda), together with its
+  quadrature oracle (yield_integral);
 * the discrete constrained minimization (yield_variational) that reproduces
   theta_Y on a mesh without using the closed form;
 * the yield-onset profile, the closed-form solution of its first-order
@@ -44,8 +50,8 @@ from ._p1 import (
     gauss_legendre,
     mass_vector,
 )
-from .incremental import DEFAULT_OPTIONS, stability_residual
-from .model import Field, Mesh, NondimParams, SolverError, make_mesh
+from .incremental import DEFAULT_OPTIONS
+from .model import Mesh, SolverError, make_mesh
 
 __all__ = [
     "YieldResult",
@@ -54,13 +60,9 @@ __all__ = [
     "theta_of_lambda",
     "yield_integral",
     "asymptotic_theta",
-    "stability_indicator",
-    "reduced_stability_indicator_sign",
     "yield_variational",
     "minimizer_profile",
 ]
-
-_METHODS = ("formula", "quadrature", "variational", "simulation")
 
 # the smallest lam whose threshold 1 + pi^2 lam^2 / 2 rounds above 1.0
 _LAM_FLOOR = 4.743186923619967e-09
@@ -79,6 +81,10 @@ _PROFILE_MIN_GAP = 8.0 * float(np.finfo(float).eps)
 # theta_Y itself, and theta_Y^2 overflows from about 1.34e154 up
 _THETA_LINEAR = 1e150
 
+# Gauss-Legendre order of yield_integral: 8.6e-15 relative to the closed
+# form at worst over 400 theta_Y in [1.0001, 100]
+_QUAD_NODES = 128
+
 # |mass| at which a yield_variational probe counts as diverged: 50x the unit
 # mass sought, reached only by runaways above the threshold
 _MASS_CAP = 50.0
@@ -86,7 +92,7 @@ _MASS_CAP = 50.0
 
 @dataclass(frozen=True)
 class YieldResult:
-    """A yield-stress value, tagged with how it was obtained.
+    """A discrete yield threshold from yield_variational, with its minimizer.
 
     theta_Y always lies strictly between 1 and 1 + lam: the lower bound is
     the local threshold, the upper bound is the cost of the constant
@@ -95,13 +101,10 @@ class YieldResult:
 
     theta_Y: float
     lam: float
-    method: str
     diagnostics: dict = field(default_factory=dict)
     minimizer: RelaxedField | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         lam = _check_lam(self.lam)
         th = float(self.theta_Y)
         if not (1.0 < th < 1.0 + lam):
@@ -198,20 +201,25 @@ def _bisect_bits(f, lo: float, hi: float, target):
     return a.view(np.float64), b.view(np.float64)
 
 
-def yield_integral(theta_Y: float, n_quad: int = 256) -> float:
+def yield_integral(theta_Y: float) -> float:
     """Quadrature oracle for lambda_of_theta.
 
-    Evaluates 1/lam = int_0^1 dzeta / (theta_Y - sqrt(1 - zeta^2)) with
-    n_quad Gauss-Legendre points on [0, 1] and returns the reciprocal.
-    The integrand has a sqrt branch at zeta = 1, so convergence in n_quad
-    is algebraic; callers double n_quad until stable.
+    Evaluates 1/lam = int_0^1 dzeta / (theta_Y - sqrt(1 - zeta^2)) and
+    returns the reciprocal.  In s = arcsin(zeta) the integral is
+
+        int_0^(pi/2) cos s / ((theta_Y - 1) + 2 sin^2(s/2)) ds,
+
+    whose integrand is analytic on the closed interval (zeta's sqrt branch
+    at 1 is gone) and does not cancel near theta_Y = 1.  One fixed
+    128-point Gauss-Legendre rule reaches roundoff for
+    theta_Y >= 1.0001; closer to 1 the peak at s ~ sqrt(2 (theta_Y - 1))
+    narrows and the rule loses digits.  It never uses the closed form.
     """
     th = _check_theta_domain(theta_Y)
-    if int(n_quad) < 1:
-        raise ValueError(f"n_quad must be >= 1, got {n_quad}")
-    z, w = gauss_legendre(int(n_quad))
-    integral = float(w @ (1.0 / (th - np.sqrt(1.0 - z * z))))
-    return 1.0 / integral
+    t, w = gauss_legendre(_QUAD_NODES)
+    s = 0.5 * math.pi * t
+    integrand = np.cos(s) / ((th - 1.0) + 2.0 * np.sin(0.5 * s) ** 2)
+    return 1.0 / (0.5 * math.pi * float(w @ integrand))
 
 
 def theta_of_lambda(lam: float) -> float:
@@ -251,23 +259,6 @@ def asymptotic_theta(lam: float) -> tuple[float, float]:
     """
     lam = _check_lam(lam)
     return 1.0 + 0.5 * math.pi * math.pi * lam * lam, lam + 0.25 * math.pi
-
-
-def stability_indicator(
-    theta: float,
-    p: NondimParams,
-    mesh: Mesh,
-) -> float:
-    """Stability indicator m(theta) = min over fields of E_tot + Psi.
-
-    This is minus the stability residual of the virgin state, whose energy
-    E_tot(theta, 0) is exactly 0; zero is always admissible, so the minimum
-    is clamped to be nonpositive.  m(theta) = 0 means the virgin state is
-    stable (theta at or below the discrete threshold); m(theta) < 0 means
-    flow is energetically favorable.
-    """
-    # 0.0 - r, not -r: a stable state reads +0.0
-    return 0.0 - stability_residual(Field.zeros(mesh), theta, p)
 
 
 class _Diverged(Exception):
@@ -374,7 +365,6 @@ def yield_variational(lam: float, mesh: Mesh) -> YieldResult:
     return YieldResult(
         theta_Y=theta_disc,
         lam=lam,
-        method="variational",
         diagnostics={
             "mass_residual": abs(mass_raw - 1.0),
             "multiplier": mu_star,
@@ -384,25 +374,6 @@ def yield_variational(lam: float, mesh: Mesh) -> YieldResult:
         },
         minimizer=minimizer,
     )
-
-
-def reduced_stability_indicator_sign(theta: float, lam: float, mesh: Mesh) -> int:
-    """Sign of the reduced stability indicator at load theta.
-
-    By 1-homogeneity the reduced indicator is either identically 0 on the
-    stable side or -inf past the threshold, so only its sign carries
-    information: -1 iff theta exceeds the discrete variational threshold,
-    +1 below it, 0 at exact equality.
-    """
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    theta_disc = yield_variational(lam, mesh).theta_Y
-    if theta > theta_disc:
-        return -1
-    if theta == theta_disc:
-        return 0
-    return 1
 
 
 def _arc(s: np.ndarray, theta_Y: float) -> np.ndarray:

@@ -271,6 +271,15 @@ def test_verify_single_criterion(capsys):
     assert "verify: PASS" in out
 
 
+def test_verify_refuses_an_empty_selection(capsys):
+    # separators alone select nothing: a config error, not a vacuous pass
+    assert cli.main(["verify", "--only", ","]) == 1
+    captured = capsys.readouterr()
+    assert "no criteria selected" in captured.err
+    assert "verify: PASS" not in captured.out
+    assert "criterion" not in captured.out
+
+
 # ---------------------------------------------------------------- determinism
 
 

@@ -27,7 +27,6 @@ from stripshear import (
     NondimParams,
     RelaxedField,
     dissipation,
-    dissipation_distance,
     make_mesh,
     mass,
     plastic_energy,
@@ -201,38 +200,6 @@ def test_relaxed_equals_plain_on_clamped_fields():
         f = _random_interior(mesh, rng)
         phi = RelaxedField(mesh, f.values.copy())
         assert relaxed_dissipation(phi, 1.3) == dissipation(f, 1.3)
-
-
-# -------------------------------------------------------- dissipation distance
-
-
-def test_distance_symmetric_and_zero_on_equal():
-    rng = np.random.default_rng(31)
-    mesh = make_mesh(24)
-    f = _random_interior(mesh, rng)
-    g = _random_interior(mesh, rng)
-    assert dissipation_distance(f, f, 1.0) == 0.0
-    assert dissipation_distance(f, g, 1.0) == dissipation_distance(g, f, 1.0)
-    assert dissipation_distance(f, g, 1.0) > 0.0
-
-
-def test_distance_triangle_inequality():
-    rng = np.random.default_rng(37)
-    mesh = make_mesh(24)
-    for _ in range(15):
-        f = _random_interior(mesh, rng)
-        g = _random_interior(mesh, rng)
-        h = _random_interior(mesh, rng)
-        direct = dissipation_distance(f, h, 0.9)
-        via = dissipation_distance(f, g, 0.9) + dissipation_distance(g, h, 0.9)
-        assert direct <= via + 1e-12 * max(1.0, via)
-
-
-def test_distance_rejects_mesh_mismatch():
-    with pytest.raises(ValueError):
-        dissipation_distance(
-            Field.zeros(make_mesh(8)), Field.zeros(make_mesh(16)), 1.0
-        )
 
 
 # ------------------------------------------------------------------ quadrature

@@ -10,9 +10,15 @@ What is verified:
      (``numpy.linalg._umath_linalg``) are out of scope.
   2. The checker flags each of those forms in small sources and passes the
      allowed ones, so a clean tree is not a blind spot of the checker.
+  3. Every name the benchmark harness looks up still resolves: each
+     ``(module, attribute)`` row of ``perfbench/spans.py``'s INSTRUMENTED
+     table names a callable, and each ``from stripshear... import`` in
+     ``perfbench/*.py`` names something the package has.  The files are
+     parsed, not run, and the check skips where ``perfbench/`` is absent.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -21,6 +27,7 @@ import stripshear
 
 PACKAGE = "stripshear"
 SRC = Path(stripshear.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = {
     PACKAGE if p.stem == "__init__" else f"{PACKAGE}.{p.stem}": p
     for p in sorted(SRC.glob("*.py"))
@@ -111,3 +118,42 @@ def test_no_module_reaches_another_modules_private_names(module):
 )
 def test_checker_flags_private_reaches(source, expected):
     assert private_reaches(f"{PACKAGE}.cli", source) == expected
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Whether `from module import name` would find name in the package."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")  # a submodule
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_bench_names_resolve():
+    if not PERFBENCH.is_dir():
+        pytest.skip("perfbench/ is not in this tree")
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PERFBENCH.glob("*.py"))}
+    rows = [
+        tuple(ast.literal_eval(e) for e in row.elts[:2])
+        for node in trees["spans.py"].body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "INSTRUMENTED" for t in node.targets)
+        for row in node.value.elts
+    ]
+    imported = [
+        (node.module, alias.name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and _own(node.module)
+        for alias in node.names
+    ]
+    assert rows and imported
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in rows
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    missing += [f"{module}.{name}" for module, name in imported if not _resolves(module, name)]
+    assert missing == []

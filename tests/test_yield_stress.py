@@ -32,6 +32,9 @@ Anchors used here:
   * lambda_of_theta against the closed form in 50-digit arithmetic
     (mpmath) for theta_Y - 1 in [1e-9, 10], to a few ulps: sqrt(th^2 - 1)
     must not lose th - 1 to the rounding of th^2.
+  * Thinner is stronger: the discrete relaxed dissipation of random P1
+    fields (2 to 512 cells, magnitudes 1e-8 to 1e8) is nondecreasing in
+    lam in [1e-6, 1e7], exactly, also between neighbouring doubles of lam.
   * The quadrature's own Gauss-Legendre rule: nodes equal scipy's
     roots_legendre to 1e-15, and the weights integrate every monomial of
     degree < 2n on [0, 1] and exp with the Gauss error term.
@@ -43,16 +46,14 @@ import numpy as np
 import pytest
 
 from stripshear import (
-    NondimParams,
+    RelaxedField,
     SolverError,
     asymptotic_theta,
     lambda_of_theta,
     make_mesh,
     mass,
     minimizer_profile,
-    reduced_stability_indicator_sign,
     relaxed_dissipation,
-    stability_indicator,
     theta_of_lambda,
     yield_integral,
     yield_stress,
@@ -76,7 +77,7 @@ def test_formula_matches_quadrature_identity():
     for _ in range(20):
         theta = math.exp(rng.uniform(math.log(1.001), math.log(50.0)))
         lam = lambda_of_theta(theta)
-        assert abs(lam - yield_integral(theta, n_quad=512)) <= 1e-9 * max(1.0, lam)
+        assert abs(lam - yield_integral(theta)) <= 1e-13 * max(1.0, lam)
 
 
 def test_round_trip_inversion():
@@ -276,7 +277,6 @@ def test_variational_matches_formula_on_coarse_mesh():
         ref = theta_of_lambda(lam)
         res = yield_variational(lam, mesh)
         assert abs(res.theta_Y - ref) / ref <= 1e-3
-        assert res.method == "variational"
         assert res.lam == lam
 
 
@@ -379,24 +379,22 @@ def test_profile_auxiliary_arc():
     assert prof.r[-1] == 1.0
 
 
-# ---------------------------------------------------------- stability markers
+# ------------------------------------------------------- thinner is stronger
 
 
-def test_reduced_indicator_sign_flips_at_threshold():
-    mesh = make_mesh(512)
-    for lam in (0.5, 1.0, 2.0):
-        t = theta_of_lambda(lam)
-        assert reduced_stability_indicator_sign(0.95 * t, lam, mesh) == 1
-        assert reduced_stability_indicator_sign(1.05 * t, lam, mesh) == -1
-
-
-def test_stability_indicator_sign():
-    lam = 1.0
-    t = theta_of_lambda(lam)
-    p = NondimParams(lam=lam, Lambda=1.0, kappa=1.0)
-    mesh = make_mesh(256)
-    assert stability_indicator(0.9 * t, p, mesh) >= -1e-12
-    assert stability_indicator(1.1 * t, p, mesh) < 0.0
+def test_relaxed_dissipation_is_nondecreasing_in_lam():
+    # every term of Psi_bar_lam(phi) is nondecreasing in lam, so theta_Y,
+    # its minimum over unit mass, is too; the discrete value obeys this
+    # exactly, also between neighbouring doubles of lam
+    rng = np.random.default_rng(20261019)
+    for _ in range(3000):
+        mesh = make_mesh(int(2 ** rng.integers(1, 10)))
+        scale = 10.0 ** rng.uniform(-8.0, 8.0)
+        phi = RelaxedField(mesh, scale * rng.standard_normal(mesh.n_cells + 1))
+        lam = 10.0 ** rng.uniform(-6.0, 6.0)
+        base = relaxed_dissipation(phi, lam)
+        for other in (lam * 10.0 ** rng.uniform(0.0, 1.0), math.nextafter(lam, math.inf)):
+            assert base <= relaxed_dissipation(phi, other), (mesh.n_cells, scale, lam, other)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 256, 4096])
