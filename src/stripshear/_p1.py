@@ -449,7 +449,8 @@ def damped_newton(
     representable iterate can still improve the merit).  Iterates inside
     the floor wander, so the best-measure iterate seen is returned.  Raises
     SolverError on stagnation away from stationarity, and when a step's
-    linear solve breaks down (LinAlgError).
+    linear solve breaks down (LinAlgError) or meets a non-finite system
+    (the solves' ValueError).
     """
     merit, state = evaluate(x)
     measure, newton_step = derivatives(state)
@@ -460,7 +461,7 @@ def damped_newton(
             return x, measure
         try:
             step, slope, floor = newton_step()
-        except LinAlgError as err:
+        except ValueError as err:  # LinAlgError is a ValueError
             raise SolverError(
                 f"Newton step failed: {err} (measure {measure:.3e})", residual=measure
             ) from err

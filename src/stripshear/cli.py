@@ -1,10 +1,13 @@
 """Command-line front end: runs the solvers, emits CSV/JSON/SVG artifacts.
 
-Commands: yield-curve, profile, simulate, visco, verify.  Configuration is
-a flat key=value file (--config) with command-line flags of the same names
-taking precedence.  Outputs are deterministic: identical configs produce
-byte-identical files.  Exit codes: 0 success, 1 validation error, 2 solver
-failure, 3 verify FAIL.
+Commands: yield-curve, profile, simulate, visco, verify.  main merges a
+command's defaults, then a flat key=value file (--config), then the
+command-line flags of the same names, and hands the result to the
+command's runner.  Each artifact command writes <stem>.csv (plus any extra
+CSV files), <stem>.svg and <stem>.json into --out through one writer, which
+prints a single "wrote ..." line.  Outputs are deterministic: identical
+configs produce byte-identical files.  Exit codes: 0 success, 1 validation
+error, 2 solver failure, 3 verify FAIL.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +46,7 @@ from .yield_stress import (
     yield_variational,
 )
 
-__all__ = ["ConfigError", "RunConfig", "run", "main"]
+__all__ = ["ConfigError", "main"]
 
 
 class ConfigError(ValueError):
@@ -100,33 +102,6 @@ _COMMAND_SPECS: dict[str, dict[str, object]] = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A command plus its fully merged key=value parameters."""
-
-    command: str
-    params: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.command not in _COMMAND_SPECS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        spec = _COMMAND_SPECS[self.command]
-        merged = {k: v for k, v in spec.items() if v is not _REQUIRED}
-        for key, value in self.params.items():
-            if key not in spec:
-                raise ConfigError(
-                    f"unknown key {key!r} for command {self.command!r} "
-                    f"(known: {', '.join(sorted(spec))})"
-                )
-            merged[key] = str(value)
-        missing = [k for k, v in spec.items() if v is _REQUIRED and k not in merged]
-        if missing:
-            raise ConfigError(
-                f"missing required keys for {self.command!r}: {', '.join(missing)}"
-            )
-        object.__setattr__(self, "params", merged)
-
-
 def _as_float(params: dict[str, str], key: str) -> float:
     try:
         return float(params[key])
@@ -148,12 +123,6 @@ def _as_int(params: dict[str, str], key: str) -> int:
         raise ConfigError(f"key {key!r}: not an integer: {params[key]!r}") from err
 
 
-def _out_dir(params: dict[str, str]) -> Path:
-    out = Path(params["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_csv(path: Path, header: list[str], rows) -> int:
     """RFC-4180-style CSV; floats at 17 significant digits."""
     count = 0
@@ -166,10 +135,40 @@ def _write_csv(path: Path, header: list[str], rows) -> int:
     return count
 
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
+def _write_artifacts(
+    out_dir: str,
+    stem: str,
+    header: list[str],
+    rows,
+    plot: dict,
+    summary: dict,
+    extra=(),
+) -> int:
+    """Write <stem>.csv, <stem>.svg and <stem>.json into out_dir.
+
+    extra holds (file name, header, rows) for further CSV files, written and
+    listed after <stem>.csv.  plot holds render_line_plot's arguments; the
+    SVG is rendered once the CSV files are written, so that the document
+    and the CSV writing never hold memory at the same time.  Prints the one
+    "wrote ..." line; returns exit 0.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    csv_path = out / f"{stem}.csv"
+    n_rows = _write_csv(csv_path, header, rows)
+    written = [f"{csv_path} ({n_rows} rows)"]
+    for name, extra_header, extra_rows in extra:
+        path = out / name
+        _write_csv(path, extra_header, extra_rows)
+        written.append(str(path))
+    svg_path = out / f"{stem}.svg"
+    svg_path.write_text(render_line_plot(**plot))
+    json_path = out / f"{stem}.json"
+    with open(json_path, "w") as f:
+        json.dump(summary, f, sort_keys=True, indent=2)
         f.write("\n")
+    print(f"wrote {', '.join(written)}, {svg_path}, {json_path}")
+    return 0
 
 
 def _run_yield_curve(params: dict[str, str]) -> int:
@@ -181,7 +180,6 @@ def _run_yield_curve(params: dict[str, str]) -> int:
         raise ConfigError("need 0 < lambda_min < lambda_max")
     if points < 2:
         raise ConfigError("points must be >= 2")
-    out = _out_dir(params)
 
     grid = np.exp(np.linspace(math.log(lam_min), math.log(lam_max), points))
     mesh = make_mesh(cells)
@@ -195,9 +193,9 @@ def _run_yield_curve(params: dict[str, str]) -> int:
         (lam, tf, tv, 1.0 + lam, a[0], a[1])
         for lam, tf, tv, a in zip(grid, theta_form, theta_var, asym)
     ]
-    csv_path = out / "yield_curve.csv"
-    n_rows = _write_csv(
-        csv_path,
+    return _write_artifacts(
+        params["out"],
+        "yield_curve",
         [
             "lambda",
             "theta_formula",
@@ -207,11 +205,8 @@ def _run_yield_curve(params: dict[str, str]) -> int:
             "large_asym",
         ],
         rows,
-    )
-    svg_path = out / "yield_curve.svg"
-    svg_path.write_text(
-        render_line_plot(
-            [
+        dict(
+            series=[
                 ("theta_Y", grid, np.array(theta_form)),
                 ("1 + lambda", grid, 1.0 + grid),
             ],
@@ -220,11 +215,7 @@ def _run_yield_curve(params: dict[str, str]) -> int:
             ylabel="theta_Y",
             logx=True,
             dashed=("1 + lambda",),
-        )
-    )
-    json_path = out / "yield_curve.json"
-    _write_json(
-        json_path,
+        ),
         {
             "lambda_min": lam_min,
             "lambda_max": lam_max,
@@ -238,35 +229,29 @@ def _run_yield_curve(params: dict[str, str]) -> int:
             ),
         },
     )
-    print(f"wrote {csv_path} ({n_rows} rows), {svg_path}, {json_path}")
-    return 0
 
 
 def _run_profile(params: dict[str, str]) -> int:
     lam = _as_float(params, "lambda")
     samples = _as_int(params, "samples")
-    out = _out_dir(params)
 
     prof = minimizer_profile(lam, n_samples=samples)
     half = prof.phi.values[samples // 2 :]
     rows = zip(prof.r, prof.zeta, half)
-    csv_path = out / "profile.csv"
-    n_rows = _write_csv(csv_path, ["r", "zeta", "phi"], rows)
 
     nodes = prof.phi.mesh.nodes
-    svg_path = out / "profile.svg"
-    svg_path.write_text(
-        render_line_plot(
-            [("phi", nodes, prof.phi.values), ("zeta", prof.r, prof.zeta)],
+    return _write_artifacts(
+        params["out"],
+        "profile",
+        ["r", "zeta", "phi"],
+        rows,
+        dict(
+            series=[("phi", nodes, prof.phi.values), ("zeta", prof.r, prof.zeta)],
             title=f"Yield-onset profile, lambda = {lam:g}",
             xlabel="r",
             ylabel="value",
             dashed=("zeta",),
-        )
-    )
-    json_path = out / "profile.json"
-    _write_json(
-        json_path,
+        ),
         {
             "lambda": lam,
             "theta_Y": prof.theta_Y,
@@ -274,8 +259,6 @@ def _run_profile(params: dict[str, str]) -> int:
             "psi_bar": relaxed_dissipation(prof.phi, lam),
         },
     )
-    print(f"wrote {csv_path} ({n_rows} rows), {svg_path}, {json_path}")
-    return 0
 
 
 def _run_simulate(params: dict[str, str]) -> int:
@@ -289,7 +272,6 @@ def _run_simulate(params: dict[str, str]) -> int:
         raise ConfigError("steps must be >= 1")
     if theta_max <= 0.0:
         raise ConfigError("theta_max must be positive")
-    out = _out_dir(params)
 
     p = NondimParams(lam=lam, Lambda=Lambda, kappa=kappa)
     load = LoadProgram(tuple(np.linspace(0.0, theta_max, steps + 1)))
@@ -309,9 +291,12 @@ def _run_simulate(params: dict[str, str]) -> int:
                 s.stability_bound,
             )
         )
-    csv_path = out / "simulate.csv"
-    n_rows = _write_csv(
-        csv_path,
+    detected = detect_yield(traj)
+    bounds = [s.stability_bound for s in traj.steps]
+    thetas = np.array([r[0] for r in rows])
+    return _write_artifacts(
+        params["out"],
+        "simulate",
         [
             "theta",
             "gamma_max",
@@ -321,12 +306,15 @@ def _run_simulate(params: dict[str, str]) -> int:
             "stability_residual",
         ],
         rows,
-    )
-    detected = detect_yield(traj)
-    bounds = [s.stability_bound for s in traj.steps]
-    json_path = out / "simulate.json"
-    _write_json(
-        json_path,
+        dict(
+            series=[
+                ("max |gamma|", thetas, np.array([r[1] for r in rows])),
+                ("cumulative dissipation", thetas, np.array([r[3] for r in rows])),
+            ],
+            title=f"Incremental evolution, lambda = {lam:g}",
+            xlabel="theta",
+            ylabel="response",
+        ),
         {
             "lambda": lam,
             "Lambda": Lambda,
@@ -347,21 +335,6 @@ def _run_simulate(params: dict[str, str]) -> int:
             },
         },
     )
-    thetas = np.array([r[0] for r in rows])
-    svg_path = out / "simulate.svg"
-    svg_path.write_text(
-        render_line_plot(
-            [
-                ("max |gamma|", thetas, np.array([r[1] for r in rows])),
-                ("cumulative dissipation", thetas, np.array([r[3] for r in rows])),
-            ],
-            title=f"Incremental evolution, lambda = {lam:g}",
-            xlabel="theta",
-            ylabel="response",
-        )
-    )
-    print(f"wrote {csv_path} ({n_rows} rows), {svg_path}, {json_path}")
-    return 0
 
 
 def _run_visco(params: dict[str, str]) -> int:
@@ -376,18 +349,7 @@ def _run_visco(params: dict[str, str]) -> int:
         m_rate=_as_float(params, "m_rate"),
     )
     kind = params["hardening"]
-    if kind == "zero":
-        hardening = Hardening.zero()
-    elif kind == "linear":
-        hardening = Hardening.linear(_as_float(params, "h0"))
-    elif kind == "saturating":
-        hardening = Hardening.saturating(
-            _as_float(params, "h0"), _as_float(params, "S_sat")
-        )
-    else:
-        raise ConfigError(
-            f"key 'hardening': expected zero, linear or saturating, got {kind!r}"
-        )
+    hardening = Hardening(kind, _as_float(params, "h0"), _as_float(params, "S_sat"))
     p = ViscoParams(base=base, hardening=hardening)
 
     tau_max = _as_finite(params, "tau_max")
@@ -398,7 +360,6 @@ def _run_visco(params: dict[str, str]) -> int:
         raise ConfigError("steps must be >= 1")
     if t_end <= 0.0:
         raise ConfigError("t_end must be positive")
-    out = _out_dir(params)
 
     times = np.linspace(0.0, t_end, steps + 1)
     load = [(t, tau_max * t / t_end) for t in times]
@@ -414,20 +375,16 @@ def _run_visco(params: dict[str, str]) -> int:
         )
         for s, (_, tau) in zip(states, load)
     ]
-    csv_path = out / "visco.csv"
-    n_rows = _write_csv(
-        csv_path, ["t", "tau", "gamma_max", "gamma_mass", "S_max"], rows
-    )
 
     u = recover_displacement(states[-1], tau_max, p)
     y = base.h * u.mesh.nodes
-    disp_path = out / "visco_displacement.csv"
-    _write_csv(disp_path, ["y", "u"], zip(y, u.values))
-
-    svg_path = out / "visco.svg"
-    svg_path.write_text(
-        render_line_plot(
-            [
+    return _write_artifacts(
+        params["out"],
+        "visco",
+        ["t", "tau", "gamma_max", "gamma_mass", "S_max"],
+        rows,
+        dict(
+            series=[
                 ("gamma(y) final", y, states[-1].gamma.values),
                 ("u(y) final", y, u.values),
             ],
@@ -435,11 +392,7 @@ def _run_visco(params: dict[str, str]) -> int:
             xlabel="y",
             ylabel="profile",
             dashed=("u(y) final",),
-        )
-    )
-    json_path = out / "visco.json"
-    _write_json(
-        json_path,
+        ),
         {
             "m_rate": base.m_rate,
             "hardening": kind,
@@ -452,13 +405,12 @@ def _run_visco(params: dict[str, str]) -> int:
             "final_S_max": rows[-1][4],
             "final_u_top": float(u.values[-1]),
         },
+        extra=[("visco_displacement.csv", ["y", "u"], zip(y, u.values))],
     )
-    print(f"wrote {csv_path} ({n_rows} rows), {disp_path}, {svg_path}, {json_path}")
-    return 0
 
 
 def _run_verify(params: dict[str, str]) -> int:
-    raw = params.get("only", "")
+    raw = params["only"]
     only = None
     if raw:
         try:
@@ -480,19 +432,6 @@ _RUNNERS = {
     "visco": _run_visco,
     "verify": _run_verify,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Execute a validated config; returns the process exit code."""
-    try:
-        return _RUNNERS[config.command](dict(config.params))
-    except SolverError as err:
-        print(f"solver failure in {config.command!r}: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        # ConfigError and module invariant violations alike
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
 
 
 def _parse_config_file(path: str, command: str) -> dict[str, str]:
@@ -552,18 +491,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command from argv; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
         command = args.command
-        params: dict[str, str] = {}
+        spec = _COMMAND_SPECS[command]
+        params = {k: v for k, v in spec.items() if v is not _REQUIRED}
         if args.config is not None:
             params.update(_parse_config_file(args.config, command))
-        for key in _COMMAND_SPECS[command]:
+        for key in spec:
             value = getattr(args, f"key_{key}")
             if value is not None:
                 params[key] = value
-        return run(RunConfig(command=command, params=params))
-    except ConfigError as err:
+        missing = [k for k in spec if k not in params]
+        if missing:
+            raise ConfigError(
+                f"missing required keys for {command!r}: {', '.join(missing)}"
+            )
+        return _RUNNERS[command](params)
+    except SolverError as err:
+        print(f"solver failure in {command!r}: {err}", file=sys.stderr)
+        return 2
+    except ValueError as err:
+        # ConfigError and module invariant violations alike
         print(f"config error: {err}", file=sys.stderr)
         return 1
 

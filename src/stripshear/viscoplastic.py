@@ -114,11 +114,14 @@ class Hardening:
     def advance(self, S: np.ndarray, dt: float, d: np.ndarray) -> np.ndarray:
         """Strength after a time dt at the frozen flow rate d, exactly.
 
-        Zero and linear laws add dt H d (H does not depend on S, so this is
-        exact, and zero hardening leaves S bit for bit); the Voce law
-        relaxes the gap to S_sat by the factor exp(-dt h0 d / S_sat).
+        Zero hardening returns S itself, bit for bit even where d has
+        overflowed; the linear law adds dt h0 d (exact, as H does not depend
+        on S); the Voce law relaxes the gap to S_sat by the factor
+        exp(-dt h0 d / S_sat).
         """
-        if self.kind != "saturating":
+        if self.kind == "zero":
+            return S
+        if self.kind == "linear":
             return S + dt * self.rate(S) * d
         x = dt * self.h0 * d / self.S_sat
         gap = self.S_sat - S  # rounded where S < S_sat / 2
@@ -407,6 +410,8 @@ def visco_step(
 
     d_nodes = _nodal_flow_rate(x, gamma_n, dt, base, dy)
     S_new = p.hardening.advance(S_nodes, dt, d_nodes)
+    if not (np.isfinite(x).all() and np.isfinite(S_new).all()):
+        raise SolverError("viscoplastic step left a non-finite gamma or strength")
     return ViscoState(
         t=state.t + dt, gamma=Field(mesh, x), S=Field(mesh, S_new)
     )

@@ -85,6 +85,10 @@ _THETA_LINEAR = 1e150
 # form at worst over 400 theta_Y in [1.0001, 100]
 _QUAD_NODES = 128
 
+# the smallest theta_Y yield_integral accepts: below it the integrand's peak
+# narrows past the rule, and the error reaches 7.1e-5 relative at 1 + 1e-6
+_QUAD_THETA_MIN = 1.0001
+
 # |mass| at which a yield_variational probe counts as diverged: 50x the unit
 # mass sought, reached only by runaways above the threshold
 _MASS_CAP = 50.0
@@ -213,9 +217,15 @@ def yield_integral(theta_Y: float) -> float:
     at 1 is gone) and does not cancel near theta_Y = 1.  One fixed
     128-point Gauss-Legendre rule reaches roundoff for
     theta_Y >= 1.0001; closer to 1 the peak at s ~ sqrt(2 (theta_Y - 1))
-    narrows and the rule loses digits.  It never uses the closed form.
+    narrows and the rule loses digits, so a theta_Y below 1.0001 raises
+    ValueError.  It never uses the closed form.
     """
     th = _check_theta_domain(theta_Y)
+    if th < _QUAD_THETA_MIN:
+        raise ValueError(
+            f"theta_Y = {th!r} is below {_QUAD_THETA_MIN!r}, the smallest "
+            "threshold the quadrature resolves"
+        )
     t, w = gauss_legendre(_QUAD_NODES)
     s = 0.5 * math.pi * t
     integrand = np.cos(s) / ((th - 1.0) + 2.0 * np.sin(0.5 * s) ** 2)

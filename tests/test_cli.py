@@ -6,15 +6,23 @@ What is verified:
      (known jump ratio, detected threshold, curve bounds, strength frozen
      without hardening).
   2. CSV floats carry 17 significant digits and round-trip bit-exactly.
-  3. Identical configs give byte-identical artifacts.
-  4. key=value config files merge beneath command-line flags; dashed flag
-     spellings alias underscore keys.  The argument parser is built once
-     per process, and a parse leaves nothing behind for the next one.
+  3. Identical configs give byte-identical artifacts, and each command
+     prints one "wrote ..." line: its CSV with the row count, any extra
+     CSV, then the SVG and the JSON.
+  4. key=value config files merge beneath command-line flags, and both
+     over the command's defaults; dashed flag spellings alias underscore
+     keys.  The argument parser is built once per process, and a parse
+     leaves nothing behind for the next one.  Every stripshear command in
+     the README's "Command line" block parses.
   5. Exit codes: 0 success, 1 config error, 2 solver failure, 3 verify
-     FAIL; --help exits 0 through argparse.  A yield-curve lam outside
-     the formula's domain, and a non-finite grid or load end (lambda_max,
-     theta_max, tau_max, t_end), are config errors that name the bound or
-     the key, with no numpy warning on the way.
+     FAIL; --help exits 0 through argparse.  Missing required keys are
+     named; h0 and S_sat must be numbers whatever the hardening kind.  A
+     yield-curve lam outside the formula's domain, and a non-finite grid
+     or load end (lambda_max, theta_max, tau_max, t_end), are config
+     errors that name the bound or the key, with no numpy warning on the
+     way.  A visco run whose Newton system turns non-finite (d0 = 1e-300),
+     or whose hardening turns an overflowed flow rate into an infinite
+     strength, is a solver failure; zero hardening keeps S through it.
   6. SVG artifacts are standalone documents containing the plotted series.
   7. Importing the CLI in a fresh interpreter loads no scipy module at
      all: the banded solves call the LAPACK numpy already loads, and scipy
@@ -35,9 +43,11 @@ import json
 import math
 import os
 import runpy
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,6 +298,30 @@ def test_simulate_is_byte_deterministic(sim_dir, tmp_path):
     assert _artifact_bytes(tmp_path) == _artifact_bytes(sim_dir)
 
 
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["yield-curve", "--lambda-min", "0.5", "--lambda-max", "2", "--points", "3",
+          "--cells", "16"],
+         ["yield_curve.csv (3 rows)", "yield_curve.svg", "yield_curve.json"]),
+        (["profile", "--lambda", "1", "--samples", "64"],
+         ["profile.csv (33 rows)", "profile.svg", "profile.json"]),
+        (["simulate", "--lambda", "1", "--theta-max", "1", "--steps", "4", "--cells", "16"],
+         ["simulate.csv (5 rows)", "simulate.svg", "simulate.json"]),
+        (["visco", "--tau-max", "0.5", "--steps", "2", "--cells", "8"],
+         ["visco.csv (3 rows)", "visco_displacement.csv", "visco.svg", "visco.json"]),
+    ],
+    ids=["yield-curve", "profile", "simulate", "visco"],
+)
+def test_each_command_prints_one_wrote_line(tmp_path, capsys, argv, files):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    listed = ", ".join(os.path.join(tmp_path, f) for f in files)
+    assert capsys.readouterr().out == f"wrote {listed}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f.split()[0] for f in files
+    )
+
+
 def test_yield_curve_is_byte_deterministic(tmp_path):
     args = [
         "yield-curve",
@@ -369,6 +403,19 @@ def test_parser_is_built_once():
     assert (second.key_lambda, second.key_samples) == ("2", None)
 
 
+def test_readme_commands_parse():
+    # the README examples and the flags cannot drift apart
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("stripshear ")]
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # an unknown flag raises ConfigError
+    assert {argv[0] for argv in commands} == set(cli._COMMAND_SPECS)
+
+
 # ---------------------------------------------------------------- import scope
 
 
@@ -420,6 +467,9 @@ def test_help_exits_zero():
 
 
 def test_config_errors_exit_one(tmp_path, capsys):
+    assert cli.main(["simulate", "--lambda", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "missing required keys for 'simulate': theta_max, steps" in err
     cases = [
         ["simulate"],  # missing required keys
         ["simulate", "--lambda", "abc", "--theta-max", "1", "--steps", "1"],
@@ -427,6 +477,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
         ["profile", "--lambda", "1", "--bogus-flag", "2"],
         ["no-such-command"],
         ["visco", "--tau-max", "1", "--steps", "2", "--hardening", "cubic"],
+        # h0 is parsed whatever the kind; it used to be ignored here
+        ["visco", "--tau-max", "1", "--steps", "2", "--hardening", "zero", "--h0", "abc"],
         # no hardening: the increment past yield would be unbounded
         ["simulate", "--lambda", "1", "--theta-max", "3", "--steps", "2",
          "--cells", "16", "--kappa", "0"],
@@ -484,16 +536,37 @@ def test_solver_failure_exits_two(tmp_path, monkeypatch, capsys):
     assert "solver failure" in err and "synthetic breakdown" in err
 
 
+def test_non_finite_newton_system_exits_two(tmp_path, capsys):
+    # d0 = 1e-300 overflows the power-law mobility: the solves refuse the
+    # non-finite system, the continuation ladder runs, and its failure is a
+    # solver failure, not a config error
+    argv = ["visco", "--tau-max", "1", "--steps", "2", "--cells", "4", "--d0", "1e-300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "try halving dt" in err
+
+
+def test_overflowed_flow_rate(tmp_path, capsys):
+    # at tau = 1e300 the nodal flow rate overflows to inf
+    argv = ["visco", "--tau-max", "1e300", "--steps", "2", "--cells", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        zero = cli.main(argv + ["--out", str(tmp_path / "zero")])
+        linear = cli.main(
+            argv + ["--hardening", "linear", "--h0", "1", "--out", str(tmp_path / "lin")]
+        )
+    # zero hardening keeps S bit for bit (0 * inf would be nan)
+    assert zero == 0
+    _, rows = _read_csv(tmp_path / "zero" / "visco.csv")
+    assert all(float(r[4]) == 1.0 for r in rows)
+    # a hardening law makes the strength infinite: a solver failure
+    assert linear == 2
+    assert "non-finite gamma or strength" in capsys.readouterr().err
+
+
 def test_verify_failure_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_all", lambda only=None: False)
     assert cli.main(["verify"]) == 3
     assert "verify: FAIL" in capsys.readouterr().out
-
-
-def test_run_config_validation():
-    with pytest.raises(cli.ConfigError, match="unknown command"):
-        cli.RunConfig(command="melt", params={})
-    with pytest.raises(cli.ConfigError, match="unknown key"):
-        cli.RunConfig(command="profile", params={"volume": "1"})
-    with pytest.raises(cli.ConfigError, match="missing required"):
-        cli.RunConfig(command="simulate", params={"lambda": "1"})

@@ -11,8 +11,9 @@ What is verified:
   4. The Newton method forms derivatives only at accepted iterates: line
      search trial points cost one evaluate() each.  A start already on the
      merit's roundoff floor returns after that one evaluation.  A step
-     whose linear solve breaks down raises SolverError carrying the
-     current measure, not the solve's LinAlgError.
+     whose linear solve breaks down, or meets a non-finite system, raises
+     SolverError carrying the current measure, not the solve's
+     LinAlgError or ValueError.
   5. The general tridiagonal solve gives scipy.linalg.solve_banded's bits,
      pivoting included, and rejects non-finite systems.
   6. The shared Gauss(3) rule equals both spellings of the rule mapped to
@@ -222,6 +223,17 @@ def test_newton_turns_a_failed_step_solve_into_a_solver_error():
         damped_newton(np.ones(4), evaluate, derivatives, 1e-9, 100)
     assert info.value.residual == 0.25
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def non_finite(x):
+        def newton_step():
+            solve_tridiagonal(np.full((3, x.size), math.nan), np.ones(x.size))
+
+        return 0.5, newton_step
+
+    with pytest.raises(SolverError, match="infs or NaNs") as info:
+        damped_newton(np.ones(4), evaluate, non_finite, 1e-9, 100)
+    assert info.value.residual == 0.5
+    assert type(info.value.__cause__) is ValueError
 
 
 def test_tridiagonal_solve_matches_scipy_bit_for_bit():

@@ -18,7 +18,8 @@ What is verified:
      matches the closed form, stays between S and S_sat to the last bit
      (also for S above S_sat), and hardening fast enough to saturate within
      one step completes instead of crossing S_sat, for every h0 in
-     [0, 500], dt, S_sat and m_rate tried (hypothesis).
+     [0, 500], dt, S_sat and m_rate tried (hypothesis).  Zero hardening
+     returns S itself, even at an overflowed flow rate.
   6. Spatial symmetry of the profile to machine precision, and bitwise
      determinism of repeated identical steps.
   7. Displacement recovery: clamped bottom face, exact uniform-shear and
@@ -500,6 +501,8 @@ def test_voce_step_is_the_exact_solution():
     assert np.allclose(voce.advance(S, dt, d), exact, rtol=1e-15, atol=0.0)
     # zero and linear laws keep the explicit form, which is exact for them
     assert np.array_equal(Hardening.zero().advance(S, dt, d), S)
+    # zero hardening leaves S even at an overflowed rate (0 * inf is nan)
+    assert Hardening.zero().advance(S, dt, np.full_like(S, math.inf)) is S
     lin = Hardening.linear(3.0).advance(S, dt, d)
     assert np.array_equal(lin, S + dt * np.full_like(S, 3.0) * d)
 

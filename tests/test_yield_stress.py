@@ -4,7 +4,8 @@ Anchors used here:
   * The quadrature identity: lambda equals the integral
     int_0^1 dzeta / (theta - sqrt(1 - zeta^2)), evaluated independently by
     yield_integral.  Agreement of lambda_of_theta with that integral is the
-    primary correctness oracle for the closed form.
+    primary correctness oracle for the closed form.  yield_integral refuses
+    theta_Y below 1.0001, where its fixed rule no longer reaches roundoff.
   * Frozen regression values (from the formula, cross-checked against the
     identity at high quadrature order when first recorded):
       lambda_of_theta(sqrt(2)) = 0.5677412133152117
@@ -78,6 +79,16 @@ def test_formula_matches_quadrature_identity():
         theta = math.exp(rng.uniform(math.log(1.001), math.log(50.0)))
         lam = lambda_of_theta(theta)
         assert abs(lam - yield_integral(theta)) <= 1e-13 * max(1.0, lam)
+
+
+def test_quadrature_refuses_thresholds_it_does_not_resolve():
+    # the fixed rule reaches roundoff from 1.0001 up; just below, it would
+    # return up to 7.1e-5 relative error silently
+    lam = lambda_of_theta(1.0001)
+    assert abs(yield_integral(1.0001) - lam) <= 1e-13 * lam
+    for theta in (math.nextafter(1.0001, 1.0), 1.0 + 1e-6):
+        with pytest.raises(ValueError, match="below 1.0001"):
+            yield_integral(theta)
 
 
 def test_round_trip_inversion():
