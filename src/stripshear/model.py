@@ -122,10 +122,7 @@ def nondimensionalize(p: PhysicalParams) -> NondimParams:
     factor leaves the result unchanged.  Zero gradient lengths are rejected
     here because the renormalized model requires lam > 0 and Lambda > 0.
     """
-    h = p.h
-    if not math.isfinite(h) or h <= 0.0:
-        raise ValueError(f"h must be finite and strictly positive, got {h}")
-    return NondimParams(lam=p.ell / h, Lambda=p.L / h, kappa=p.kappa)
+    return NondimParams(lam=p.ell / p.h, Lambda=p.L / p.h, kappa=p.kappa)
 
 
 def local_flow_response(theta, kappa: float):

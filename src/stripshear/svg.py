@@ -1,7 +1,7 @@
 """Minimal deterministic SVG line plots (no plotting dependency).
 
-Only what the CLI artifacts need: a framed axes box, linear or log10
-scales, tick labels, legended polylines.  Output is a plain string built
+Only what the CLI artifacts need: a framed axes box, a linear or log10
+x scale, tick labels, legended polylines.  Output is a plain string built
 in a fixed order so identical inputs give byte-identical files.
 """
 
@@ -30,8 +30,6 @@ def _ticks(lo: float, hi: float, log: bool) -> list[float]:
         if d1 - d0 >= 1:
             step = max(1, (d1 - d0) // 4)
             return [float(d) for d in range(d0, d1 + 1, step)]
-    if hi == lo:
-        return [lo]
     return [lo + k * (hi - lo) / 4.0 for k in range(5)]
 
 
@@ -45,12 +43,11 @@ def render_line_plot(
     xlabel: str,
     ylabel: str,
     logx: bool = False,
-    logy: bool = False,
     dashed: Sequence[str] = (),
 ) -> str:
     """Render (label, x, y) series to an SVG document string.
 
-    Non-finite points (and non-positive ones on log axes) are dropped per
+    Non-finite points (and non-positive x on a log axis) are dropped per
     series before plotting.
     """
     cleaned = []
@@ -60,19 +57,16 @@ def render_line_plot(
         keep = np.isfinite(x) & np.isfinite(y)
         if logx:
             keep &= x > 0.0
-        if logy:
-            keep &= y > 0.0
         if np.any(keep):
             cleaned.append((label, x[keep], y[keep]))
     if not cleaned:
         raise ValueError("no finite data to plot")
 
     tx = [_transform(x, logx) for _, x, _ in cleaned]
-    ty = [_transform(y, logy) for _, _, y in cleaned]
     x_lo = min(float(np.min(v)) for v in tx)
     x_hi = max(float(np.max(v)) for v in tx)
-    y_lo = min(float(np.min(v)) for v in ty)
-    y_hi = max(float(np.max(v)) for v in ty)
+    y_lo = min(float(np.min(y)) for _, _, y in cleaned)
+    y_hi = max(float(np.max(y)) for _, _, y in cleaned)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:
@@ -112,9 +106,9 @@ def render_line_plot(
         out.append(
             f'<text x="{px[0]:.2f}" y="{py0 + 20:.2f}" text-anchor="middle">{label}</text>'
         )
-    for t in _ticks(y_lo, y_hi, logy):
+    for t in _ticks(y_lo, y_hi, False):
         _, py = to_px(np.array([x_lo]), np.array([t]))
-        label = _fmt(10.0**t) if logy else _fmt(t)
+        label = _fmt(t)
         out.append(
             f'<line x1="{px0 - 5:.2f}" y1="{py[0]:.2f}" x2="{px0:.2f}" '
             f'y2="{py[0]:.2f}" stroke="black"/>'
@@ -124,7 +118,7 @@ def render_line_plot(
         )
 
     for k, (label, x, y) in enumerate(cleaned):
-        px, py = to_px(_transform(x, logx), _transform(y, logy))
+        px, py = to_px(_transform(x, logx), y)
         pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
         color = _PALETTE[k % len(_PALETTE)]
         dash = ' stroke-dasharray="6,4"' if label in dashed else ""

@@ -85,12 +85,11 @@ class Hardening:
         h0 = float(self.h0)
         if not math.isfinite(h0) or h0 < 0.0:
             raise ValueError(f"h0 must be finite and nonnegative, got {h0}")
-        if self.kind == "saturating":
-            s = float(self.S_sat)
-            if not math.isfinite(s) or s <= 0.0:
-                raise ValueError(f"S_sat must be finite and positive, got {s}")
-            object.__setattr__(self, "S_sat", s)
+        s = float(self.S_sat)
+        if not s > 0.0 or (self.kind == "saturating" and s == math.inf):
+            raise ValueError(f"S_sat must be positive (finite if saturating), got {s}")
         object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "S_sat", s)
 
     @classmethod
     def zero(cls) -> "Hardening":
@@ -325,7 +324,8 @@ def visco_step(
     is then advanced by Hardening.advance, exactly for the accepted flow
     rate, so a saturating strength never crosses S_sat.  gamma_init, when
     given, seeds Newton (a warm start from the previous increment);
-    otherwise a nodal power-law inversion of the overstress is used.  If
+    otherwise a nodal power-law inversion of the overstress is used.  The
+    cold start is built only without gamma_init.  If
     the sharp problem resists (rates trapped in the regularization corner
     crawl out of it only geometrically), the step is re-solved by
     continuation over a decade ladder of smoothing widths down to the
@@ -375,41 +375,39 @@ def visco_step(
             x0, *make_merit(eps), tol, DEFAULT_OPTIONS.max_newton_iters
         )[0]
 
-    candidates = []
-    if gamma_init is not None:
-        xg = np.array(gamma_init, dtype=float)
-        if xg.shape != gamma_n.shape:
+    if gamma_init is None:
+        start = _powerlaw_predictor(gamma_n, S_nodes, tau_next, dt, base)
+    else:
+        start = np.array(gamma_init, dtype=float)
+        if start.shape != gamma_n.shape:
             raise ValueError("gamma_init shape does not match the mesh")
-        xg[0] = xg[-1] = 0.0
-        candidates.append(xg)
-    # a warm start extrapolated across a load reversal can sit on the wrong
-    # side of the power-law corner; keep the cold start in the running
-    candidates.append(_powerlaw_predictor(gamma_n, S_nodes, tau_next, dt, base))
-    evaluate = make_merit(eps_v)[0]
-    start = min(candidates, key=lambda c: evaluate(c)[0])
+        start[0] = start[-1] = 0.0
 
-    try:
-        x = solve(start, eps_v)
-    except SolverError:
-        # continuation: relax the corner by widening the rate smoothing,
-        # then sharpen it one decade at a time back to eps_v; a level that
-        # fails hands its start on to the next
-        x, level = start, 1e-2 * base.d0
-        while level > eps_v:
-            with contextlib.suppress(SolverError):
-                x = solve(x, level)
-            level *= 0.1
+    # an extreme power law overflows or divides by zero; the solves refuse
+    # a non-finite system and the step a non-finite gamma or strength
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         try:
-            x = solve(x, eps_v)
-        except SolverError as err:
-            raise SolverError(
-                f"viscoplastic Newton did not converge (residual "
-                f"{err.residual:.3e}, tolerance {tol:.3e}); try halving dt",
-                residual=err.residual,
-            ) from err
+            x = solve(start, eps_v)
+        except SolverError:
+            # continuation: relax the corner by widening the rate smoothing,
+            # then sharpen it one decade at a time back to eps_v; a level that
+            # fails hands its start on to the next
+            x, level = start, 1e-2 * base.d0
+            while level > eps_v:
+                with contextlib.suppress(SolverError):
+                    x = solve(x, level)
+                level *= 0.1
+            try:
+                x = solve(x, eps_v)
+            except SolverError as err:
+                raise SolverError(
+                    f"viscoplastic Newton did not converge (residual "
+                    f"{err.residual:.3e}, tolerance {tol:.3e}); try halving dt",
+                    residual=err.residual,
+                ) from err
 
-    d_nodes = _nodal_flow_rate(x, gamma_n, dt, base, dy)
-    S_new = p.hardening.advance(S_nodes, dt, d_nodes)
+        d_nodes = _nodal_flow_rate(x, gamma_n, dt, base, dy)
+        S_new = p.hardening.advance(S_nodes, dt, d_nodes)
     if not (np.isfinite(x).all() and np.isfinite(S_new).all()):
         raise SolverError("viscoplastic step left a non-finite gamma or strength")
     return ViscoState(

@@ -16,14 +16,18 @@ What is verified:
      the README's "Command line" block parses.
   5. Exit codes: 0 success, 1 config error, 2 solver failure, 3 verify
      FAIL; --help exits 0 through argparse.  Missing required keys are
-     named; h0 and S_sat must be numbers whatever the hardening kind.  A
+     named; h0 and S_sat must be numbers whatever the hardening kind, and
+     S_sat positive (NaN and -3 are refused; +inf is the default).  A
      yield-curve lam outside the formula's domain, and a non-finite grid
      or load end (lambda_max, theta_max, tau_max, t_end), are config
      errors that name the bound or the key, with no numpy warning on the
      way.  A visco run whose Newton system turns non-finite (d0 = 1e-300),
      or whose hardening turns an overflowed flow rate into an infinite
      strength, is a solver failure; zero hardening keeps S through it.
-  6. SVG artifacts are standalone documents containing the plotted series.
+     Neither run prints a numpy warning.
+  6. SVG artifacts are standalone documents containing the plotted series;
+     series with no finite point (or no positive x on a log axis) are
+     refused.
   7. Importing the CLI in a fresh interpreter loads no scipy module at
      all: the banded solves call the LAPACK numpy already loads, and scipy
      would cost start-up time and resident memory nothing else needs.
@@ -55,6 +59,7 @@ import pytest
 import stripshear
 import stripshear.cli as cli
 from stripshear import SolverError
+from stripshear.svg import render_line_plot
 
 
 def _read_csv(path):
@@ -274,6 +279,15 @@ def test_visco_artifacts(tmp_path):
     assert "<svg" in (tmp_path / "visco.svg").read_text()
 
 
+def test_svg_refuses_series_with_no_finite_point():
+    series = [("nan", [math.nan, 1.0], [0.0, math.inf]), ("empty", [], [])]
+    with pytest.raises(ValueError, match="no finite data to plot"):
+        render_line_plot(series, "title", "x", "y")
+    # on a log axis a nonpositive x is no data either
+    with pytest.raises(ValueError, match="no finite data to plot"):
+        render_line_plot([("x <= 0", [0.0, -1.0], [1.0, 2.0])], "t", "x", "y", logx=True)
+
+
 def test_verify_single_criterion(capsys):
     assert cli.main(["verify", "--only", "11"]) == 0
     out = capsys.readouterr().out
@@ -479,6 +493,11 @@ def test_config_errors_exit_one(tmp_path, capsys):
         ["visco", "--tau-max", "1", "--steps", "2", "--hardening", "cubic"],
         # h0 is parsed whatever the kind; it used to be ignored here
         ["visco", "--tau-max", "1", "--steps", "2", "--hardening", "zero", "--h0", "abc"],
+        # S_sat must be positive whatever the kind; +inf is the default
+        ["visco", "--tau-max", "1.5", "--steps", "2", "--cells", "4",
+         "--hardening", "linear", "--h0", "1", "--S-sat", "nan"],
+        ["visco", "--tau-max", "1.5", "--steps", "2", "--cells", "4",
+         "--hardening", "linear", "--h0", "1", "--S-sat", "-3"],
         # no hardening: the increment past yield would be unbounded
         ["simulate", "--lambda", "1", "--theta-max", "3", "--steps", "2",
          "--cells", "16", "--kappa", "0"],
@@ -541,9 +560,7 @@ def test_non_finite_newton_system_exits_two(tmp_path, capsys):
     # non-finite system, the continuation ladder runs, and its failure is a
     # solver failure, not a config error
     argv = ["visco", "--tau-max", "1", "--steps", "2", "--cells", "4", "--d0", "1e-300"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "solver failure" in err and "try halving dt" in err
 
@@ -551,12 +568,10 @@ def test_non_finite_newton_system_exits_two(tmp_path, capsys):
 def test_overflowed_flow_rate(tmp_path, capsys):
     # at tau = 1e300 the nodal flow rate overflows to inf
     argv = ["visco", "--tau-max", "1e300", "--steps", "2", "--cells", "4"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        zero = cli.main(argv + ["--out", str(tmp_path / "zero")])
-        linear = cli.main(
-            argv + ["--hardening", "linear", "--h0", "1", "--out", str(tmp_path / "lin")]
-        )
+    zero = cli.main(argv + ["--out", str(tmp_path / "zero")])
+    linear = cli.main(
+        argv + ["--hardening", "linear", "--h0", "1", "--out", str(tmp_path / "lin")]
+    )
     # zero hardening keeps S bit for bit (0 * inf would be nan)
     assert zero == 0
     _, rows = _read_csv(tmp_path / "zero" / "visco.csv")

@@ -1,7 +1,9 @@
 """Quasistatic evolution by incremental minimization.
 
 What is verified:
-  1. Load program validation.
+  1. Load program validation; increment_solve and stability_residual
+     refuse a gamma with a nonzero face value, and detect_yield reports a
+     trajectory that flows at its first load at that load.
   2. Below the threshold the trajectory is identically zero (to solver
      tolerance) and no flow is reported.
   3. A medium-resolution run detects the threshold at the known value for
@@ -89,6 +91,21 @@ def test_load_program_validation():
         LoadProgram((0.0, math.nan))
     with pytest.raises(ValueError):
         LoadProgram(())
+
+
+def test_solves_refuse_an_unclamped_gamma():
+    gamma = Field(make_mesh(8), np.r_[np.zeros(8), 1e-3])
+    for solve in (increment_solve, stability_residual):
+        with pytest.raises(ValueError, match="homogeneous boundary values"):
+            solve(gamma, 0.5, P_REF)
+
+
+def test_flow_at_the_first_step_is_reported_there():
+    # a hand-built trajectory that has flowed already at its first load
+    flowed = Field(make_mesh(8), np.r_[0.0, np.full(7, 1e-3), 0.0])
+    steps = [incremental.TrajectoryStep(theta, flowed, 0.0, 0.0, 0.0) for theta in (0.5, 0.75)]
+    detected = detect_yield(incremental.Trajectory(P_REF, steps))
+    assert detected == (0.5, 0.25, True)
 
 
 # ------------------------------------------------------------- below threshold

@@ -30,10 +30,12 @@ What is verified:
   9. Failure plumbing: visco_step wraps a non-converged Newton solve in
      SolverError with the residual, simulate_visco adds the load point; on
      a real step whose direct solve fails, the continuation ladder over
-     wider rate smoothings runs and rescues it.
+     wider rate smoothings runs and rescues it.  A given gamma_init is the
+     Newton start: the cold power-law start is built only without one.
  10. Work bound: the unloading steps of a load-unload series stop at the
-     residual's roundoff floor instead of backtracking inside it, so the
-     series costs a few hundred residual evaluations.
+     residual's roundoff floor instead of backtracking inside it, and each
+     warm-started step evaluates no cold start, so the 20-step series
+     costs at most 320 residual evaluations.
  11. The residual equals an independent per-Gauss-point loop, and its
      banded Jacobian equals central differences of it at a loading and an
      unloading iterate, with identity rows at the clamped faces.
@@ -119,6 +121,12 @@ def test_hardening_laws():
         dict(kind="linear", h0=math.nan),
         dict(kind="saturating", h0=1.0, S_sat=0.0),
         dict(kind="saturating", h0=1.0, S_sat=math.inf),
+        dict(kind="zero", S_sat=math.nan),
+        dict(kind="linear", h0=1.0, S_sat=math.nan),
+        dict(kind="linear", h0=1.0, S_sat=-3.0),
+        dict(kind="linear", h0=1.0, S_sat=0.0),
+        dict(kind="linear", h0=1.0, S_sat=-math.inf),
+        dict(kind="saturating", h0=1.0, S_sat=math.nan),
     ],
 )
 def test_hardening_validation(bad):
@@ -429,6 +437,20 @@ def test_continuation_ladder_rescues_a_failed_step(monkeypatch):
     assert np.isfinite(st.gamma.values).all() and np.isfinite(st.S.values).all()
 
 
+def test_a_given_start_is_the_newton_start(monkeypatch):
+    # the cold power-law start is built only when no gamma_init is given
+    def no_cold_start(*args):
+        raise AssertionError("cold start built")
+
+    monkeypatch.setattr(viscoplastic, "_powerlaw_predictor", no_cold_start)
+    p = _params(0.2)
+    mesh = make_mesh(16)
+    st = visco_step(ViscoState.virgin(mesh, p), 1.5, 0.1, p, np.zeros(17))
+    assert st.t == 0.1 and np.isfinite(st.gamma.values).all()
+    with pytest.raises(AssertionError, match="cold start built"):
+        visco_step(ViscoState.virgin(mesh, p), 1.5, 0.1, p)
+
+
 def test_simulate_reports_failing_load_point(monkeypatch):
     def explode(state, tau_next, dt, p, gamma_init=None):
         raise SolverError("inner failure", residual=7.0)
@@ -465,8 +487,9 @@ def test_unloading_steps_stop_at_the_roundoff_floor(monkeypatch):
     assert len(states) == 21
     S = np.array([st.S.values for st in states])
     assert np.all((1.0 <= S) & (S <= 1.5))
-    # backtracking inside the floor took 7,548 evaluations here
-    assert len(calls) <= 1000
+    # backtracking inside the floor took 7,548 evaluations here, and ranking
+    # a cold start against each warm start 338
+    assert len(calls) <= 320
 
 
 def test_fast_saturating_hardening_completes():
