@@ -363,16 +363,18 @@ def solve_banded_spd(banded: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve_tridiagonal(
+    sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
     """Solve a general tridiagonal system by gtsv (partial pivoting).
 
-    ab holds the superdiagonal, diagonal and subdiagonal in its rows, as
-    scipy.linalg.solve_banded((1, 1), ab, rhs) reads them; the result is
-    that call's, bit for bit.
+    diag holds the n diagonal entries; sub[i] and sup[i] the n - 1 entries
+    at (i + 1, i) and (i, i + 1).  The result is that of
+    scipy.linalg.solve_banded((1, 1), ...) on the same matrix, bit for bit.
     """
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+    if not np.isfinite(np.concatenate((sub, diag, sup, rhs))).all():
         raise ValueError("Newton system contains infs or NaNs")
-    x, info = _GTSV(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    x, info = _GTSV(sub, diag, sup, rhs)
     if info != 0:
         raise LinAlgError("singular matrix")
     return x

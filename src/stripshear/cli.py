@@ -13,10 +13,10 @@ error, 2 solver failure, 3 verify FAIL.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -124,15 +124,14 @@ def _as_int(params: dict[str, str], key: str) -> int:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> int:
-    """RFC-4180-style CSV; floats at 17 significant digits."""
-    count = 0
+    """CSV with \\r\\n line ends; floats at 17 significant digits."""
+    table = np.asarray(rows)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{x:.17g}" for x in row])
-            count += 1
-    return count
+        f.write(",".join(header) + "\r\n")
+        for row in table:
+            f.write(line % tuple(row))
+    return len(table)
 
 
 def _write_artifacts(
@@ -148,25 +147,30 @@ def _write_artifacts(
 
     extra holds (file name, header, rows) for further CSV files, written and
     listed after <stem>.csv.  plot holds render_line_plot's arguments; the
-    SVG is rendered once the CSV files are written, so that the document
-    and the CSV writing never hold memory at the same time.  Prints the one
-    "wrote ..." line; returns exit 0.
+    SVG is rendered once the CSV files are written and rows is released, so
+    that the document and the CSV table never hold memory at the same time.
+    Prints the one "wrote ..." line; returns exit 0.  A file system error is
+    a ConfigError naming out_dir.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{stem}.csv"
-    n_rows = _write_csv(csv_path, header, rows)
-    written = [f"{csv_path} ({n_rows} rows)"]
-    for name, extra_header, extra_rows in extra:
-        path = out / name
-        _write_csv(path, extra_header, extra_rows)
-        written.append(str(path))
-    svg_path = out / f"{stem}.svg"
-    svg_path.write_text(render_line_plot(**plot))
-    json_path = out / f"{stem}.json"
-    with open(json_path, "w") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        csv_path = out / f"{stem}.csv"
+        n_rows = _write_csv(csv_path, header, rows)
+        del rows
+        written = [f"{csv_path} ({n_rows} rows)"]
+        for name, extra_header, extra_rows in extra:
+            path = out / name
+            _write_csv(path, extra_header, extra_rows)
+            written.append(str(path))
+        svg_path = out / f"{stem}.svg"
+        svg_path.write_text(render_line_plot(**plot))
+        json_path = out / f"{stem}.json"
+        with open(json_path, "w") as f:
+            json.dump(summary, f, sort_keys=True, indent=2)
+            f.write("\n")
+    except OSError as err:
+        raise ConfigError(f"cannot write to --out {out_dir!r}: {err}") from err
     print(f"wrote {', '.join(written)}, {svg_path}, {json_path}")
     return 0
 
@@ -237,14 +241,13 @@ def _run_profile(params: dict[str, str]) -> int:
 
     prof = minimizer_profile(lam, n_samples=samples)
     half = prof.phi.values[samples // 2 :]
-    rows = zip(prof.r, prof.zeta, half)
 
     nodes = prof.phi.mesh.nodes
     return _write_artifacts(
         params["out"],
         "profile",
         ["r", "zeta", "phi"],
-        rows,
+        np.column_stack((prof.r, prof.zeta, half)),
         dict(
             series=[("phi", nodes, prof.phi.values), ("zeta", prof.r, prof.zeta)],
             title=f"Yield-onset profile, lambda = {lam:g}",
@@ -405,7 +408,7 @@ def _run_visco(params: dict[str, str]) -> int:
             "final_S_max": rows[-1][4],
             "final_u_top": float(u.values[-1]),
         },
-        extra=[("visco_displacement.csv", ["y", "u"], zip(y, u.values))],
+        extra=[("visco_displacement.csv", ["y", "u"], np.column_stack((y, u.values)))],
     )
 
 
@@ -462,14 +465,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_parser: argparse.ArgumentParser | None = None
-
-
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser of main, built on the first call and then reused."""
-    global _parser
-    if _parser is not None:
-        return _parser
     parser = _Parser(
         prog="stripshear",
         description="Strain-gradient plasticity laboratory for the sheared strip",
@@ -486,7 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
             cp.add_argument(
                 *flags, dest=f"key_{key}", default=None, help=f"{key}{req}"
             )
-    _parser = parser
     return parser
 
 

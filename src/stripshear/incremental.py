@@ -196,11 +196,14 @@ class DetectedYield(NamedTuple):
 # discrete operators
 
 
-def _energy_banded(mesh: Mesh, p: NondimParams) -> np.ndarray:
+def _energy_banded(mesh: Mesh, kappa: float, Lambda: float) -> np.ndarray:
     """Banded (upper form) matrix of the quadratic form 2*E, i.e. E = 0.5 x'Ax.
 
     A = kappa * (Mq + Lambda^2 K) with Mq the exact piecewise-linear mass
-    matrix and K the stiffness matrix.
+    matrix and K the stiffness matrix.  At kappa = 1, Lambda = lam, A is the
+    dual Gram matrix c B: B maps nodal values to (u, lam u_r) at the Gauss
+    points and c is its adjoint (rule weights included); Gauss(3) integrates
+    both products exactly.
     """
     n = mesh.n_cells
     dr = mesh.dr
@@ -210,9 +213,9 @@ def _energy_banded(mesh: Mesh, p: NondimParams) -> np.ndarray:
     m_off = dr / 6.0
     k_diag = 1.0 / dr
     k_off = -1.0 / dr
-    Lam2 = p.Lambda * p.Lambda
-    cell_diag = p.kappa * (m_diag + Lam2 * k_diag)
-    cell_off = p.kappa * (m_off + Lam2 * k_off)
+    Lam2 = Lambda * Lambda
+    cell_diag = kappa * (m_diag + Lam2 * k_diag)
+    cell_off = kappa * (m_off + Lam2 * k_off)
     diag[:-1] += cell_diag
     diag[1:] += cell_diag
     sup[1:] = cell_off
@@ -250,16 +253,6 @@ def _clamped(x: np.ndarray) -> np.ndarray:
     return full
 
 
-def _dual_gram(mesh: Mesh, lam: float) -> np.ndarray:
-    """K = c B: the P1 mass plus lam^2 stiffness matrix, banded (upper form).
-
-    B maps nodal values to (u, lam u_r) at the Gauss points and c is its
-    adjoint (rule weights included); Gauss(3) integrates both products
-    exactly, so K is the energy matrix at kappa = 1, Lambda = lam.
-    """
-    return _energy_banded(mesh, NondimParams(lam=lam, Lambda=lam, kappa=1.0))
-
-
 def _dual_field(
     psi: SmoothedDissipation,
     rad,
@@ -273,8 +266,9 @@ def _dual_field(
     rad holds the radii of Psi_eps at some field and g the interior entries
     of its gradient, so (u, lam u_r) / R has c = g.  Divided by w it misses
     target by rho = g / w - target, which the minimum-norm field B K^-1 rho
-    (K from _dual_gram, interior block) removes.  Returns (xi_u, xi_s),
-    laid out as rad.u and rad.ls.
+    removes; K is the dual Gram matrix _energy_banded(mesh, 1.0, lam), of
+    which the interior block is used.  Returns (xi_u, xi_s), laid out as
+    rad.u and rad.ls.
     """
     fix = psi.radius(_clamped(solve_banded_spd(K[:, 1:-1], g / w - target)), 0.0)
     wR = w * rad.R
@@ -364,7 +358,7 @@ def _threshold_dual(mesh: Mesh, lam: float) -> _ThresholdDual:
     rad = psi.radius(v, DEFAULT_OPTIONS.epsilon_schedule[-1])
     g = psi.grad_hess(rad)[0][1:-1]
     w = float(m @ g) / float(m @ m)
-    xi_u, xi_s = _dual_field(psi, rad, g, w, m, _dual_gram(mesh, lam))
+    xi_u, xi_s = _dual_field(psi, rad, g, w, m, _energy_banded(mesh, 1.0, lam))
     lower = _dual_shrink(n, lam) / _max_norm(xi_u, xi_s)
     upper = psi.value(v, 0.0) / float(m @ x)
     return _ThresholdDual(v, xi_u, xi_s, lower, upper)
@@ -396,7 +390,7 @@ class _IncrementProblem:
             )
         self.mesh = mesh
         self.p = p
-        self.A = _energy_banded(mesh, p)
+        self.A = _energy_banded(mesh, p.kappa, p.Lambda)
         self.A_abs = np.abs(self.A)
         self.m = mass_vector(mesh)
         self.psi = SmoothedDissipation(mesh, p.lam)
@@ -514,7 +508,7 @@ class _IncrementProblem:
 
     @cached_property
     def _gram(self) -> np.ndarray:
-        return _dual_gram(self.mesh, self.p.lam)
+        return _energy_banded(self.mesh, 1.0, self.p.lam)
 
     def stability_bound(
         self, gamma_prev: np.ndarray, gamma: np.ndarray, theta: float
@@ -582,7 +576,8 @@ def increment_solve(
         raise ValueError(f"theta must be finite, got {theta}")
     _require_clamped(gamma_prev)
     prob = _IncrementProblem(gamma_prev.mesh, p)
-    x, _ = prob._solve(gamma_prev.values, theta, None)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x, _ = prob._solve(gamma_prev.values, theta, None)
     return Field(gamma_prev.mesh, x)
 
 
@@ -605,41 +600,44 @@ def evolve(
     zeros = np.zeros(mesh.n_cells + 1)
     steps = []
     gamma_prev = gamma_back = zeros
-    for k, theta in enumerate(load.theta_steps):
-        evaluations, retries = prob.evaluations, prob.retries
-        if k == 0:
-            gamma = zeros
-            dinc = bound = 0.0
-        else:
-            start = None
-            if gamma_prev.any():
-                # secant predictor through the last two states (step 0 is
-                # the virgin state, so a flowed gamma_prev means k >= 2)
-                theta_prev = load.theta_steps[k - 1]
-                slope = (theta - theta_prev) / (theta_prev - load.theta_steps[k - 2])
-                start = gamma_prev + slope * (gamma_prev - gamma_back)
-            try:
-                gamma, bound = prob.solve_certified(gamma_prev, theta, start)
-            except SolverError as err:
-                raise SolverError(
-                    f"load step {k} (theta = {theta:g}) failed: {err}",
-                    residual=err.residual,
-                    step=k,
-                ) from err
-            dinc = prob.psi.value(gamma - gamma_prev, 0.0)
-        fld = Field(mesh, gamma)
-        steps.append(
-            TrajectoryStep(
-                theta=float(theta),
-                gamma=fld,
-                dissipation_increment=float(dinc),
-                total_energy=total_energy(theta, fld, p),
-                stability_bound=bound,
-                evaluations=prob.evaluations - evaluations,
-                retried=prob.retries > retries,
+    # an extreme load or modulus overflows; the solves refuse a non-finite
+    # system and Field a non-finite state
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for k, theta in enumerate(load.theta_steps):
+            evaluations, retries = prob.evaluations, prob.retries
+            if k == 0:
+                gamma = zeros
+                dinc = bound = 0.0
+            else:
+                start = None
+                if gamma_prev.any():
+                    # secant predictor through the last two states (step 0 is
+                    # the virgin state, so a flowed gamma_prev means k >= 2)
+                    theta_prev = load.theta_steps[k - 1]
+                    slope = (theta - theta_prev) / (theta_prev - load.theta_steps[k - 2])
+                    start = gamma_prev + slope * (gamma_prev - gamma_back)
+                try:
+                    gamma, bound = prob.solve_certified(gamma_prev, theta, start)
+                except SolverError as err:
+                    raise SolverError(
+                        f"load step {k} (theta = {theta:g}) failed: {err}",
+                        residual=err.residual,
+                        step=k,
+                    ) from err
+                dinc = prob.psi.value(gamma - gamma_prev, 0.0)
+            fld = Field(mesh, gamma)
+            steps.append(
+                TrajectoryStep(
+                    theta=float(theta),
+                    gamma=fld,
+                    dissipation_increment=float(dinc),
+                    total_energy=total_energy(theta, fld, p),
+                    stability_bound=bound,
+                    evaluations=prob.evaluations - evaluations,
+                    retried=prob.retries > retries,
+                )
             )
-        )
-        gamma_prev, gamma_back = gamma, gamma_prev
+            gamma_prev, gamma_back = gamma, gamma_prev
     return Trajectory(params=p, steps=tuple(steps))
 
 
@@ -663,7 +661,7 @@ def stability_residual(
     # E_tot(gamma) - E_tot(competitor) - Psi(d) from d alone: the two
     # totals are far larger than their difference
     d = competitor.values - gamma.values
-    A = _energy_banded(gamma.mesh, p)
+    A = _energy_banded(gamma.mesh, p.kappa, p.Lambda)
     r = theta * mass_vector(gamma.mesh) - _banded_matvec(A, gamma.values)
     defect = float(d @ r) - 0.5 * float(d @ _banded_matvec(A, d))
     return max(0.0, defect - dissipation(Field(gamma.mesh, d), p.lam))

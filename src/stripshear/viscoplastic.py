@@ -228,9 +228,10 @@ def _residual(
 
 
 def _jacobian(state):
-    """Banded (1, 1) Jacobian of the residual at the iterate of state.
+    """Tridiagonal Jacobian of the residual at the iterate of state.
 
-    Rows for the clamped boundary nodes are identities.
+    Returns (sub, diag, sup) as solve_tridiagonal takes them.  Rows for the
+    clamped boundary nodes are identities.
     """
     a_q, b_q, S_q, P, d2, dt, p, dy = state
     ell2 = p.ell * p.ell
@@ -250,17 +251,12 @@ def _jacobian(state):
     np.subtract(A, df[0, 1], out=df[0, 0])
     np.subtract(C, df[1, 1], out=df[1, 0])
     (c_ll, c_lr), (c_rl, c_rr) = _cell_sums(df[0], df[1], dy)
-
-    ab = np.empty((3, c_ll.size + 1))
-    ab[0, 0] = ab[2, -1] = 0.0
-    ab[0, 1:] = c_lr  # superdiagonal
-    ab[2, :-1] = c_rl  # subdiagonal
-    assemble(c_ll, c_rr, out=ab[1])
+    diag = assemble(c_ll, c_rr)
 
     # clamped boundary rows
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[0, 1] = ab[2, -2] = 0.0
-    return ab
+    diag[0] = diag[-1] = 1.0
+    c_lr[0] = c_rl[-1] = 0.0
+    return c_rl, diag, c_lr
 
 
 def _nodal_flow_rate(gamma, gamma_n, dt: float, p: PhysicalParams, dy: float):
@@ -296,17 +292,18 @@ def _powerlaw_predictor(gamma_n, S_nodes, tau: float, dt: float, p: PhysicalPara
     return x
 
 
-def _residual_noise(ab, x) -> float:
+def _residual_noise(sub, diag, sup, x) -> float:
     """Float64 floor of the residual: eps times the row scale of |J| |x|.
 
+    J is the tridiagonal Jacobian (sub, diag, sup) as _jacobian returns it.
     Near a rate reversal the power-law mobility makes Jacobian rows as
     large as P(eps_v) / dt, so one ulp of x moves the residual by this
     much; no representable iterate can land below it.
     """
     ax = np.abs(x)
-    s = np.abs(ab[1]) * ax
-    s[:-1] += np.abs(ab[0][1:]) * ax[1:]
-    s[1:] += np.abs(ab[2][:-1]) * ax[:-1]
+    s = np.abs(diag) * ax
+    s[:-1] += np.abs(sup) * ax[1:]
+    s[1:] += np.abs(sub) * ax[:-1]
     return 8.0 * np.finfo(float).eps * float(np.max(s))
 
 
@@ -360,11 +357,11 @@ def visco_step(
             rnorm, x, R, rstate = mstate
 
             def newton_step():
-                ab = _jacobian(rstate)
-                step = solve_tridiagonal(ab, -R)
+                J = _jacobian(rstate)
+                step = solve_tridiagonal(*J, -R)
                 # pivoting leaves ulps in the clamped rows; the faces stay 0
                 step[0] = step[-1] = 0.0
-                return step, -rnorm, 0.5 * _residual_noise(ab, x)
+                return step, -rnorm, 0.5 * _residual_noise(*J, x)
 
             return rnorm, newton_step
 

@@ -17,17 +17,22 @@ What is verified:
   5. Exit codes: 0 success, 1 config error, 2 solver failure, 3 verify
      FAIL; --help exits 0 through argparse.  Missing required keys are
      named; h0 and S_sat must be numbers whatever the hardening kind, and
-     S_sat positive (NaN and -3 are refused; +inf is the default).  A
+     S_sat positive (NaN and -3 are refused; +inf is the default); steps,
+     t_end, the yield-curve range and points, and verify's selection are
+     checked; an --out that cannot be written (a file) is a one-line
+     config error naming it.  A
      yield-curve lam outside the formula's domain, and a non-finite grid
      or load end (lambda_max, theta_max, tau_max, t_end), are config
      errors that name the bound or the key, with no numpy warning on the
      way.  A visco run whose Newton system turns non-finite (d0 = 1e-300),
      or whose hardening turns an overflowed flow rate into an infinite
      strength, is a solver failure; zero hardening keeps S through it.
-     Neither run prints a numpy warning.
+     Neither run prints a numpy warning, nor does a simulate run that
+     overflows (theta_max 1e300, Lambda 1e200, kappa 1e-300) on its way
+     to a solver failure.
   6. SVG artifacts are standalone documents containing the plotted series;
      series with no finite point (or no positive x on a log axis) are
-     refused.
+     refused, and a single x value is widened to a unit range.
   7. Importing the CLI in a fresh interpreter loads no scipy module at
      all: the banded solves call the LAPACK numpy already loads, and scipy
      would cost start-up time and resident memory nothing else needs.
@@ -279,6 +284,13 @@ def test_visco_artifacts(tmp_path):
     assert "<svg" in (tmp_path / "visco.svg").read_text()
 
 
+def test_svg_widens_a_single_x_value():
+    svg = render_line_plot([("x = 2", [2.0, 2.0], [1.0, 3.0])], "t", "x", "y")
+    # the x range becomes [1.5, 2.5], with the series at its centre
+    assert ">1.5</text>" in svg and ">2.5</text>" in svg
+    assert '<polyline points="344.00,' in svg
+
+
 def test_svg_refuses_series_with_no_finite_point():
     series = [("nan", [math.nan, 1.0], [0.0, math.inf]), ("empty", [], [])]
     with pytest.raises(ValueError, match="no finite data to plot"):
@@ -506,11 +518,28 @@ def test_config_errors_exit_one(tmp_path, capsys):
          "--newton_tol", "1e-6"],
         ["yield-curve", "--newton-tol", "1e-6"],
         ["visco", "--tau-max", "1", "--steps", "2", "--newton_tol", "1e-6"],
+        ["simulate", "--lambda", "1", "--theta-max", "1", "--steps", "0"],
+        ["simulate", "--lambda", "1", "--theta-max", "1", "--steps", "2.5"],
+        ["visco", "--tau-max", "1", "--steps", "0"],
+        ["visco", "--tau-max", "1", "--steps", "2", "--t-end", "0"],
+        ["yield-curve", "--lambda-min", "10", "--lambda-max", "1"],
+        ["yield-curve", "--points", "1"],
     ]
     for argv in cases:
         out_args = argv + ["--out", str(tmp_path)] if argv[0] != "no-such-command" else argv
         assert cli.main(out_args) == 1, argv
         assert "config error" in capsys.readouterr().err
+    # verify takes no --out
+    assert cli.main(["verify", "--only", "1 x"]) == 1
+    assert "config error: key 'only'" in capsys.readouterr().err
+    # an --out that names a file: one line naming it, no traceback
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    argv = ["profile", "--lambda", "0.5", "--samples", "8", "--out", str(blocker)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write to --out {str(blocker)!r}")
+    assert err.count("\n") == 1
 
 
 def test_yield_curve_names_the_formula_domain(tmp_path, capsys):
@@ -542,6 +571,22 @@ def test_non_finite_ends_are_refused_by_key(tmp_path, capsys, argv, key):
     assert code == 1
     assert f"key {key!r}: must be finite" in capsys.readouterr().err
     assert not caught
+
+
+@pytest.mark.parametrize(
+    "extreme",
+    [
+        ["--theta-max", "1e300"],
+        ["--theta-max", "3", "--Lambda", "1e200"],
+        ["--theta-max", "3", "--kappa", "1e-300"],
+    ],
+)
+def test_simulate_at_extreme_inputs_prints_no_numpy_warning(tmp_path, capsys, extreme):
+    # overflow inside the march: the solves or the certificate refuse it,
+    # and no RuntimeWarning (an error under the suite's filter) gets out
+    argv = ["simulate", "--lambda", "1", "--steps", "2", "--cells", "4", *extreme]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert "solver failure" in capsys.readouterr().err
 
 
 def test_solver_failure_exits_two(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,11 @@
 """Quasistatic evolution by incremental minimization.
 
 What is verified:
-  1. Load program validation; increment_solve and stability_residual
-     refuse a gamma with a nonzero face value, and detect_yield reports a
-     trajectory that flows at its first load at that load.
+  1. Load program and trajectory validation (no steps, a negative
+     dissipation increment); increment_solve refuses a non-finite load,
+     increment_solve and stability_residual a gamma with a nonzero face
+     value, and detect_yield reports a trajectory that flows at its first
+     load at that load.
   2. Below the threshold the trajectory is identically zero (to solver
      tolerance) and no flow is reported.
   3. A medium-resolution run detects the threshold at the known value for
@@ -19,7 +21,10 @@ What is verified:
      kappa = 0 (no stored energy, unbounded flow past yield) is rejected
      with ValueError before any solve.
   8. The clamped discrete yield threshold is bracketed tightly by a primal
-     profile and an equality-feasible dual field; below the bracket an
+     profile and an equality-feasible dual field.  The dual Gram matrix
+     _energy_banded(mesh, 1.0, lam), with which every dual correction
+     solves, is the Gauss(3) assembly of int phi_i phi_j + lam^2 phi_i'
+     phi_j' to 1e-14 relative.  Below the bracket an
      increment from the virgin state is the exact zero field without any
      Newton iteration, above it the strip flows.  A property test over
      (lam, Lambda, kappa, theta, n_cells) checks that increments from the
@@ -91,6 +96,20 @@ def test_load_program_validation():
         LoadProgram((0.0, math.nan))
     with pytest.raises(ValueError):
         LoadProgram(())
+
+
+def test_trajectory_validation():
+    step = incremental.TrajectoryStep(0.0, Field.zeros(make_mesh(8)), 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="at least one step"):
+        incremental.Trajectory(P_REF, ())
+    negative = step._replace(dissipation_increment=-1e-300)
+    with pytest.raises(ValueError, match="increments must be nonnegative"):
+        incremental.Trajectory(P_REF, (step, negative))
+
+
+def test_increment_solve_refuses_a_non_finite_load():
+    with pytest.raises(ValueError, match="theta must be finite"):
+        increment_solve(Field.zeros(make_mesh(8)), math.nan, P_REF)
 
 
 def test_solves_refuse_an_unclamped_gamma():
@@ -305,6 +324,27 @@ def test_threshold_bracket(lam, n_cells):
     flat = Field(mesh, np.r_[0.0, np.ones(n_cells - 1), 0.0])
     assert dual.upper <= dissipation(flat, lam) / float(m.sum())
     assert 1.0 < dual.lower
+
+
+@pytest.mark.parametrize("n_cells, lam", [(4, 0.3), (16, 2.0), (64, 100.0)])
+def test_dual_gram_is_the_gauss_assembly(n_cells, lam):
+    mesh = make_mesh(n_cells)
+    t, w = np.polynomial.legendre.leggauss(3)
+    t, w = (t + 1.0) / 2.0, w / 2.0
+    phi = np.stack([1.0 - t, t])  # the left and right shapes at the points
+    dphi = np.array([-1.0, 1.0]) / mesh.dr
+    expect = np.zeros((n_cells + 1, n_cells + 1))
+    for i in range(n_cells):
+        for q in range(3):
+            for a in (0, 1):
+                for b in (0, 1):
+                    expect[i + a, i + b] += mesh.dr * w[q] * (
+                        phi[a, q] * phi[b, q] + lam * lam * dphi[a] * dphi[b]
+                    )
+    K = incremental._energy_banded(mesh, 1.0, lam)
+    dense = np.diag(K[1]) + np.diag(K[0, 1:], 1) + np.diag(K[0, 1:], -1)
+    scale = float(np.max(np.abs(expect)))
+    assert float(np.max(np.abs(dense - expect))) <= 1e-14 * scale
 
 
 def test_virgin_increment_below_bracket_skips_newton(monkeypatch):

@@ -2,11 +2,14 @@
 
 Coverage:
   1. local_flow_response: exact piecewise-linear form, thresholding at 1,
-     1/kappa scaling, scalar/array conventions, input validation.
+     1/kappa scaling, scalar/array conventions, input validation (kappa,
+     and a NaN or negative theta).
   2. local_energy_balance_residual: exactly zero before flow starts,
-     first-order decay of the defect under grid refinement, grid validation.
+     first-order decay of the defect under grid refinement, grid validation
+     (one point, a non-finite point, no start at 0, a decrease).
   3. nondimensionalize and the parameter containers' validation.
-  4. make_mesh geometry and Field immutability.
+  4. make_mesh geometry and Field immutability; a mesh refuses an odd, too
+     small or non-integer (float, bool) cell count.
 """
 
 import math
@@ -16,6 +19,7 @@ import pytest
 
 from stripshear import (
     Field,
+    Mesh,
     NondimParams,
     PhysicalParams,
     local_energy_balance_residual,
@@ -71,6 +75,15 @@ def test_flow_rejects_nonpositive_kappa():
         local_flow_response(2.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "theta, message",
+    [(math.nan, "must be finite"), ([0.5, -0.1], "must be nonnegative")],
+)
+def test_flow_rejects_nan_or_negative_theta(theta, message):
+    with pytest.raises(ValueError, match=message):
+        local_flow_response(theta, 1.0)
+
+
 # ----------------------------------------------------------- energy balance
 
 
@@ -100,6 +113,10 @@ def test_balance_grid_validation():
         local_energy_balance_residual(np.array([0.1, 0.2, 0.3]), 1.0)
     with pytest.raises(ValueError):
         local_energy_balance_residual(np.array([0.0, 0.5, 0.3]), 1.0)
+    with pytest.raises(ValueError, match="at least two points"):
+        local_energy_balance_residual([0.0], 1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        local_energy_balance_residual([0.0, math.inf], 1.0)
 
 
 # ---------------------------------------------------------------- parameters
@@ -168,6 +185,9 @@ def test_mesh_rejects_odd_or_tiny():
         make_mesh(3)
     with pytest.raises(ValueError):
         make_mesh(0)
+    for n in (4.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Mesh(n)
 
 
 def test_mesh_equality_by_cell_count():

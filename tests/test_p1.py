@@ -215,7 +215,8 @@ def test_newton_turns_a_failed_step_solve_into_a_solver_error():
 
     def derivatives(x):
         def newton_step():
-            solve_tridiagonal(np.zeros((3, x.size)), np.ones(x.size))  # singular
+            off = np.zeros(x.size - 1)
+            solve_tridiagonal(off, np.zeros(x.size), off, np.ones(x.size))  # singular
 
         return 0.25, newton_step
 
@@ -226,7 +227,8 @@ def test_newton_turns_a_failed_step_solve_into_a_solver_error():
 
     def non_finite(x):
         def newton_step():
-            solve_tridiagonal(np.full((3, x.size), math.nan), np.ones(x.size))
+            off = np.full(x.size - 1, math.nan)
+            solve_tridiagonal(off, np.full(x.size, math.nan), off, np.ones(x.size))
 
         return 0.5, newton_step
 
@@ -234,6 +236,11 @@ def test_newton_turns_a_failed_step_solve_into_a_solver_error():
         damped_newton(np.ones(4), evaluate, non_finite, 1e-9, 100)
     assert info.value.residual == 0.5
     assert type(info.value.__cause__) is ValueError
+
+
+def _diagonals(ab):
+    """(sub, diag, sup) of a matrix in scipy's solve_banded((1, 1)) layout."""
+    return ab[2, :-1], ab[1], ab[0, 1:]
 
 
 def test_tridiagonal_solve_matches_scipy_bit_for_bit():
@@ -244,11 +251,11 @@ def test_tridiagonal_solve_matches_scipy_bit_for_bit():
         ab = rng.standard_normal((3, 33))
         ab[2] *= 3.0  # subdiagonal often larger than the diagonal: pivoting
         rhs = rng.standard_normal(33)
-        x = solve_tridiagonal(ab, rhs)
+        x = solve_tridiagonal(*_diagonals(ab), rhs)
         assert x.tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
     ab[1, 5] = math.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
-        solve_tridiagonal(ab, rhs)
+        solve_tridiagonal(*_diagonals(ab), rhs)
 
 
 def test_gauss3_is_the_shared_rule():
@@ -393,10 +400,9 @@ def test_solves_reject_non_finite_and_singular_systems():
         rhs[-1] = math.inf
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve_banded_spd(_spd_tridiagonal(rng, n), rhs)
-    ab = np.zeros((3, 5))
-    ab[1] = [1.0, 2.0, 0.0, 3.0, 4.0]  # a zero column
+    diag = np.array([1.0, 2.0, 0.0, 3.0, 4.0])  # a zero column
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        solve_tridiagonal(ab, np.ones(5))
+        solve_tridiagonal(np.zeros(4), diag, np.zeros(4), np.ones(5))
 
 
 @pytest.mark.parametrize(
@@ -440,7 +446,7 @@ def test_fallback_to_scipy_gives_the_same_bits(monkeypatch):
     def solve_all():
         out = [solve_banded_spd(ab, rhs[ab.shape[1]]) for ab in spd]
         out.append(solve_banded_spd(penta, rhs[33]))
-        out.append(solve_tridiagonal(general, rhs[33]))
+        out.append(solve_tridiagonal(*_diagonals(general), rhs[33]))
         return [x.tobytes() for x in out]
 
     native = solve_all()

@@ -37,8 +37,8 @@ What is verified:
      warm-started step evaluates no cold start, so the 20-step series
      costs at most 320 residual evaluations.
  11. The residual equals an independent per-Gauss-point loop, and its
-     banded Jacobian equals central differences of it at a loading and an
-     unloading iterate, with identity rows at the clamped faces.
+     tridiagonal Jacobian equals central differences of it at a loading
+     and an unloading iterate, with identity rows at the clamped faces.
 """
 
 import dataclasses
@@ -626,12 +626,9 @@ def test_jacobian_matches_finite_differences(m_rate, unloading):
     def residual(g):
         return viscoplastic._residual(g, gamma_n, S_q, tau, dt, p, dy, eps)
 
-    ab = viscoplastic._jacobian(residual(gamma)[1])
+    sub, diag, sup = viscoplastic._jacobian(residual(gamma)[1])
     n = gamma.size
-    dense = np.zeros((n, n))
-    for j in range(n):
-        for i in range(max(0, j - 1), min(n, j + 2)):
-            dense[i, j] = ab[1 + i - j, j]
+    dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
 
     fd = np.zeros((n, n))
     h = 1e-6

@@ -36,6 +36,9 @@ Anchors used here:
   * Thinner is stronger: the discrete relaxed dissipation of random P1
     fields (2 to 512 cells, magnitudes 1e-8 to 1e8) is nondecreasing in
     lam in [1e-6, 1e7], exactly, also between neighbouring doubles of lam.
+  * The result records refuse what they cannot hold: a YieldResult at
+    theta_Y = 1, and a ProfileResult with r and zeta of unequal lengths,
+    not starting at 0, zeta not increasing, or a jump ratio outside (0, 1).
   * The quadrature's own Gauss-Legendre rule: nodes equal scipy's
     roots_legendre to 1e-15, and the weights integrate every monomial of
     degree < 2n on [0, 1] and exp with the Gauss error term.
@@ -47,8 +50,10 @@ import numpy as np
 import pytest
 
 from stripshear import (
+    ProfileResult,
     RelaxedField,
     SolverError,
+    YieldResult,
     asymptotic_theta,
     lambda_of_theta,
     make_mesh,
@@ -196,6 +201,23 @@ def test_input_validation():
         yield_variational(math.nan, make_mesh(8))
     with pytest.raises(ValueError, match=lam_message):
         minimizer_profile(0.0)
+
+
+def test_result_records_refuse_invalid_contents():
+    with pytest.raises(ValueError, match="strictly between 1 and 1 \\+ lam"):
+        YieldResult(theta_Y=1.0, lam=1.0)
+    valid = dict(
+        r=[0.0, 0.5, 1.0], zeta=[0.0, 0.4, 1.0], phi=None, jump_ratio=0.5, theta_Y=2.0
+    )
+    ProfileResult(**valid)
+    for change, message in [
+        (dict(zeta=[0.0, 1.0]), "equal length"),
+        (dict(r=[0.1, 0.5, 1.0]), "start at r = 0"),
+        (dict(zeta=[0.0, 0.4, 0.4]), "strictly increasing"),
+        (dict(jump_ratio=1.0), "jump_ratio must lie in"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ProfileResult(**{**valid, **change})
 
 
 def test_threshold_floor():
