@@ -26,8 +26,8 @@ from .functionals import (
     relaxed_dissipation,
     total_energy,
 )
+from ._p1 import DEFAULT_OPTIONS
 from .incremental import (
-    DEFAULT_OPTIONS,
     DetectedYield,
     LoadProgram,
     Trajectory,

@@ -1,7 +1,11 @@
-"""Piecewise-linear (P1) Gauss-point kernel shared by the solvers.
+"""Piecewise-linear (P1) Gauss-point kernel and solver core shared by the solvers.
 
 One home for what the solvers have in common:
 
+* DEFAULT_OPTIONS, the one read-only solver configuration every solver
+  reads: the smoothing schedule, one decade per level from 1e-1 to 1e-11,
+  the Newton tolerance 1e-9 with a budget of 100 iterations per level,
+  stability_tol 1e-8 and yield_tol 1e-8;
 * the package's only Gauss-Legendre generator (gauss_legendre) and the
   one rule every P1 integral uses, Gauss(3) on the reference cell [0, 1]
   (GAUSS3_POINTS, GAUSS3_WEIGHTS); a P1 field's values at its points and
@@ -12,10 +16,32 @@ One home for what the solvers have in common:
 
   with its gradient and tridiagonal Hessian (eps = 0 is the plain
   dissipation; only the value is defined there);
-* the trapezoidal mass vector, the banded solves (LAPACK, called in the
-  library numpy's linalg extension loads) and the damped Newton driver of
-  every solver (convex_newton adapts it to minimization,
-  constrained_newton to minimization at fixed sum).
+* the trapezoidal mass vector, the banded matrix of the energy form
+  (energy_banded, with banded_matvec), the banded solves (LAPACK, called
+  in the library numpy's linalg extension loads) and the damped Newton
+  driver of every solver (convex_newton adapts it to minimization,
+  constrained_newton to minimization at fixed sum), run level by level
+  down a smoothing schedule by ladder.
+
+Stability certificate.  gamma is stable at theta iff
+r = theta m - A gamma lies in dPsi(0) = {c(xi) : |xi| <= 1 at every Gauss
+point} (c the adjoint of the Gauss-point map v -> (u, lam u_r)).  The last
+smoothing level of the step that produced gamma gives xi = (u, lam u_r) / R
+with c(xi) = r up to the Newton residual, which a minimum-norm correction
+(dual_field) removes.  With s = max|xi|, Psi(d) >= r'd / s for every d, so
+the defect max_d [r'd - d'Ad / 2 - Psi(d)] is 0 if s <= 1 and at most
+(1 - 1/s)^2 r'A^-1 r / 2 otherwise; the uncorrected xi gives a second
+bound, from the Newton residual (incremental's stability_bound takes the
+smaller).
+
+Pre-yield bracket.  Zero is the increment from gamma = 0 iff theta m lies
+in the subdifferential of Psi at 0, whatever Lambda and kappa, that is iff
+|theta| is at most the clamped discrete yield threshold
+theta_c = min {Psi(v) : m'v = 1}.  A dual field xi with c(xi) = m proves
+theta_c >= 1 / max|xi|; it is built once per (n_cells, lam) from a
+constrained Newton solve for the threshold profile (threshold_bracket), and
+below that bound an increment from the virgin state is the exact zero field
+with no Newton iteration.
 
 Gauss-point arrays are laid out (n_points, n_cells), so each quadrature
 point is one contiguous row and the per-cell reductions are small matrix
@@ -27,6 +53,7 @@ from __future__ import annotations
 import ctypes
 import math
 import threading
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
@@ -36,6 +63,7 @@ from numpy.linalg import LinAlgError
 from .model import Mesh, SolverError
 
 __all__ = [
+    "DEFAULT_OPTIONS",
     "GAUSS3_POINTS",
     "GAUSS3_WEIGHTS",
     "gauss_legendre",
@@ -48,7 +76,33 @@ __all__ = [
     "convex_newton",
     "constrained_newton",
     "damped_newton",
+    "energy_banded",
+    "banded_matvec",
+    "ladder",
+    "dual_field",
+    "max_norm",
+    "dual_shrink",
+    "threshold_bracket",
 ]
+
+
+@dataclass(frozen=True)
+class _SolverSettings:
+    epsilon_schedule: tuple  # smoothing widths, strictly decreasing
+    newton_tol: float
+    max_newton_iters: int
+    stability_tol: float  # largest certified stability defect evolve accepts
+    yield_tol: float  # max|gamma| above which detect_yield declares flow
+
+
+# The one solver configuration, read by every solver in the package.
+DEFAULT_OPTIONS = _SolverSettings(
+    epsilon_schedule=tuple(10.0 ** (-k) for k in range(1, 12)),
+    newton_tol=1e-9,
+    max_newton_iters=100,
+    stability_tol=1e-8,
+    yield_tol=1e-8,
+)
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple:
@@ -502,3 +556,184 @@ def damped_newton(
         f"(measure {measure:.3e})",
         residual=measure,
     )
+
+
+def energy_banded(mesh: Mesh, kappa: float, Lambda: float) -> np.ndarray:
+    """Banded (upper form) matrix of the quadratic form 2*E, i.e. E = 0.5 x'Ax.
+
+    A = kappa * (Mq + Lambda^2 K) with Mq the exact piecewise-linear mass
+    matrix and K the stiffness matrix.  At kappa = 1, Lambda = lam, A is the
+    dual Gram matrix c B: B maps nodal values to (u, lam u_r) at the Gauss
+    points and c is its adjoint (rule weights included); Gauss(3) integrates
+    both products exactly.
+    """
+    n = mesh.n_cells
+    dr = mesh.dr
+    diag = np.zeros(n + 1)
+    sup = np.zeros(n + 1)  # sup[i] couples nodes (i-1, i) in solveh_banded layout
+    m_diag = dr / 3.0
+    m_off = dr / 6.0
+    k_diag = 1.0 / dr
+    k_off = -1.0 / dr
+    Lam2 = Lambda * Lambda
+    cell_diag = kappa * (m_diag + Lam2 * k_diag)
+    cell_off = kappa * (m_off + Lam2 * k_off)
+    diag[:-1] += cell_diag
+    diag[1:] += cell_diag
+    sup[1:] = cell_off
+    banded = np.zeros((2, n + 1))
+    banded[0] = sup
+    banded[1] = diag
+    return banded
+
+
+def banded_matvec(banded: np.ndarray, x: np.ndarray) -> np.ndarray:
+    sup = banded[0]
+    diag = banded[1]
+    y = diag * x
+    y[:-1] += sup[1:] * x[1:]
+    y[1:] += sup[1:] * x[:-1]
+    return y
+
+
+# relative shrink of the certified threshold, per cell and per unit of
+# 1 + lam.  c(xi') reproduces m up to a few ulps of its largest terms,
+# about lam |xi'| ~ lam / theta_c per node.  Gauss(3) gives
+# Psi(v) >= 0.43 dr sum|v_i| (at least 0.215 dr (|a| + |b|) per cell), so a
+# residual delta moves the threshold by at most 2.4 theta_c max|delta| / dr:
+# relative to theta_c, of order n_cells (1 + lam) ulps.  The residual
+# measured at n_cells = 2048, lam = 100 (5.7e-13 max m) bounds the move by
+# 1.4e-10 there, against a shrink of 2.1e-9.
+# The stability certificate inflates max|xi| by the same factor.
+_DUAL_MARGIN = 1e-14
+
+
+def _clamped(x: np.ndarray) -> np.ndarray:
+    """Interior values as a nodal field with zero boundary values."""
+    full = np.zeros(x.size + 2)
+    full[1:-1] = x
+    return full
+
+
+def dual_field(
+    psi: SmoothedDissipation,
+    rad,
+    g: np.ndarray,
+    w: float,
+    target: np.ndarray,
+    K: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-point field xi with c(xi) = target, from a smoothed multiplier.
+
+    rad holds the radii of Psi_eps at some field and g the interior entries
+    of its gradient, so (u, lam u_r) / R has c = g.  Divided by w it misses
+    target by rho = g / w - target, which the minimum-norm field B K^-1 rho
+    removes; K is the dual Gram matrix energy_banded(mesh, 1.0, lam), of
+    which the interior block is used.  Returns (xi_u, xi_s), laid out as
+    rad.u and rad.ls.
+    """
+    fix = psi.radius(_clamped(solve_banded_spd(K[:, 1:-1], g / w - target)), 0.0)
+    wR = w * rad.R
+    return rad.u / wR - fix.u, rad.ls / wR - fix.ls
+
+
+def max_norm(xi_u: np.ndarray, xi_s: np.ndarray) -> float:
+    """max |xi| over the Gauss points."""
+    return float(np.sqrt(xi_u * xi_u + xi_s * xi_s).max())
+
+
+def ladder(x: np.ndarray, make_objective, tol: float, schedule) -> np.ndarray:
+    """Damped Newton at every smoothing level of schedule in turn, from x.
+
+    make_objective(eps) returns damped_newton's (evaluate, derivatives).  A
+    level that takes no Newton step (damped_newton returns its input) ends
+    the descent early: the ladder goes straight to its last level, which
+    always runs.
+    """
+    last = len(schedule) - 1
+    k = 0
+    while True:
+        x_new, _ = damped_newton(
+            x, *make_objective(schedule[k]), tol, DEFAULT_OPTIONS.max_newton_iters
+        )
+        if k == last:
+            return x_new
+        k = last if x_new is x else k + 1
+        x = x_new
+
+
+def dual_shrink(n_cells: int, lam: float) -> float:
+    """1 minus the roundoff margin of a dual field's max norm."""
+    return 1.0 - _DUAL_MARGIN * n_cells * (1.0 + lam)
+
+
+class _ThresholdDual(NamedTuple):
+    v: np.ndarray  # primal profile, clamped, m'v = 1 up to roundoff
+    xi_u: np.ndarray  # dual field at the Gauss points, (n_points, n_cells)
+    xi_s: np.ndarray
+    lower: float  # certified: |theta| <= lower keeps the virgin state at rest
+    upper: float  # Psi(v) / m'v
+
+
+def _threshold_dual(mesh: Mesh, lam: float) -> _ThresholdDual:
+    """Bracket of the clamped discrete yield threshold, with its witnesses.
+
+    Zero is the increment from the virgin state iff theta m lies in
+    dPsi(0) = {c(xi) : |xi| <= 1 at every Gauss point}, whatever Lambda and
+    kappa, where c is the adjoint of v -> (u, lam u_r) at the Gauss points
+    (rule weights included), so c(xi) . v = int xi . (u, lam u_r).  Psi is
+    the support function of that set, hence the threshold
+    theta_c = min {Psi(v) : m'v = 1} lies between 1 / max|xi| for any xi
+    with c(xi) = m and Psi(v) / m'v for any v with m'v > 0.
+
+    v minimizes Psi_eps at m'v = 1 down the smoothing schedule by
+    constrained Newton (the interior weights of m are all dr), within the
+    increments' Newton budget.  At the last level the gradient
+    g = c((u, lam u_r) / R), scaled by w = m'g / m'm, is turned into a
+    field with c(xi) = m by dual_field.
+    """
+    n = mesh.n_cells
+    psi = SmoothedDissipation(mesh, lam)
+    m = mass_vector(mesh)[1:-1]
+
+    def make_objective(eps: float):
+        def evaluate(x: np.ndarray):
+            rad = psi.radius(_clamped(x), eps)
+            v = psi.total(rad)
+            return v, (rad, v)
+
+        def derivatives(state):
+            rad, v = state
+            g, H = psi.grad_hess(rad)
+            return constrained_newton(g[1:-1], H[:, 1:-1], v + 2.0 * eps)
+
+        return evaluate, derivatives
+
+    x = np.full(n - 1, 1.0 / float(m.sum()))
+    # g is of order theta_c dr
+    x = ladder(
+        x, make_objective, DEFAULT_OPTIONS.newton_tol * mesh.dr,
+        DEFAULT_OPTIONS.epsilon_schedule,
+    )
+
+    v = _clamped(x)
+    rad = psi.radius(v, DEFAULT_OPTIONS.epsilon_schedule[-1])
+    g = psi.grad_hess(rad)[0][1:-1]
+    w = float(m @ g) / float(m @ m)
+    xi_u, xi_s = dual_field(psi, rad, g, w, m, energy_banded(mesh, 1.0, lam))
+    lower = dual_shrink(n, lam) / max_norm(xi_u, xi_s)
+    upper = psi.value(v, 0.0) / float(m @ x)
+    return _ThresholdDual(v, xi_u, xi_s, lower, upper)
+
+
+@lru_cache(maxsize=64)
+def threshold_bracket(n_cells: int, lam: float) -> tuple[float, float, np.ndarray]:
+    """(lower, upper, v) of _threshold_dual, shared by every solve on one strip.
+
+    A property of the strip alone: the lower bound is certified for
+    whatever dual field the constrained solve ends with.  The primal
+    witness v is read-only, as every caller shares it.
+    """
+    dual = _threshold_dual(Mesh(n_cells), lam)
+    dual.v.flags.writeable = False
+    return dual.lower, dual.upper, dual.v

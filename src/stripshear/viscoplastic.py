@@ -33,7 +33,6 @@ saturating strength on the same side of S_sat whatever dt.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
@@ -41,14 +40,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._p1 import (
+    DEFAULT_OPTIONS,
     GAUSS3_POINTS,
     GAUSS3_WEIGHTS,
     assemble,
     at_points,
     damped_newton,
+    ladder,
     solve_tridiagonal,
 )
-from .incremental import DEFAULT_OPTIONS, LoadProgram, evolve
+from .incremental import LoadProgram, evolve
 from .model import Field, Mesh, PhysicalParams, SolverError, nondimensionalize
 
 __all__ = [
@@ -324,9 +325,10 @@ def visco_step(
     otherwise a nodal power-law inversion of the overstress is used.  The
     cold start is built only without gamma_init.  If
     the sharp problem resists (rates trapped in the regularization corner
-    crawl out of it only geometrically), the step is re-solved by
-    continuation over a decade ladder of smoothing widths down to the
-    nominal eps_v.
+    crawl out of it only geometrically), the step is re-solved from the
+    same start down _p1's smoothing ladder, one decade per level from
+    1e-2 d0 to the nominal eps_v; a level that takes no Newton step sends
+    it straight to eps_v, and a level that fails fails the step.
     """
     tau_next = float(tau_next)
     dt = float(dt)
@@ -367,11 +369,6 @@ def visco_step(
 
         return evaluate, derivatives
 
-    def solve(x0, eps: float):
-        return damped_newton(
-            x0, *make_merit(eps), tol, DEFAULT_OPTIONS.max_newton_iters
-        )[0]
-
     if gamma_init is None:
         start = _powerlaw_predictor(gamma_n, S_nodes, tau_next, dt, base)
     else:
@@ -384,18 +381,18 @@ def visco_step(
     # a non-finite system and the step a non-finite gamma or strength
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         try:
-            x = solve(start, eps_v)
+            x = damped_newton(
+                start, *make_merit(eps_v), tol, DEFAULT_OPTIONS.max_newton_iters
+            )[0]
         except SolverError:
             # continuation: relax the corner by widening the rate smoothing,
-            # then sharpen it one decade at a time back to eps_v; a level that
-            # fails hands its start on to the next
-            x, level = start, 1e-2 * base.d0
+            # then sharpen it one decade at a time back to eps_v
+            levels, level = [], 1e-2 * base.d0
             while level > eps_v:
-                with contextlib.suppress(SolverError):
-                    x = solve(x, level)
+                levels.append(level)
                 level *= 0.1
             try:
-                x = solve(x, eps_v)
+                x = ladder(start, make_merit, tol, levels + [eps_v])
             except SolverError as err:
                 raise SolverError(
                     f"viscoplastic Newton did not converge (residual "
@@ -416,11 +413,11 @@ def _validate_load(load) -> list[tuple[float, float]]:
     pairs = [(float(t), float(tau)) for t, tau in load]
     if len(pairs) < 1:
         raise ValueError("load series must be nonempty")
+    if any(not (math.isfinite(t) and math.isfinite(s)) for t, s in pairs):
+        raise ValueError("load entries must be finite")
     for (t0, s0), (t1, s1) in zip(pairs, pairs[1:]):
         if not t1 > t0:
             raise ValueError("load times must be strictly increasing")
-    if any(not (math.isfinite(t) and math.isfinite(s)) for t, s in pairs):
-        raise ValueError("load entries must be finite")
     return pairs
 
 
@@ -502,6 +499,8 @@ def rate_independent_limit_study(
         raise ValueError("limit study requires zero hardening")
     pairs = _validate_load(load)
     taus = [s for _, s in pairs]
+    if taus[0] != 0.0:
+        raise ValueError(f"limit study requires a ramp from tau = 0, not {taus[0]:g}")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("limit study requires a strictly increasing ramp")
 

@@ -44,13 +44,13 @@ import numpy as np
 
 from .functionals import RelaxedField, mass, relaxed_dissipation
 from ._p1 import (
+    DEFAULT_OPTIONS,
     SmoothedDissipation,
     convex_newton,
     damped_newton,
     gauss_legendre,
     mass_vector,
 )
-from .incremental import DEFAULT_OPTIONS
 from .model import Mesh, SolverError, make_mesh
 
 __all__ = [
@@ -419,6 +419,8 @@ def minimizer_profile(lam: float, n_samples: int = 1 << 16) -> ProfileResult:
     do that.
     """
     lam = _check_lam(lam)
+    if not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     n_samples = int(n_samples)
     if n_samples < 8 or n_samples % 2:
         raise ValueError(f"n_samples must be an even integer >= 8, got {n_samples}")

@@ -22,7 +22,7 @@ What is verified:
      with ValueError before any solve.
   8. The clamped discrete yield threshold is bracketed tightly by a primal
      profile and an equality-feasible dual field.  The dual Gram matrix
-     _energy_banded(mesh, 1.0, lam), with which every dual correction
+     _p1.energy_banded(mesh, 1.0, lam), with which every dual correction
      solves, is the Gauss(3) assembly of int phi_i phi_j + lam^2 phi_i'
      phi_j' to 1e-14 relative.  Below the bracket an
      increment from the virgin state is the exact zero field without any
@@ -72,7 +72,7 @@ from stripshear import (
     stability_residual,
     total_energy,
 )
-from stripshear import incremental
+from stripshear import _p1, incremental
 
 P_REF = NondimParams(lam=1.179812, Lambda=1.0, kappa=1.0)
 
@@ -252,17 +252,15 @@ def test_increment_matches_grid_search():
 @pytest.fixture
 def strangled(monkeypatch):
     """One Newton iteration, straight at the last smoothing level."""
-    monkeypatch.setattr(
-        incremental,
-        "DEFAULT_OPTIONS",
-        dataclasses.replace(
-            incremental.DEFAULT_OPTIONS, epsilon_schedule=(1e-11,), max_newton_iters=1
-        ),
+    budget = dataclasses.replace(
+        DEFAULT_OPTIONS, epsilon_schedule=(1e-11,), max_newton_iters=1
     )
+    for module in (_p1, incremental):
+        monkeypatch.setattr(module, "DEFAULT_OPTIONS", budget)
     # brackets certified under the real budget would spare the virgin steps
-    incremental._threshold_bracket.cache_clear()
+    _p1.threshold_bracket.cache_clear()
     yield
-    incremental._threshold_bracket.cache_clear()
+    _p1.threshold_bracket.cache_clear()
 
 
 def test_strangled_budget_raises_solver_error(strangled):
@@ -311,7 +309,7 @@ def _adjoint(xi_u, xi_s, mesh, lam):
 @pytest.mark.parametrize("lam", [1e-3, 0.1, 1.179812, 10.0, 100.0])
 def test_threshold_bracket(lam, n_cells):
     mesh = make_mesh(n_cells)
-    dual = incremental._threshold_dual(mesh, lam)
+    dual = _p1._threshold_dual(mesh, lam)
     assert 0.0 < dual.lower <= dual.upper
     assert (dual.upper - dual.lower) / dual.upper <= 1e-6
     m = mesh.dr * np.ones(n_cells - 1)  # interior trapezoid weights
@@ -341,7 +339,7 @@ def test_dual_gram_is_the_gauss_assembly(n_cells, lam):
                     expect[i + a, i + b] += mesh.dr * w[q] * (
                         phi[a, q] * phi[b, q] + lam * lam * dphi[a] * dphi[b]
                     )
-    K = incremental._energy_banded(mesh, 1.0, lam)
+    K = _p1.energy_banded(mesh, 1.0, lam)
     dense = np.diag(K[1]) + np.diag(K[0, 1:], 1) + np.diag(K[0, 1:], -1)
     scale = float(np.max(np.abs(expect)))
     assert float(np.max(np.abs(dense - expect))) <= 1e-14 * scale
@@ -350,15 +348,15 @@ def test_dual_gram_is_the_gauss_assembly(n_cells, lam):
 def test_virgin_increment_below_bracket_skips_newton(monkeypatch):
     mesh = make_mesh(64)
     p = NondimParams(lam=0.3, Lambda=2.0, kappa=0.5)
-    lower, upper, _ = incremental._threshold_bracket(mesh.n_cells, p.lam)
+    lower, upper, _ = _p1.threshold_bracket(mesh.n_cells, p.lam)
     calls = []
-    newton = incremental.damped_newton
+    newton = _p1.damped_newton
 
     def counting(*args, **kwargs):
         calls.append(1)
         return newton(*args, **kwargs)
 
-    monkeypatch.setattr(incremental, "damped_newton", counting)
+    monkeypatch.setattr(_p1, "damped_newton", counting)
     for theta in (0.999 * lower, -0.999 * lower):
         rest = increment_solve(Field.zeros(mesh), theta, p)
         assert rest.values.tobytes() == np.zeros(mesh.n_cells + 1).tobytes()
@@ -379,7 +377,7 @@ def test_virgin_increment_below_bracket_skips_newton(monkeypatch):
 def test_virgin_increment_properties(lam, half_cells, Lambda, kappa, load):
     mesh = make_mesh(2 * half_cells)
     p = NondimParams(lam=lam, Lambda=Lambda, kappa=kappa)
-    lower, upper, _ = incremental._threshold_bracket(mesh.n_cells, lam)
+    lower, upper, _ = _p1.threshold_bracket(mesh.n_cells, lam)
     theta = load * upper
     try:
         gamma = increment_solve(Field.zeros(mesh), theta, p)
@@ -428,15 +426,15 @@ def test_stability_bound_off_the_minimizer(readme_sweep, k):
 
 def test_evolve_refuses_uncertified_state(monkeypatch):
     mesh = make_mesh(32)
-    incremental._threshold_bracket(mesh.n_cells, P_REF.lam)
-    newton = incremental.damped_newton
+    _p1.threshold_bracket(mesh.n_cells, P_REF.lam)
+    newton = _p1.damped_newton
 
     def perturbed(*args, **kwargs):
         # short of the minimizer: less plastic strain leaves it unstable
         x, measure = newton(*args, **kwargs)
         return 0.99 * x, measure
 
-    monkeypatch.setattr(incremental, "damped_newton", perturbed)
+    monkeypatch.setattr(_p1, "damped_newton", perturbed)
     with pytest.raises(SolverError) as exc:
         evolve(LoadProgram((0.0, 1.0, 2.4)), P_REF, mesh)
     assert exc.value.step == 2
@@ -457,7 +455,7 @@ def test_flowed_states_are_certified(lam, half_cells, Lambda, kappa, load):
     prob = incremental._IncrementProblem(
         mesh, NondimParams(lam=lam, Lambda=Lambda, kappa=kappa)
     )
-    _, upper, _ = incremental._threshold_bracket(mesh.n_cells, lam)
+    _, upper, _ = _p1.threshold_bracket(mesh.n_cells, lam)
     theta = load * upper
     gamma = np.zeros(mesh.n_cells + 1)
     for target in (theta, -theta, theta):  # load, unload through zero, reload
@@ -507,7 +505,7 @@ def test_virgin_increment_above_bracket_is_warm(load):
     # threshold witness leaves 3-7 at the last level
     mesh = make_mesh(128)
     prob = incremental._IncrementProblem(mesh, P_REF)
-    upper = incremental._threshold_bracket(mesh.n_cells, P_REF.lam)[1]
+    upper = _p1.threshold_bracket(mesh.n_cells, P_REF.lam)[1]
     gamma, bound = prob.solve_certified(np.zeros(mesh.n_cells + 1), load * upper)
     assert prob.evaluations <= 10
     assert prob.retries == 0
@@ -523,7 +521,7 @@ def test_failed_warm_solve_falls_back_to_whole_schedule(
     prev, state = readme_sweep.steps[250], readme_sweep.steps[251]
     gamma_prev = prev.gamma.values
     full = _whole_schedule(prob, gamma_prev, state.theta)
-    ladder = incremental._ladder
+    ladder = incremental.ladder
     calls = []
 
     def failing_first(*args, **kwargs):
@@ -534,7 +532,7 @@ def test_failed_warm_solve_falls_back_to_whole_schedule(
             raise SolverError("forced at the warm level", residual=1.0)
         return 0.99 * ladder(*args, **kwargs)  # short of the minimizer: unstable
 
-    monkeypatch.setattr(incremental, "_ladder", failing_first)
+    monkeypatch.setattr(incremental, "ladder", failing_first)
     retries = prob.retries
     gamma, bound = prob.solve_certified(gamma_prev, state.theta)
     assert len(calls) == 2

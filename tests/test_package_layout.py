@@ -15,6 +15,10 @@ What is verified:
      table names a callable, and each ``from stripshear... import`` in
      ``perfbench/*.py`` names something the package has.  The files are
      parsed, not run, and the check skips where ``perfbench/`` is absent.
+  4. The import graph keeps the shared solver core at the bottom: ``_p1``
+     imports no package module but ``model``, and ``yield_stress`` imports
+     nothing from ``incremental``.  The collector finds a package module
+     behind every import form, so an allowed graph is not a blind spot.
 """
 
 import ast
@@ -118,6 +122,45 @@ def test_no_module_reaches_another_modules_private_names(module):
 )
 def test_checker_flags_private_reaches(source, expected):
     assert private_reaches(f"{PACKAGE}.cli", source) == expected
+
+
+def imported_modules(module: str, source: str) -> set[str]:
+    """The package modules `module` imports, in any import form."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names if _own(alias.name))
+        elif isinstance(node, ast.ImportFrom):
+            origin = _source_of(module, node)
+            if not _own(origin):
+                continue
+            for alias in node.names:
+                full = f"{origin}.{alias.name}"
+                found.add(full if full in MODULES else origin)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("from .incremental import DEFAULT_OPTIONS", {"stripshear.incremental"}),
+        ("from . import incremental, model", {"stripshear.incremental", "stripshear.model"}),
+        ("import stripshear.incremental as inc", {"stripshear.incremental"}),
+        ("from stripshear._p1 import ladder", {"stripshear._p1"}),
+        ("def f():\n    from .model import Mesh", {"stripshear.model"}),
+        ("import numpy as np\nfrom numpy.linalg import LinAlgError", set()),
+    ],
+)
+def test_collector_finds_package_imports(source, expected):
+    assert imported_modules(f"{PACKAGE}.cli", source) == expected
+
+
+def test_solver_core_sits_below_the_solvers():
+    def imports(module):
+        return imported_modules(module, MODULES[module].read_text())
+
+    assert imports(f"{PACKAGE}._p1") <= {f"{PACKAGE}.model"}
+    assert f"{PACKAGE}.incremental" not in imports(f"{PACKAGE}.yield_stress")
 
 
 def _resolves(module: str, name: str) -> bool:

@@ -2,7 +2,9 @@
 
 What is verified:
   1. Hardening laws (zero / linear / saturating Voce) and input validation
-     for Hardening, ViscoParams, ViscoState, visco_step, simulate_visco.
+     for Hardening, ViscoParams, ViscoState, visco_step, simulate_visco
+     (a NaN load time is refused as not finite) and the limit study (a
+     ramp must start at tau = 0).
   2. Scalar oracle: with both gradient lengths zero the flow rule decouples
      in the strip interior, so away from the clamped faces every node must
      match the root of a one-variable backward-Euler equation solved here
@@ -30,8 +32,10 @@ What is verified:
   9. Failure plumbing: visco_step wraps a non-converged Newton solve in
      SolverError with the residual, simulate_visco adds the load point; on
      a real step whose direct solve fails, the continuation ladder over
-     wider rate smoothings runs and rescues it.  A given gamma_init is the
-     Newton start: the cold power-law start is built only without one.
+     wider rate smoothings runs and rescues it, both on a step forced into
+     failure by a one-step overload and on a plain 20-step ramp at
+     m_rate = 0.005.  A given gamma_init is the Newton start: the cold
+     power-law start is built only without one.
  10. Work bound: the unloading steps of a load-unload series stop at the
      residual's roundoff floor instead of backtracking inside it, and each
      warm-started step evaluates no cold start, so the 20-step series
@@ -63,7 +67,7 @@ from stripshear import (
     visco_step,
 )
 import stripshear.viscoplastic as viscoplastic
-from stripshear import cli
+from stripshear import _p1, cli
 
 
 def _params(m_rate, hardening=None, **over):
@@ -189,6 +193,9 @@ def test_load_validation():
         simulate_visco([(0.0, 0.0), (0.0, 1.0)], p, mesh)
     with pytest.raises(ValueError, match="finite"):
         simulate_visco([(0.0, 0.0), (1.0, math.inf)], p, mesh)
+    # a NaN time also breaks the ordering; the refusal names its real fault
+    with pytest.raises(ValueError, match="finite"):
+        simulate_visco([(0.0, 0.0), (math.nan, 1.0)], p, mesh)
 
 
 # ------------------------------------------------------- scalar reduction oracle
@@ -393,6 +400,8 @@ def test_limit_study_validation():
         rate_independent_limit_study(
             [0.1], p, mesh, [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)]
         )
+    with pytest.raises(ValueError, match="ramp from tau = 0, not 0.5"):
+        rate_independent_limit_study([0.1], p, mesh, [(0.0, 0.5), (1.0, 1.0)])
 
 
 # ------------------------------------------------------------------ error paths
@@ -402,7 +411,8 @@ def test_step_failure_carries_residual(monkeypatch):
     def never_converges(x0, *args, **kwargs):
         raise SolverError("stalled", residual=0.123)
 
-    monkeypatch.setattr(viscoplastic, "damped_newton", never_converges)
+    for module in (_p1, viscoplastic):
+        monkeypatch.setattr(module, "damped_newton", never_converges)
     p = _params(0.2)
     st = ViscoState.virgin(make_mesh(8), p)
     with pytest.raises(SolverError, match="try halving dt") as info:
@@ -430,11 +440,41 @@ def test_continuation_ladder_rescues_a_failed_step(monkeypatch):
         outcomes.append("converged")
         return result
 
-    monkeypatch.setattr(viscoplastic, "damped_newton", recorded)
+    for module in (_p1, viscoplastic):
+        monkeypatch.setattr(module, "damped_newton", recorded)
     st = visco_step(ViscoState.virgin(make_mesh(128), p), 3.0, 0.05, p)
     assert outcomes[0] == "raised"
     assert len(outcomes) > 2 and outcomes[-1] == "converged"
     assert np.isfinite(st.gamma.values).all() and np.isfinite(st.S.values).all()
+
+
+def test_continuation_rescues_a_step_of_a_plain_ramp(monkeypatch):
+    # no forcing: the README visco strip without hardening, at m_rate 0.005
+    # (the README's is 0.05), on tau = 2.5 t in 20 steps; one step's direct
+    # solve fails and the ladder rescues it
+    p = ViscoParams(
+        base=PhysicalParams(S0=1.0, kappa=1.0, L=1.0, ell=1.0, h=1.0, G=1.0,
+                            d0=1.0, m_rate=0.005),
+        hardening=Hardening.zero(),
+    )
+    raised = []
+    for module in (_p1, viscoplastic):
+        newton = module.damped_newton
+
+        def recorded(*args, _newton=newton, **kwargs):
+            try:
+                return _newton(*args, **kwargs)
+            except SolverError:
+                raised.append(1)
+                raise
+
+        monkeypatch.setattr(module, "damped_newton", recorded)
+    load = [(t, 2.5 * t) for t in np.linspace(0.0, 1.0, 21)]
+    states = simulate_visco(load, p, make_mesh(128))
+    assert raised
+    assert len(states) == 21
+    assert np.isfinite(states[-1].gamma.values).all()
+    assert np.isfinite(states[-1].S.values).all()
 
 
 def test_a_given_start_is_the_newton_start(monkeypatch):

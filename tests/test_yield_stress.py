@@ -24,7 +24,8 @@ Anchors used here:
     double it returns and its neighbour across lam have lambdas that
     straddle lam, the returned one nearer.  minimizer_profile raises
     SolverError where theta_Y - 1 spans at most 8 ulps of 1, too few to
-    resolve the profile's shape, and returns a whole profile just above.
+    resolve the profile's shape, and returns a whole profile just above;
+    it refuses a fractional or bool sample count instead of truncating it.
   * theta_of_lambda refuses lam below the smallest lam whose threshold
     rounds above 1 and above the largest lam it resolves strictly below
     1 + lam, naming each; from the floor up, lambda_of_theta inverts the
@@ -194,6 +195,11 @@ def test_input_validation():
         minimizer_profile(-1.0)
     with pytest.raises(ValueError):
         minimizer_profile(1.0, n_samples=33)
+    # a fractional or bool count is refused, not truncated, as Mesh does
+    for count in (16.9, 16.0, True):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            minimizer_profile(0.5, n_samples=count)
+    assert minimizer_profile(0.5, n_samples=np.int64(16)).phi.mesh.n_cells == 16
     lam_message = "lam must be finite and positive"
     with pytest.raises(ValueError, match=lam_message):
         asymptotic_theta(-2.0)
