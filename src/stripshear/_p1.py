@@ -23,6 +23,12 @@ One home for what the solvers have in common:
   constrained_newton to minimization at fixed sum), run level by level
   down a smoothing schedule by ladder.
 
+Clamped problems.  The strip is clamped against plastic flow,
+gamma(+-1) = 0.  Every clamped Newton system (increments, viscoplastic
+steps, the threshold dual and the stability certificate) is solved for the
+interior nodes alone, and clamped rebuilds the nodal field with zero
+faces, so the faces are zero by construction.
+
 Stability certificate.  gamma is stable at theta iff
 r = theta m - A gamma lies in dPsi(0) = {c(xi) : |xi| <= 1 at every Gauss
 point} (c the adjoint of the Gauss-point map v -> (u, lam u_r)).  The last
@@ -79,6 +85,7 @@ __all__ = [
     "energy_banded",
     "banded_matvec",
     "ladder",
+    "clamped",
     "dual_field",
     "max_norm",
     "dual_shrink",
@@ -504,9 +511,10 @@ def damped_newton(
     measure <= tol, or the decrement -slope/2 falls below the floor (no
     representable iterate can still improve the merit).  Iterates inside
     the floor wander, so the best-measure iterate seen is returned.  Raises
-    SolverError on stagnation away from stationarity, and when a step's
-    linear solve breaks down (LinAlgError) or meets a non-finite system
-    (the solves' ValueError).
+    SolverError on stagnation away from stationarity, when the floor is not
+    finite (the merit's terms overflow, so no decrement can be judged), and
+    when a step's linear solve breaks down (LinAlgError) or meets a
+    non-finite system (the solves' ValueError).
     """
     merit, state = evaluate(x)
     measure, newton_step = derivatives(state)
@@ -521,6 +529,12 @@ def damped_newton(
             raise SolverError(
                 f"Newton step failed: {err} (measure {measure:.3e})", residual=measure
             ) from err
+        if not math.isfinite(floor):
+            raise SolverError(
+                f"Newton merit overflows: roundoff floor {floor} (measure "
+                f"{measure:.3e})",
+                residual=measure,
+            )
         dec = -0.5 * slope
         if dec <= floor:
             return x_best, m_best
@@ -608,7 +622,7 @@ def banded_matvec(banded: np.ndarray, x: np.ndarray) -> np.ndarray:
 _DUAL_MARGIN = 1e-14
 
 
-def _clamped(x: np.ndarray) -> np.ndarray:
+def clamped(x: np.ndarray) -> np.ndarray:
     """Interior values as a nodal field with zero boundary values."""
     full = np.zeros(x.size + 2)
     full[1:-1] = x
@@ -632,7 +646,7 @@ def dual_field(
     which the interior block is used.  Returns (xi_u, xi_s), laid out as
     rad.u and rad.ls.
     """
-    fix = psi.radius(_clamped(solve_banded_spd(K[:, 1:-1], g / w - target)), 0.0)
+    fix = psi.radius(clamped(solve_banded_spd(K[:, 1:-1], g / w - target)), 0.0)
     wR = w * rad.R
     return rad.u / wR - fix.u, rad.ls / wR - fix.ls
 
@@ -698,7 +712,7 @@ def _threshold_dual(mesh: Mesh, lam: float) -> _ThresholdDual:
 
     def make_objective(eps: float):
         def evaluate(x: np.ndarray):
-            rad = psi.radius(_clamped(x), eps)
+            rad = psi.radius(clamped(x), eps)
             v = psi.total(rad)
             return v, (rad, v)
 
@@ -716,7 +730,7 @@ def _threshold_dual(mesh: Mesh, lam: float) -> _ThresholdDual:
         DEFAULT_OPTIONS.epsilon_schedule,
     )
 
-    v = _clamped(x)
+    v = clamped(x)
     rad = psi.radius(v, DEFAULT_OPTIONS.epsilon_schedule[-1])
     g = psi.grad_hess(rad)[0][1:-1]
     w = float(m @ g) / float(m @ m)

@@ -79,6 +79,7 @@ from ._p1 import (
     DEFAULT_OPTIONS,
     SmoothedDissipation,
     banded_matvec,
+    clamped,
     convex_newton,
     dual_field,
     dual_shrink,
@@ -218,13 +219,18 @@ class _IncrementProblem:
     def _descend(
         self, gamma_prev: np.ndarray, theta: float, x: np.ndarray, schedule
     ) -> np.ndarray:
-        """The smoothing ladder over schedule from x, a field left untouched."""
+        """The smoothing ladder over schedule from x, a field left untouched.
+
+        The ladder runs on the interior nodes of x; the result is the nodal
+        field rebuilt from them by clamped.
+        """
         A, m, psi = self.A, self.m, self.psi
         A_abs = self.A_abs
 
         def make_objective(eps: float):
-            def evaluate(xf: np.ndarray):
+            def evaluate(x: np.ndarray):
                 self.evaluations += 1
+                xf = clamped(x)
                 Ax = banded_matvec(A, xf)
                 quad = 0.5 * float(xf @ Ax)
                 lin = theta * float(m @ xf)
@@ -250,19 +256,12 @@ class _IncrementProblem:
                 g += Ax
                 g -= theta * m
                 H += A
-                # clamp boundary dofs: unit rows, zero coupling, zero gradient
-                g[0] = g[-1] = 0.0
-                H[1][0] = H[1][-1] = 1.0
-                H[0][1] = H[0][-1] = 0.0
-                return convex_newton(g, H, fscale)
+                return convex_newton(g[1:-1], H[:, 1:-1], fscale)
 
             return evaluate, derivatives
 
-        # the clamped rows give boundary steps of exactly 0, so the copy
-        # keeps zero boundary values down the whole ladder
-        x = x.copy()
-        x[0] = x[-1] = 0.0
-        return ladder(x, make_objective, DEFAULT_OPTIONS.newton_tol, schedule)
+        x = ladder(x[1:-1], make_objective, DEFAULT_OPTIONS.newton_tol, schedule)
+        return clamped(x)
 
     def solve_certified(
         self, gamma_prev: np.ndarray, theta: float, start: np.ndarray | None = None

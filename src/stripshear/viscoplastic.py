@@ -45,6 +45,7 @@ from ._p1 import (
     GAUSS3_WEIGHTS,
     assemble,
     at_points,
+    clamped,
     damped_newton,
     ladder,
     solve_tridiagonal,
@@ -204,10 +205,11 @@ def _residual(
     """FEM residual of the implicit balance, and what its Jacobian needs.
 
     Piecewise-linear elements, Gauss(3) per cell, on the kernel's
-    (n_points, n_cells) layout; rows for the clamped boundary nodes are
-    zero.  S_q is the strength at the Gauss points, fixed over the step.
-    Returns (R, state); _jacobian(state) builds the banded Jacobian at the
-    same iterate.
+    (n_points, n_cells) layout.  gamma is the full nodal field; R holds the
+    rows of the interior nodes, the unknowns of the clamped problem.  S_q
+    is the strength at the Gauss points, fixed over the step.  Returns
+    (R, state); _jacobian(state) builds the banded Jacobian at the same
+    iterate.
     """
     rate = (gamma - gamma_n) / dt
     g_q, g_diff = at_points(gamma)
@@ -223,16 +225,15 @@ def _residual(
 
     f0 = p.S0 * p.kappa * g_q + tau_dis - tau  # pairs with phi_i
     f1 = p.S0 * p.L * p.L * (g_diff / dy) + k_dis  # pairs with phi_i'
-    R = assemble(*_cell_sums(f0, f1, dy))
-    R[0] = R[-1] = 0.0
+    R = assemble(*_cell_sums(f0, f1, dy))[1:-1]
     return R, (a_q, b_q, S_q, P, d2, dt, p, dy)
 
 
 def _jacobian(state):
     """Tridiagonal Jacobian of the residual at the iterate of state.
 
-    Returns (sub, diag, sup) as solve_tridiagonal takes them.  Rows for the
-    clamped boundary nodes are identities.
+    Returns (sub, diag, sup) as solve_tridiagonal takes them, for the
+    interior nodes: the rows and columns of the clamped problem's unknowns.
     """
     a_q, b_q, S_q, P, d2, dt, p, dy = state
     ell2 = p.ell * p.ell
@@ -253,11 +254,7 @@ def _jacobian(state):
     np.subtract(C, df[1, 1], out=df[1, 0])
     (c_ll, c_lr), (c_rl, c_rr) = _cell_sums(df[0], df[1], dy)
     diag = assemble(c_ll, c_rr)
-
-    # clamped boundary rows
-    diag[0] = diag[-1] = 1.0
-    c_lr[0] = c_rl[-1] = 0.0
-    return c_rl, diag, c_lr
+    return c_rl[1:-1], diag[1:-1], c_lr[1:-1]
 
 
 def _nodal_flow_rate(gamma, gamma_n, dt: float, p: PhysicalParams, dy: float):
@@ -288,18 +285,18 @@ def _powerlaw_predictor(gamma_n, S_nodes, tau: float, dt: float, p: PhysicalPara
     z = np.where(np.isfinite(z), z, math.inf)
     z = np.where(np.abs(sigma) > 0.0, z, -math.inf)
     a0 = p.d0 * np.exp(np.minimum(z / p.m_rate, cap)) * np.sign(sigma)
-    x = gamma_n + dt * a0
-    x[0] = x[-1] = 0.0
-    return x
+    return gamma_n + dt * a0
 
 
 def _residual_noise(sub, diag, sup, x) -> float:
     """Float64 floor of the residual: eps times the row scale of |J| |x|.
 
-    J is the tridiagonal Jacobian (sub, diag, sup) as _jacobian returns it.
-    Near a rate reversal the power-law mobility makes Jacobian rows as
-    large as P(eps_v) / dt, so one ulp of x moves the residual by this
-    much; no representable iterate can land below it.
+    J is the interior tridiagonal Jacobian (sub, diag, sup) as _jacobian
+    returns it and x the interior values it acts on; the face columns it
+    leaves out multiply zero faces.  Near a rate reversal the power-law
+    mobility makes Jacobian rows as large as P(eps_v) / dt, so one ulp of
+    x moves the residual by this much; no representable iterate can land
+    below it.
     """
     ax = np.abs(x)
     s = np.abs(diag) * ax
@@ -318,12 +315,14 @@ def visco_step(
     """One backward-Euler step of the viscoplastic balance to stress tau_next.
 
     Damped Newton drives the max-norm of the spatial balance residual at the
-    new time level to tolerance or to its float64 floor; the strength field
-    is then advanced by Hardening.advance, exactly for the accepted flow
-    rate, so a saturating strength never crosses S_sat.  gamma_init, when
-    given, seeds Newton (a warm start from the previous increment);
-    otherwise a nodal power-law inversion of the overstress is used.  The
-    cold start is built only without gamma_init.  If
+    new time level to tolerance or to its float64 floor; its unknowns are
+    the interior nodes, and clamped rebuilds gamma with zero faces.  The
+    strength field is then advanced by Hardening.advance, exactly for the
+    accepted flow rate, so a saturating strength never crosses S_sat.
+    gamma_init, when given, seeds Newton with its interior values (a warm
+    start from the previous increment); otherwise a nodal power-law
+    inversion of the overstress is used.  The cold start is built only
+    without gamma_init.  If
     the sharp problem resists (rates trapped in the regularization corner
     crawl out of it only geometrically), the step is re-solved from the
     same start down _p1's smoothing ladder, one decade per level from
@@ -351,7 +350,7 @@ def visco_step(
         # merit max|R|: along the Newton step its slope is -max|R|, and one
         # ulp of x moves it by up to _residual_noise
         def evaluate(x):
-            R, rstate = _residual(x, gamma_n, S_q, tau_next, dt, base, dy, eps)
+            R, rstate = _residual(clamped(x), gamma_n, S_q, tau_next, dt, base, dy, eps)
             rnorm = float(np.max(np.abs(R)))
             return rnorm, (rnorm, x, R, rstate)
 
@@ -361,8 +360,6 @@ def visco_step(
             def newton_step():
                 J = _jacobian(rstate)
                 step = solve_tridiagonal(*J, -R)
-                # pivoting leaves ulps in the clamped rows; the faces stay 0
-                step[0] = step[-1] = 0.0
                 return step, -rnorm, 0.5 * _residual_noise(*J, x)
 
             return rnorm, newton_step
@@ -372,17 +369,18 @@ def visco_step(
     if gamma_init is None:
         start = _powerlaw_predictor(gamma_n, S_nodes, tau_next, dt, base)
     else:
-        start = np.array(gamma_init, dtype=float)
+        start = np.asarray(gamma_init, dtype=float)
         if start.shape != gamma_n.shape:
             raise ValueError("gamma_init shape does not match the mesh")
-        start[0] = start[-1] = 0.0
+        if not np.isfinite(start).all():
+            raise ValueError("gamma_init must be finite")
 
     # an extreme power law overflows or divides by zero; the solves refuse
     # a non-finite system and the step a non-finite gamma or strength
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         try:
             x = damped_newton(
-                start, *make_merit(eps_v), tol, DEFAULT_OPTIONS.max_newton_iters
+                start[1:-1], *make_merit(eps_v), tol, DEFAULT_OPTIONS.max_newton_iters
             )[0]
         except SolverError:
             # continuation: relax the corner by widening the rate smoothing,
@@ -392,7 +390,7 @@ def visco_step(
                 levels.append(level)
                 level *= 0.1
             try:
-                x = ladder(start, make_merit, tol, levels + [eps_v])
+                x = ladder(start[1:-1], make_merit, tol, levels + [eps_v])
             except SolverError as err:
                 raise SolverError(
                     f"viscoplastic Newton did not converge (residual "
@@ -400,6 +398,7 @@ def visco_step(
                     residual=err.residual,
                 ) from err
 
+        x = clamped(x)
         d_nodes = _nodal_flow_rate(x, gamma_n, dt, base, dy)
         S_new = p.hardening.advance(S_nodes, dt, d_nodes)
     if not (np.isfinite(x).all() and np.isfinite(S_new).all()):

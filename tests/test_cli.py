@@ -32,7 +32,9 @@ What is verified:
      to a solver failure.
   6. SVG artifacts are standalone documents containing the plotted series;
      series with no finite point (or no positive x on a log axis) are
-     refused, and a single x value is widened to a unit range.
+     refused, and a single x value is widened to a unit range.  A log x
+     axis puts its ticks on decades: every decade over [0.01, 10], every
+     second one over [1e-3, 1e5].
   7. Importing the CLI in a fresh interpreter loads no scipy module at
      all: the banded solves call the LAPACK numpy already loads, and scipy
      would cost start-up time and resident memory nothing else needs.
@@ -51,6 +53,7 @@ import importlib
 import json
 import math
 import os
+import re
 import runpy
 import shlex
 import subprocess
@@ -289,6 +292,19 @@ def test_svg_widens_a_single_x_value():
     # the x range becomes [1.5, 2.5], with the series at its centre
     assert ">1.5</text>" in svg and ">2.5</text>" in svg
     assert '<polyline points="344.00,' in svg
+
+
+@pytest.mark.parametrize(
+    "x_range, labels",
+    [
+        ((0.01, 10.0), ["0.01", "0.1", "1", "10"]),
+        ((1e-3, 1e5), ["0.001", "0.1", "10", "1000", "100000"]),
+    ],
+)
+def test_svg_log_axis_ticks_on_decades(x_range, labels):
+    svg = render_line_plot([("s", list(x_range), [0.0, 1.0])], "t", "x", "y", logx=True)
+    # centred labels: the x-axis title, then one per x tick
+    assert re.findall(r'text-anchor="middle">([^<]*)</text>', svg) == ["x"] + labels
 
 
 def test_svg_refuses_series_with_no_finite_point():

@@ -19,7 +19,10 @@ What is verified:
   7. Failure paths raise SolverError carrying residual and step context
      (a Newton budget strangled by patching the one solver configuration);
      kappa = 0 (no stored energy, unbounded flow past yield) is rejected
-     with ValueError before any solve.
+     with ValueError before any solve.  A state so large that the
+     objective's terms overflow raises SolverError in increment_solve and
+     stability_residual instead of passing as converged (and as exactly
+     stable); one just below overflow still gets its finite defect.
   8. The clamped discrete yield threshold is bracketed tightly by a primal
      profile and an equality-feasible dual field.  The dual Gram matrix
      _p1.energy_banded(mesh, 1.0, lam), with which every dual correction
@@ -278,6 +281,31 @@ def test_evolve_attaches_step_context(strangled):
         evolve(load, P_REF, make_mesh(32))
     assert exc.value.step == 1
     assert "load step 1" in str(exc.value)
+
+
+def _sine_bump(amplitude):
+    mesh = make_mesh(8)
+    values = amplitude * np.cos(0.5 * np.pi * mesh.nodes)
+    values[0] = values[-1] = 0.0
+    return Field(mesh, values)
+
+
+@pytest.mark.parametrize("amplitude", [1e154, 1e300])
+def test_an_overflowing_objective_raises(amplitude):
+    # the objective's term magnitudes overflow to inf, and with them the
+    # roundoff floor, below which every decrement would pass as converged
+    gamma = _sine_bump(amplitude)
+    p = NondimParams(lam=1.0, Lambda=1.0, kappa=1.0)
+    with pytest.raises(SolverError, match="overflows"):
+        increment_solve(gamma, 2.0, p)
+    with pytest.raises(SolverError, match="overflows"):
+        stability_residual(gamma, 2.0, p)
+
+
+def test_a_large_finite_objective_keeps_its_defect():
+    p = NondimParams(lam=1.0, Lambda=1.0, kappa=1.0)
+    defect = stability_residual(_sine_bump(1e150), 2.0, p)
+    assert 1e300 < defect < math.inf
 
 
 def test_zero_kappa_is_rejected():
