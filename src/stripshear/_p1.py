@@ -20,7 +20,7 @@ One home for what the solvers have in common:
   (energy_banded, with banded_matvec), the banded solves (LAPACK, called
   in the library numpy's linalg extension loads) and the damped Newton
   driver of every solver (convex_newton adapts it to minimization,
-  constrained_newton to minimization at fixed sum), run level by level
+  _constrained_newton to minimization at fixed sum), run level by level
   down a smoothing schedule by ladder.
 
 Clamped problems.  The strip is clamped against plastic flow,
@@ -34,7 +34,9 @@ r = theta m - A gamma lies in dPsi(0) = {c(xi) : |xi| <= 1 at every Gauss
 point} (c the adjoint of the Gauss-point map v -> (u, lam u_r)).  The last
 smoothing level of the step that produced gamma gives xi = (u, lam u_r) / R
 with c(xi) = r up to the Newton residual, which a minimum-norm correction
-(dual_field) removes.  With s = max|xi|, Psi(d) >= r'd / s for every d, so
+removes; dual_norm returns s = max|xi|, inflated by its roundoff margin
+(inf where the margin factor is not positive: xi then certifies nothing).
+Psi(d) >= r'd / s for every d, so
 the defect max_d [r'd - d'Ad / 2 - Psi(d)] is 0 if s <= 1 and at most
 (1 - 1/s)^2 r'A^-1 r / 2 otherwise; the uncorrected xi gives a second
 bound, from the Newton residual (incremental's stability_bound takes the
@@ -44,10 +46,10 @@ Pre-yield bracket.  Zero is the increment from gamma = 0 iff theta m lies
 in the subdifferential of Psi at 0, whatever Lambda and kappa, that is iff
 |theta| is at most the clamped discrete yield threshold
 theta_c = min {Psi(v) : m'v = 1}.  A dual field xi with c(xi) = m proves
-theta_c >= 1 / max|xi|; it is built once per (n_cells, lam) from a
-constrained Newton solve for the threshold profile (threshold_bracket), and
-below that bound an increment from the virgin state is the exact zero field
-with no Newton iteration.
+theta_c >= 1 / dual_norm (0 where xi certifies nothing); it is built once
+per (n_cells, lam) from a constrained Newton solve for the threshold
+profile (threshold_bracket), and below that bound an increment from the
+virgin state is the exact zero field with no Newton iteration.
 
 Gauss-point arrays are laid out (n_points, n_cells), so each quadrature
 point is one contiguous row and the per-cell reductions are small matrix
@@ -80,15 +82,12 @@ __all__ = [
     "solve_banded_spd",
     "solve_tridiagonal",
     "convex_newton",
-    "constrained_newton",
     "damped_newton",
     "energy_banded",
     "banded_matvec",
     "ladder",
     "clamped",
-    "dual_field",
-    "max_norm",
-    "dual_shrink",
+    "dual_norm",
     "threshold_bracket",
 ]
 
@@ -203,6 +202,8 @@ class SmoothedDissipation:
     """
 
     def __init__(self, mesh: Mesh, lam: float):
+        self.mesh = mesh
+        self.lam = float(lam)
         self.n = mesh.n_cells
         self.dr = mesh.dr
         self.slope_scale = float(lam) / mesh.dr  # e = lam / dr
@@ -221,6 +222,11 @@ class SmoothedDissipation:
         ca = np.broadcast_to(1.0 - _T, shape)  # left shape function
         cb = np.broadcast_to(_T, shape)
         return ca.copy(), ca * ca + e * e, cb * cb + e * e, ca * cb - e * e
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The dual Gram matrix energy_banded(mesh, 1.0, lam), built on first use."""
+        return energy_banded(self.mesh, 1.0, self.lam)
 
     def radius(self, d: np.ndarray, eps: float) -> _Radius:
         """Gauss-point values of the field, its scaled slope and R."""
@@ -462,7 +468,7 @@ def convex_newton(g: np.ndarray, H: np.ndarray, fscale: float):
     return gnorm, newton_step
 
 
-def constrained_newton(g: np.ndarray, H: np.ndarray, fscale: float):
+def _constrained_newton(g: np.ndarray, H: np.ndarray, fscale: float):
     """derivatives(state) of damped_newton for a convex minimization at fixed sum(x).
 
     g and H are as in convex_newton.  H need not be definite along the
@@ -610,15 +616,15 @@ def banded_matvec(banded: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-# relative shrink of the certified threshold, per cell and per unit of
-# 1 + lam.  c(xi') reproduces m up to a few ulps of its largest terms,
+# dual_norm's relative inflation of max|xi|, per cell and per unit of
+# 1 + lam (from n_cells (1 + lam) = 1e14 on, xi certifies nothing).
+# c(xi') reproduces m up to a few ulps of its largest terms,
 # about lam |xi'| ~ lam / theta_c per node.  Gauss(3) gives
 # Psi(v) >= 0.43 dr sum|v_i| (at least 0.215 dr (|a| + |b|) per cell), so a
 # residual delta moves the threshold by at most 2.4 theta_c max|delta| / dr:
 # relative to theta_c, of order n_cells (1 + lam) ulps.  The residual
 # measured at n_cells = 2048, lam = 100 (5.7e-13 max m) bounds the move by
 # 1.4e-10 there, against a shrink of 2.1e-9.
-# The stability certificate inflates max|xi| by the same factor.
 _DUAL_MARGIN = 1e-14
 
 
@@ -629,31 +635,42 @@ def clamped(x: np.ndarray) -> np.ndarray:
     return full
 
 
-def dual_field(
+def _dual_field(
     psi: SmoothedDissipation,
     rad,
     g: np.ndarray,
     w: float,
     target: np.ndarray,
-    K: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-point field xi with c(xi) = target, from a smoothed multiplier.
 
     rad holds the radii of Psi_eps at some field and g the interior entries
     of its gradient, so (u, lam u_r) / R has c = g.  Divided by w it misses
     target by rho = g / w - target, which the minimum-norm field B K^-1 rho
-    removes; K is the dual Gram matrix energy_banded(mesh, 1.0, lam), of
-    which the interior block is used.  Returns (xi_u, xi_s), laid out as
-    rad.u and rad.ls.
+    removes; K is the interior block of psi.gram.  Returns (xi_u, xi_s),
+    laid out as rad.u and rad.ls.
     """
-    fix = psi.radius(clamped(solve_banded_spd(K[:, 1:-1], g / w - target)), 0.0)
+    fix = psi.radius(clamped(solve_banded_spd(psi.gram[:, 1:-1], g / w - target)), 0.0)
     wR = w * rad.R
     return rad.u / wR - fix.u, rad.ls / wR - fix.ls
 
 
-def max_norm(xi_u: np.ndarray, xi_s: np.ndarray) -> float:
-    """max |xi| over the Gauss points."""
-    return float(np.sqrt(xi_u * xi_u + xi_s * xi_s).max())
+def dual_norm(
+    psi: SmoothedDissipation, rad, g: np.ndarray, w: float, target: np.ndarray
+) -> float:
+    """Certified max|xi| of a Gauss-point field xi with c(xi) = target.
+
+    xi is the multiplier (u, lam u_r) / (w R) of rad and g (as in
+    _dual_field) made exact by the minimum-norm correction.  Its max norm
+    is divided by 1 - _DUAL_MARGIN n_cells (1 + lam), the roundoff margin
+    of c(xi); where that factor is not positive the field certifies
+    nothing, and the norm is inf.
+    """
+    shrink = 1.0 - _DUAL_MARGIN * psi.n * (1.0 + psi.lam)
+    if shrink <= 0.0:
+        return math.inf
+    xi_u, xi_s = _dual_field(psi, rad, g, w, target)
+    return float(np.sqrt(xi_u * xi_u + xi_s * xi_s).max()) / shrink
 
 
 def ladder(x: np.ndarray, make_objective, tol: float, schedule) -> np.ndarray:
@@ -676,21 +693,9 @@ def ladder(x: np.ndarray, make_objective, tol: float, schedule) -> np.ndarray:
         x = x_new
 
 
-def dual_shrink(n_cells: int, lam: float) -> float:
-    """1 minus the roundoff margin of a dual field's max norm."""
-    return 1.0 - _DUAL_MARGIN * n_cells * (1.0 + lam)
-
-
-class _ThresholdDual(NamedTuple):
-    v: np.ndarray  # primal profile, clamped, m'v = 1 up to roundoff
-    xi_u: np.ndarray  # dual field at the Gauss points, (n_points, n_cells)
-    xi_s: np.ndarray
-    lower: float  # certified: |theta| <= lower keeps the virgin state at rest
-    upper: float  # Psi(v) / m'v
-
-
-def _threshold_dual(mesh: Mesh, lam: float) -> _ThresholdDual:
-    """Bracket of the clamped discrete yield threshold, with its witnesses.
+@lru_cache(maxsize=64)
+def threshold_bracket(n_cells: int, lam: float) -> tuple[float, float, np.ndarray]:
+    """(lower, upper, v): the clamped discrete yield threshold's bracket and witness.
 
     Zero is the increment from the virgin state iff theta m lies in
     dPsi(0) = {c(xi) : |xi| <= 1 at every Gauss point}, whatever Lambda and
@@ -703,10 +708,11 @@ def _threshold_dual(mesh: Mesh, lam: float) -> _ThresholdDual:
     v minimizes Psi_eps at m'v = 1 down the smoothing schedule by
     constrained Newton (the interior weights of m are all dr), within the
     increments' Newton budget.  At the last level the gradient
-    g = c((u, lam u_r) / R), scaled by w = m'g / m'm, is turned into a
-    field with c(xi) = m by dual_field.
+    g = c((u, lam u_r) / R), scaled by w = m'g / m'm, gives
+    lower = 1 / dual_norm, certified for whatever field the solve ends
+    with.  The witness v is read-only, as every solve on the strip shares it.
     """
-    n = mesh.n_cells
+    mesh = Mesh(n_cells)
     psi = SmoothedDissipation(mesh, lam)
     m = mass_vector(mesh)[1:-1]
 
@@ -719,11 +725,11 @@ def _threshold_dual(mesh: Mesh, lam: float) -> _ThresholdDual:
         def derivatives(state):
             rad, v = state
             g, H = psi.grad_hess(rad)
-            return constrained_newton(g[1:-1], H[:, 1:-1], v + 2.0 * eps)
+            return _constrained_newton(g[1:-1], H[:, 1:-1], v + 2.0 * eps)
 
         return evaluate, derivatives
 
-    x = np.full(n - 1, 1.0 / float(m.sum()))
+    x = np.full(n_cells - 1, 1.0 / float(m.sum()))
     # g is of order theta_c dr
     x = ladder(
         x, make_objective, DEFAULT_OPTIONS.newton_tol * mesh.dr,
@@ -734,20 +740,7 @@ def _threshold_dual(mesh: Mesh, lam: float) -> _ThresholdDual:
     rad = psi.radius(v, DEFAULT_OPTIONS.epsilon_schedule[-1])
     g = psi.grad_hess(rad)[0][1:-1]
     w = float(m @ g) / float(m @ m)
-    xi_u, xi_s = dual_field(psi, rad, g, w, m, energy_banded(mesh, 1.0, lam))
-    lower = dual_shrink(n, lam) / max_norm(xi_u, xi_s)
+    lower = 1.0 / dual_norm(psi, rad, g, w, m)
     upper = psi.value(v, 0.0) / float(m @ x)
-    return _ThresholdDual(v, xi_u, xi_s, lower, upper)
-
-
-@lru_cache(maxsize=64)
-def threshold_bracket(n_cells: int, lam: float) -> tuple[float, float, np.ndarray]:
-    """(lower, upper, v) of _threshold_dual, shared by every solve on one strip.
-
-    A property of the strip alone: the lower bound is certified for
-    whatever dual field the constrained solve ends with.  The primal
-    witness v is read-only, as every caller shares it.
-    """
-    dual = _threshold_dual(Mesh(n_cells), lam)
-    dual.v.flags.writeable = False
-    return dual.lower, dual.upper, dual.v
+    v.flags.writeable = False
+    return lower, upper, v

@@ -451,9 +451,11 @@ def _parse_config_file(path: str, command: str) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
+        key, value = key.strip().replace("-", "_"), value.strip()
         if key not in spec:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {command!r}")
+        if key in params:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
         params[key] = value
     return params
 

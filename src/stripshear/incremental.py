@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -81,12 +80,10 @@ from ._p1 import (
     banded_matvec,
     clamped,
     convex_newton,
-    dual_field,
-    dual_shrink,
+    dual_norm,
     energy_banded,
     ladder,
     mass_vector,
-    max_norm,
     solve_banded_spd,
     threshold_bracket,
 )
@@ -286,10 +283,6 @@ class _IncrementProblem:
             )
         return gamma, bound
 
-    @cached_property
-    def _gram(self) -> np.ndarray:
-        return energy_banded(self.mesh, 1.0, self.p.lam)
-
     def stability_bound(
         self, gamma_prev: np.ndarray, gamma: np.ndarray, theta: float
     ) -> float:
@@ -304,9 +297,11 @@ class _IncrementProblem:
         last smoothing level, xi0 = (u, lam u_r) / R with |xi0| < 1:
           * xi0 itself: c(xi0) = g, the smoothed gradient, and rho is the
             Newton residual of the increment;
-          * xi / s, with xi = xi0 made exact (c(xi) = r) by dual_field and
-            s = max|xi| (inflated by the roundoff margin): rho = (1 - 1/s) r,
-            and s <= 1 certifies a defect of exactly 0.
+          * xi / s, with xi = xi0 made exact (c(xi) = r) and s = max|xi|
+            inflated by its roundoff margin, both by _p1's dual_norm:
+            rho = (1 - 1/s) r, and s <= 1 certifies a defect of exactly 0.
+            Where the margin certifies nothing, s is inf and this bound is
+            r'A^-1 r / 2.
         The bound is the smaller of the two.  A zero state at a load within
         the certified threshold bracket is stable whatever gamma_prev, and
         gets 0 without any work.
@@ -317,8 +312,7 @@ class _IncrementProblem:
         r = (theta * self.m - banded_matvec(self.A, gamma))[1:-1]
         rad = self.psi.radius(gamma - gamma_prev, DEFAULT_OPTIONS.epsilon_schedule[-1])
         g = self.psi.grad_hess(rad)[0][1:-1]
-        xi_u, xi_s = dual_field(self.psi, rad, g, 1.0, r, self._gram)
-        s = max_norm(xi_u, xi_s) / dual_shrink(n, lam)
+        s = dual_norm(self.psi, rad, g, 1.0, r)
         if s <= 1.0:
             return 0.0
         A = self.A[:, 1:-1]

@@ -10,8 +10,9 @@ What is verified:
      prints one "wrote ..." line: its CSV with the row count, any extra
      CSV, then the SVG and the JSON.
   4. key=value config files merge beneath command-line flags, and both
-     over the command's defaults; dashed flag spellings alias underscore
-     keys.  The argument parser is built once per process, and a parse
+     over the command's defaults; dashed spellings alias underscore keys,
+     as flags and as file keys, and a file that sets a key twice is a
+     config error naming its line.  The argument parser is built once per process, and a parse
      leaves nothing behind for the next one.  Every stripshear command in
      the README's "Command line" block parses.
   5. Exit codes: 0 success, 1 config error, 2 solver failure, 3 verify
@@ -390,7 +391,7 @@ def test_config_file_with_flag_precedence(tmp_path, capsys):
     cfg.write_text(
         "# sheared strip, sub-threshold ramp\n"
         "lambda = 1.179812\n"
-        "theta_max = 5.0\n"
+        "theta-max = 5.0\n"  # a dashed key, as the flags take
         "steps = 3\n"
         "cells = 16\n"
         f"out = {tmp_path}\n"
@@ -419,6 +420,12 @@ def test_config_file_errors(tmp_path, capsys):
     bad_line.write_text("lambda 1\n")
     assert cli.main(["simulate", "--config", str(bad_line)]) == 1
     assert "expected key=value" in capsys.readouterr().err
+
+    # a dashed key is its underscore key, so writing both sets it twice
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("theta_max = 3\nsteps = 2\ntheta-max = 4\n")
+    assert cli.main(["simulate", "--config", str(twice)]) == 1
+    assert f"{twice}:3: key 'theta_max' given twice" in capsys.readouterr().err
 
 
 def test_dashed_and_underscored_flags_agree(tmp_path):

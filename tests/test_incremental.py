@@ -25,11 +25,14 @@ What is verified:
      stable); one just below overflow still gets its finite defect.
   8. The clamped discrete yield threshold is bracketed tightly by a primal
      profile and an equality-feasible dual field.  The dual Gram matrix
-     _p1.energy_banded(mesh, 1.0, lam), with which every dual correction
-     solves, is the Gauss(3) assembly of int phi_i phi_j + lam^2 phi_i'
-     phi_j' to 1e-14 relative.  Below the bracket an
-     increment from the virgin state is the exact zero field without any
-     Newton iteration, above it the strip flows.  A property test over
+     _p1.energy_banded(mesh, 1.0, lam), which the kernel caches as the
+     SmoothedDissipation.gram every dual correction solves with, is the
+     Gauss(3) assembly of int phi_i phi_j + lam^2 phi_i' phi_j' to 1e-14
+     relative.  Where n_cells (1 + lam) >= 1e14 the dual field's roundoff
+     margin certifies nothing: the bracket's lower bound is 0, not
+     negative, and a zero state past yield is not certified stable.
+     Below the bracket an increment from the virgin state is the exact
+     zero field without any Newton iteration, above it the strip flows.  A property test over
      (lam, Lambda, kappa, theta, n_cells) checks that increments from the
      virgin state are finite or raise SolverError, are exact zeros below
      the bracket, and never exceed the zero field's E_tot + Psi by more
@@ -73,6 +76,7 @@ from stripshear import (
     increment_solve,
     make_mesh,
     stability_residual,
+    theta_of_lambda,
     total_energy,
 )
 from stripshear import _p1, incremental
@@ -337,19 +341,43 @@ def _adjoint(xi_u, xi_s, mesh, lam):
 @pytest.mark.parametrize("lam", [1e-3, 0.1, 1.179812, 10.0, 100.0])
 def test_threshold_bracket(lam, n_cells):
     mesh = make_mesh(n_cells)
-    dual = _p1._threshold_dual(mesh, lam)
-    assert 0.0 < dual.lower <= dual.upper
-    assert (dual.upper - dual.lower) / dual.upper <= 1e-6
+    lower, upper, v = _p1.threshold_bracket(n_cells, lam)
+    assert 0.0 < lower <= upper
+    assert (upper - lower) / upper <= 1e-6
     m = mesh.dr * np.ones(n_cells - 1)  # interior trapezoid weights
-    c = _adjoint(dual.xi_u, dual.xi_s, mesh, lam)[1:-1]
+    # the dual field the lower bound certifies, rebuilt from the witness
+    psi = _p1.SmoothedDissipation(mesh, lam)
+    rad = psi.radius(v, 1e-11)
+    g = psi.grad_hess(rad)[0][1:-1]
+    xi_u, xi_s = _p1._dual_field(psi, rad, g, float(m @ g) / float(m @ m), m)
+    c = _adjoint(xi_u, xi_s, mesh, lam)[1:-1]
     assert float(np.max(np.abs(c - m))) <= 1e-13 * float(m.max())
     # the primal witness: a clamped field whose ratio is the upper bound
-    v = Field(mesh, dual.v)
-    assert dual.upper == pytest.approx(dissipation(v, lam) / float(m @ dual.v[1:-1]))
+    witness = Field(mesh, v)
+    assert upper == pytest.approx(dissipation(witness, lam) / float(m @ v[1:-1]))
     # no worse than the flat interior competitor; above the local threshold 1
     flat = Field(mesh, np.r_[0.0, np.ones(n_cells - 1), 0.0])
-    assert dual.upper <= dissipation(flat, lam) / float(m.sum())
-    assert 1.0 < dual.lower
+    assert upper <= dissipation(flat, lam) / float(m.sum())
+    assert 1.0 < lower
+
+
+@pytest.mark.parametrize(
+    "n_cells, lam, certified",
+    [(512, 3e11, False), (4096, 3e10, False), (512, 1e10, True)],
+)
+def test_dual_certificate_past_its_roundoff_margin(n_cells, lam, certified):
+    # from n_cells (1 + lam) = 1e14 on, the roundoff margin is the whole
+    # dual norm: the dual field certifies nothing, so the bracket's lower
+    # bound is 0 and the zero state past yield keeps a positive bound
+    lower, upper, _ = _p1.threshold_bracket(n_cells, lam)
+    assert 0.0 <= lower <= upper
+    assert (lower > 1.0) == certified
+    mesh = make_mesh(n_cells)
+    p = NondimParams(lam=lam, Lambda=1.0, kappa=1.0)
+    zero = np.zeros(n_cells + 1)
+    theta = 2.0 * theta_of_lambda(lam)
+    bound = incremental._IncrementProblem(mesh, p).stability_bound(zero, zero, theta)
+    assert bound > 1e18
 
 
 @pytest.mark.parametrize("n_cells, lam", [(4, 0.3), (16, 2.0), (64, 100.0)])
@@ -367,10 +395,11 @@ def test_dual_gram_is_the_gauss_assembly(n_cells, lam):
                     expect[i + a, i + b] += mesh.dr * w[q] * (
                         phi[a, q] * phi[b, q] + lam * lam * dphi[a] * dphi[b]
                     )
-    K = _p1.energy_banded(mesh, 1.0, lam)
-    dense = np.diag(K[1]) + np.diag(K[0, 1:], 1) + np.diag(K[0, 1:], -1)
     scale = float(np.max(np.abs(expect)))
-    assert float(np.max(np.abs(dense - expect))) <= 1e-14 * scale
+    gram = _p1.SmoothedDissipation(mesh, lam).gram
+    for K in (_p1.energy_banded(mesh, 1.0, lam), gram):
+        dense = np.diag(K[1]) + np.diag(K[0, 1:], 1) + np.diag(K[0, 1:], -1)
+        assert float(np.max(np.abs(dense - expect))) <= 1e-14 * scale
 
 
 def test_virgin_increment_below_bracket_skips_newton(monkeypatch):

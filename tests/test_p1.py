@@ -23,7 +23,7 @@ What is verified:
      the sum, and a single unknown is already stationary; the SPD banded
      solve handles tridiagonal, pentadiagonal and 1x1 systems.
   8. The banded solves call the LAPACK numpy loads, and give scipy's ptsv
-     and pbsv bits: n = 1, 2 and 513, a pentadiagonal constrained_newton
+     and pbsv bits: n = 1, 2 and 513, a pentadiagonal _constrained_newton
      system, and the diagonal lift after a failed first factorization.  A
      non-finite right-hand side raises ValueError, a singular general
      tridiagonal system numpy.linalg.LinAlgError.  Threads solving at the
@@ -43,7 +43,7 @@ from stripshear._p1 import (
     GAUSS3_POINTS,
     GAUSS3_WEIGHTS,
     SmoothedDissipation,
-    constrained_newton,
+    _constrained_newton,
     convex_newton,
     damped_newton,
     gauss_legendre,
@@ -297,7 +297,7 @@ def test_constrained_newton_step_is_the_null_space_step():
     H[1] = rng.uniform(2.0, 3.0, n)
     H[0] = rng.uniform(-0.9, 0.9, n)
     g = rng.standard_normal(n)
-    measure, newton_step = constrained_newton(g, H, 1.0)
+    measure, newton_step = _constrained_newton(g, H, 1.0)
     step, slope, floor = newton_step()
 
     Z = np.eye(n)[:, :-1] - np.eye(n)[:, 1:]  # z_j = e_j - e_{j+1}
@@ -311,7 +311,7 @@ def test_constrained_newton_step_is_the_null_space_step():
 
 
 def test_constrained_newton_single_unknown_is_stationary():
-    measure, _ = constrained_newton(np.array([3.0]), np.array([[0.0], [2.0]]), 1.0)
+    measure, _ = _constrained_newton(np.array([3.0]), np.array([[0.0], [2.0]]), 1.0)
     assert measure == 0.0
 
 
@@ -357,7 +357,7 @@ def test_spd_solve_matches_scipy_bit_for_bit(n):
 
 
 def test_pentadiagonal_solve_matches_scipy_bit_for_bit(monkeypatch):
-    # the reduced Hessian constrained_newton forms, as it passes it on
+    # the reduced Hessian _constrained_newton forms, as it passes it on
     systems = []
     solve = _p1.solve_banded_spd
 
@@ -369,7 +369,7 @@ def test_pentadiagonal_solve_matches_scipy_bit_for_bit(monkeypatch):
     monkeypatch.setattr(_p1, "solve_banded_spd", record)
     rng = np.random.default_rng(17)
     H = _spd_tridiagonal(rng, 65)
-    constrained_newton(rng.standard_normal(65), H, 1.0)[1]()
+    _constrained_newton(rng.standard_normal(65), H, 1.0)[1]()
     (S, rhs, x), = systems
     assert S.shape == (3, 64)
     ref, info = _scipy_spd_solve(S, rhs)

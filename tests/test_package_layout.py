@@ -19,6 +19,9 @@ What is verified:
      imports no package module but ``model``, and ``yield_stress`` imports
      nothing from ``incremental``.  The collector finds a package module
      behind every import form, so an allowed graph is not a blind spot.
+  5. ``_p1`` exports only what another package module uses: every name in
+     its ``__all__`` is imported from it, or read off it, by some other
+     module under src/stripshear; the collector sees both forms.
 """
 
 import ast
@@ -28,6 +31,7 @@ from pathlib import Path
 import pytest
 
 import stripshear
+from stripshear import _p1
 
 PACKAGE = "stripshear"
 SRC = Path(stripshear.__file__).parent
@@ -161,6 +165,49 @@ def test_solver_core_sits_below_the_solvers():
 
     assert imports(f"{PACKAGE}._p1") <= {f"{PACKAGE}.model"}
     assert f"{PACKAGE}.incremental" not in imports(f"{PACKAGE}.yield_stress")
+
+
+def names_taken_from(target: str, module: str, source: str) -> set[str]:
+    """The names `module` imports from package module `target` or reads off it."""
+    tree = ast.parse(source)
+    found, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            origin = _source_of(module, node)
+            for alias in node.names:
+                if origin == target:
+                    found.add(alias.name)
+                elif f"{origin}.{alias.name}" == target:
+                    aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            aliases.update(a.asname for a in node.names if a.name == target and a.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                found.add(node.attr)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("from ._p1 import ladder, clamped as c", {"ladder", "clamped"}),
+        ("from . import _p1\n_p1.dual_norm(1)", {"dual_norm"}),
+        ("import stripshear._p1 as core\ncore.mass_vector", {"mass_vector"}),
+        ("from .model import Mesh\nMesh.n_cells", set()),
+    ],
+)
+def test_collector_finds_names_taken_from_p1(source, expected):
+    assert names_taken_from(f"{PACKAGE}._p1", f"{PACKAGE}.cli", source) == expected
+
+
+def test_p1_exports_only_what_another_module_uses():
+    target = f"{PACKAGE}._p1"
+    taken = set()
+    for module, path in MODULES.items():
+        if module != target:
+            taken |= names_taken_from(target, module, path.read_text())
+    assert sorted(set(_p1.__all__) - taken) == []
 
 
 def _resolves(module: str, name: str) -> bool:
