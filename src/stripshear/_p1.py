@@ -455,7 +455,7 @@ def convex_newton(g: np.ndarray, H: np.ndarray, fscale: float):
     the sums is counted).  The measure is max|g|; the step is Newton's, or
     steepest descent where roundoff makes it ascend.
     """
-    gnorm = float(np.max(np.abs(g)))
+    gnorm = float(np.max(np.abs(g), initial=0.0))
 
     def newton_step():
         step = solve_banded_spd(H, -g)
@@ -475,27 +475,24 @@ def _constrained_newton(g: np.ndarray, H: np.ndarray, fscale: float):
     constraint's normal (a 1-homogeneous objective is flat along x), so the
     step stays in the null space of the all-ones vector, spanned by
     z_j = e_j - e_{j+1}: the reduced gradient is Z'g and the reduced
-    Hessian Z'HZ is pentadiagonal, solved by pbsv.  The measure is max|Z'g|
-    (0 with a single unknown, which has no free direction).
+    Hessian Z'HZ is pentadiagonal.  convex_newton minimizes in the reduced
+    coordinates p, and the step is Z p.  The measure is max|Z'g| (0 with a
+    single unknown, which has no free direction).
     """
     q = g[:-1] - g[1:]
-    gnorm = float(np.max(np.abs(q), initial=0.0))
+    d, e = H[1], H[0, 1:]  # diagonal, and e[i] couples (i, i + 1)
+    S = np.zeros((3, q.size))
+    S[2] = d[:-1] + d[1:] - 2.0 * e
+    S[1, 1:] = e[:-1] + e[1:] - d[1:-1]
+    S[0, 2:] = -e[1:-1]
+    gnorm, reduced_step = convex_newton(q, S, fscale)
 
     def newton_step():
-        d, e = H[1], H[0, 1:]  # diagonal, and e[i] couples (i, i + 1)
-        S = np.zeros((3, q.size))
-        S[2] = d[:-1] + d[1:] - 2.0 * e
-        S[1, 1:] = e[:-1] + e[1:] - d[1:-1]
-        S[0, 2:] = -e[1:-1]
-        p = solve_banded_spd(S, -q)
-        slope = float(q @ p)
-        if slope >= 0.0:
-            p = -q
-            slope = float(q @ p)
+        p, slope, floor = reduced_step()
         step = np.zeros(g.size)  # Z p
         step[:-1] = p
         step[1:] -= p
-        return step, slope, _ROUNDOFF * fscale
+        return step, slope, floor
 
     return gnorm, newton_step
 
@@ -505,7 +502,6 @@ def damped_newton(
     evaluate: Callable,
     derivatives: Callable,
     tol: float,
-    max_iters: int,
 ) -> tuple[np.ndarray, float]:
     """Drive a stationarity measure below tol by backtracking Newton steps.
 
@@ -516,12 +512,14 @@ def damped_newton(
     when measure > tol, so a converged point costs no solve.  Convergence:
     measure <= tol, or the decrement -slope/2 falls below the floor (no
     representable iterate can still improve the merit).  Iterates inside
-    the floor wander, so the best-measure iterate seen is returned.  Raises
+    the floor wander, so the best-measure iterate seen is returned.  The
+    budget is DEFAULT_OPTIONS.max_newton_iters iterations.  Raises
     SolverError on stagnation away from stationarity, when the floor is not
     finite (the merit's terms overflow, so no decrement can be judged), and
     when a step's linear solve breaks down (LinAlgError) or meets a
     non-finite system (the solves' ValueError).
     """
+    max_iters = DEFAULT_OPTIONS.max_newton_iters
     merit, state = evaluate(x)
     measure, newton_step = derivatives(state)
     x_best, m_best = x, measure
@@ -684,9 +682,7 @@ def ladder(x: np.ndarray, make_objective, tol: float, schedule) -> np.ndarray:
     last = len(schedule) - 1
     k = 0
     while True:
-        x_new, _ = damped_newton(
-            x, *make_objective(schedule[k]), tol, DEFAULT_OPTIONS.max_newton_iters
-        )
+        x_new, _ = damped_newton(x, *make_objective(schedule[k]), tol)
         if k == last:
             return x_new
         k = last if x_new is x else k + 1

@@ -269,25 +269,6 @@ def _nodal_flow_rate(gamma, gamma_n, dt: float, p: PhysicalParams, dy: float):
     return np.sqrt(rate**2 + (p.ell * node_slope) ** 2 + eps * eps)
 
 
-def _powerlaw_predictor(gamma_n, S_nodes, tau: float, dt: float, p: PhysicalParams):
-    """Cold-start guess: nodal inversion of the scalar power law.
-
-    The mobility d^(m-1) blows up at rest, so Newton started at zero rate
-    climbs geometrically and can need over a hundred iterations for small
-    m.  Inverting the local balance overstress = S (a / d0)^m per node
-    lands near the answer in one shot.  Computed in log space with a cap
-    so extreme exponents 1/m cannot overflow.
-    """
-    sigma = tau - p.S0 * p.kappa * gamma_n
-    cap = math.log(10.0 * (1.0 + abs(tau) / p.S0) / dt) - math.log(p.d0)
-    with np.errstate(divide="ignore"):
-        z = np.log(np.abs(sigma)) - np.log(S_nodes)
-    z = np.where(np.isfinite(z), z, math.inf)
-    z = np.where(np.abs(sigma) > 0.0, z, -math.inf)
-    a0 = p.d0 * np.exp(np.minimum(z / p.m_rate, cap)) * np.sign(sigma)
-    return gamma_n + dt * a0
-
-
 def _residual_noise(sub, diag, sup, x) -> float:
     """Float64 floor of the residual: eps times the row scale of |J| |x|.
 
@@ -319,15 +300,14 @@ def visco_step(
     the interior nodes, and clamped rebuilds gamma with zero faces.  The
     strength field is then advanced by Hardening.advance, exactly for the
     accepted flow rate, so a saturating strength never crosses S_sat.
-    gamma_init, when given, seeds Newton with its interior values (a warm
-    start from the previous increment); otherwise a nodal power-law
-    inversion of the overstress is used.  The cold start is built only
-    without gamma_init.  If
-    the sharp problem resists (rates trapped in the regularization corner
-    crawl out of it only geometrically), the step is re-solved from the
-    same start down _p1's smoothing ladder, one decade per level from
-    1e-2 d0 to the nominal eps_v; a level that takes no Newton step sends
-    it straight to eps_v, and a level that fails fails the step.
+    Newton starts from the interior values of gamma_init when one is given
+    (a warm start from the previous increment), and from the state's own
+    gamma (zero rate) otherwise.  If the sharp problem resists (rates
+    trapped in the regularization corner crawl out of it only
+    geometrically), the step is re-solved from the same start down _p1's
+    smoothing ladder over exact decades 1e-2 d0, 1e-3 d0, ..., 1e-9 d0 and
+    then the nominal eps_v; a level that takes no Newton step sends it
+    straight to eps_v, and a level that fails fails the step.
     """
     tau_next = float(tau_next)
     dt = float(dt)
@@ -367,7 +347,7 @@ def visco_step(
         return evaluate, derivatives
 
     if gamma_init is None:
-        start = _powerlaw_predictor(gamma_n, S_nodes, tau_next, dt, base)
+        start = gamma_n
     else:
         start = np.asarray(gamma_init, dtype=float)
         if start.shape != gamma_n.shape:
@@ -379,18 +359,13 @@ def visco_step(
     # a non-finite system and the step a non-finite gamma or strength
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         try:
-            x = damped_newton(
-                start[1:-1], *make_merit(eps_v), tol, DEFAULT_OPTIONS.max_newton_iters
-            )[0]
+            x = damped_newton(start[1:-1], *make_merit(eps_v), tol)[0]
         except SolverError:
             # continuation: relax the corner by widening the rate smoothing,
             # then sharpen it one decade at a time back to eps_v
-            levels, level = [], 1e-2 * base.d0
-            while level > eps_v:
-                levels.append(level)
-                level *= 0.1
+            levels = [base.d0 * 10.0 ** -k for k in range(2, 10)] + [eps_v]
             try:
-                x = ladder(start[1:-1], make_merit, tol, levels + [eps_v])
+                x = ladder(start[1:-1], make_merit, tol, levels)
             except SolverError as err:
                 raise SolverError(
                     f"viscoplastic Newton did not converge (residual "

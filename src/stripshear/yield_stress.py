@@ -335,8 +335,7 @@ def yield_variational(lam: float, mesh: Mesh) -> YieldResult:
             newton_calls += 1
             try:
                 x, _ = damped_newton(
-                    phi_warm, *make_objective(eps, mu), DEFAULT_OPTIONS.newton_tol,
-                    DEFAULT_OPTIONS.max_newton_iters,
+                    phi_warm, *make_objective(eps, mu), DEFAULT_OPTIONS.newton_tol
                 )
             except _Diverged:
                 return None

@@ -177,7 +177,7 @@ def test_newton_forms_derivatives_only_at_accepted_iterates():
         return convex_newton(g, H, fscale)
 
     x0 = np.full(33, 40.0)
-    x, gnorm = damped_newton(x0, evaluate, derivatives, 1e-9, 100)
+    x, gnorm = damped_newton(x0, evaluate, derivatives, 1e-9)
     assert gnorm <= 1e-9
     assert len(evaluated) > len(differentiated)  # some trials were rejected
     # every derivative call reuses the state of an evaluated point, once
@@ -204,7 +204,7 @@ def test_newton_returns_at_once_on_the_roundoff_floor():
         return 1.0, newton_step
 
     x0 = np.ones(5)
-    x, measure = damped_newton(x0, evaluate, derivatives, 1e-9, 100)
+    x, measure = damped_newton(x0, evaluate, derivatives, 1e-9)
     assert x is x0 and measure == 1.0
     assert len(evaluated) == 1 and len(solved) == 1
 
@@ -221,7 +221,7 @@ def test_newton_turns_a_failed_step_solve_into_a_solver_error():
         return 0.25, newton_step
 
     with pytest.raises(SolverError, match="singular") as info:
-        damped_newton(np.ones(4), evaluate, derivatives, 1e-9, 100)
+        damped_newton(np.ones(4), evaluate, derivatives, 1e-9)
     assert info.value.residual == 0.25
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
@@ -233,7 +233,7 @@ def test_newton_turns_a_failed_step_solve_into_a_solver_error():
         return 0.5, newton_step
 
     with pytest.raises(SolverError, match="infs or NaNs") as info:
-        damped_newton(np.ones(4), evaluate, non_finite, 1e-9, 100)
+        damped_newton(np.ones(4), evaluate, non_finite, 1e-9)
     assert info.value.residual == 0.5
     assert type(info.value.__cause__) is ValueError
 

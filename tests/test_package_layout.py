@@ -22,6 +22,11 @@ What is verified:
   5. ``_p1`` exports only what another package module uses: every name in
      its ``__all__`` is imported from it, or read off it, by some other
      module under src/stripshear; the collector sees both forms.
+  6. No dead private code: every module-level underscore name in
+     src/stripshear (a function, a class or an assigned name) is read by its
+     module's code outside its own definition.  Check 1 keeps other modules
+     from reading it, so its own module is where the read must be.  The
+     checker is run on small sources, reads in its own body not counting.
 """
 
 import ast
@@ -247,3 +252,59 @@ def test_bench_names_resolve():
     ]
     missing += [f"{module}.{name}" for module, name in imported if not _resolves(module, name)]
     assert missing == []
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    """The private names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [
+            node.id
+            for target in targets
+            for node in ast.walk(target)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        ]
+    else:
+        names = []
+    return [name for name in names if _private(name)]
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Module-level private names no code outside their own definition reads."""
+    body = ast.parse(source).body
+    defined = dict.fromkeys(name for stmt in body for name in _defined(stmt))
+    read = set()
+    for stmt in body:
+        own = set(_defined(stmt))
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id not in own:
+                    read.add(node.id)
+    return [name for name in defined if name not in read]
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_private_name_is_read(module):
+    dead = unread_private_names(MODULES[module].read_text())
+    assert [f"{module.split('.')[-1]}.{name}" for name in dead] == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def _f():\n    return 1", ["_f"]),
+        ("def _f(n):\n    return _f(n - 1)", ["_f"]),
+        ("def _f():\n    return 1\n\nX = _f()", []),
+        ("class _C:\n    pass\n\ndef g() -> _C:\n    pass", []),
+        ("_A, B = 1, 2\nprint(B)", ["_A"]),
+        ("_x: int = 3\n\ndef f():\n    return _x", []),
+        ("_P, _Q = 1, 2\n_R = _P", ["_Q", "_R"]),
+        ("def f():\n    _local = 1\n    return 2", []),
+        ("__all__ = []\n_seen = 1\nprint(_seen)", []),
+        ("import os as _os", []),
+    ],
+)
+def test_checker_finds_unread_private_names(source, expected):
+    assert unread_private_names(source) == expected
