@@ -15,8 +15,9 @@ One home for what the solvers have in common:
       Psi_eps(d) = int sqrt(d^2 + lam^2 d_r^2 + eps^2) - eps dr,
 
   with its gradient and tridiagonal Hessian (eps = 0 is the plain
-  dissipation; only the value is defined there);
-* the trapezoidal mass vector, the banded matrix of the energy form
+  dissipation; only the value is defined there), and the viscoplastic
+  power-law flux R^(m-1) (w u, l) on the same radii (power_flux);
+* the trapezoidal mass vector, the banded matrix mass Mq + stiffness K
   (energy_banded, with banded_matvec), the banded solves (LAPACK, called
   in the library numpy's linalg extension loads) and the damped Newton
   driver of every solver (convex_newton adapts it to minimization,
@@ -72,12 +73,9 @@ from .model import Mesh, SolverError
 
 __all__ = [
     "DEFAULT_OPTIONS",
-    "GAUSS3_POINTS",
-    "GAUSS3_WEIGHTS",
     "gauss_legendre",
     "SmoothedDissipation",
     "at_points",
-    "assemble",
     "mass_vector",
     "solve_banded_spd",
     "solve_tridiagonal",
@@ -225,8 +223,8 @@ class SmoothedDissipation:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """The dual Gram matrix energy_banded(mesh, 1.0, lam), built on first use."""
-        return energy_banded(self.mesh, 1.0, self.lam)
+        """The dual Gram matrix energy_banded(mesh, 1.0, lam^2), built on first use."""
+        return energy_banded(self.mesh, 1.0, self.lam * self.lam)
 
     def radius(self, d: np.ndarray, eps: float) -> _Radius:
         """Gauss-point values of the field, its scaled slope and R."""
@@ -267,6 +265,45 @@ class SmoothedDissipation:
         banded[0, 1:] = hab_c
         assemble(haa_c, hbb_c, out=banded[1])
         return assemble(ga_c, gb_c), banded
+
+    def power_flux(self, rad: _Radius, m: float, w: np.ndarray):
+        """(vector, jacobian) of the power-law flux F = R^(m-1) (w u, l).
+
+        w weights the value channel at each Gauss point (laid out as rad.u).
+        The vector is int F . (c, e) dr at every node (grad_hess's gradient
+        at m = 0, w = 1).  jacobian() returns its derivative in the nodal
+        values, R^(m-1) [w c c' + e e' - (1 - m) (w u c + l e) (u c + l e)' / R^2],
+        as (sub, diag, sup) for solve_tridiagonal (not symmetric where
+        w != 1); line-search trials never build it.
+        """
+        u, ls, R, _ = rad
+        ca, kaa, kbb, kab = self._shape_factors
+        Rm = R ** (m - 1.0)
+        el = self.slope_scale * ls  # e * l with e = lam / dr
+        wu = w * u
+        pa = ca * wu - el  # (w u c + l e) at the left end
+        fa = Rm * pa
+        fa_c, fb_c = self.dw @ np.stack((fa, Rm * wu - fa))  # the shapes sum to one
+
+        def jacobian():
+            # (w u c + l e) / R and (u c + l e) / R at both ends, divided
+            # before they are multiplied, as R may overflow
+            inv_R = 1.0 / R
+            pa_R = pa * inv_R
+            pb_R = wu * inv_R - pa_R
+            qa_R = (ca * u - el) * inv_R
+            qb_R = u * inv_R - qa_R
+            w1 = w - 1.0  # w c c' + e e' = k + (w - 1) c c'
+            entries = (  # (left, left), (right, right), (left, right), (right, left)
+                (kaa, ca * ca, pa_R, qa_R), (kbb, _T * _T, pb_R, qb_R),
+                (kab, ca * _T, pa_R, qb_R), (kab, ca * _T, pb_R, qa_R),
+            )
+            aa, bb, ab, ba = self.dw @ np.stack([
+                Rm * (k + w1 * cc - (1.0 - m) * (p * q)) for k, cc, p, q in entries
+            ])
+            return ba, assemble(aa, bb), ab
+
+        return assemble(fa_c, fb_c), jacobian
 
 
 def mass_vector(mesh: Mesh) -> np.ndarray:
@@ -576,32 +613,23 @@ def damped_newton(
     )
 
 
-def energy_banded(mesh: Mesh, kappa: float, Lambda: float) -> np.ndarray:
-    """Banded (upper form) matrix of the quadratic form 2*E, i.e. E = 0.5 x'Ax.
+def energy_banded(mesh: Mesh, mass: float, stiffness: float) -> np.ndarray:
+    """Banded (upper form) matrix mass * Mq + stiffness * K.
 
-    A = kappa * (Mq + Lambda^2 K) with Mq the exact piecewise-linear mass
-    matrix and K the stiffness matrix.  At kappa = 1, Lambda = lam, A is the
-    dual Gram matrix c B: B maps nodal values to (u, lam u_r) at the Gauss
-    points and c is its adjoint (rule weights included); Gauss(3) integrates
-    both products exactly.
+    Mq is the exact piecewise-linear mass matrix and K the stiffness matrix.
+    The increments' energy E = 0.5 x'Ax takes (kappa, kappa Lambda^2); the
+    dual Gram matrix c B takes (1, lam^2), B mapping nodal values to
+    (u, lam u_r) at the Gauss points and c its adjoint (rule weights
+    included), as Gauss(3) integrates both products exactly.
     """
     n = mesh.n_cells
     dr = mesh.dr
-    diag = np.zeros(n + 1)
-    sup = np.zeros(n + 1)  # sup[i] couples nodes (i-1, i) in solveh_banded layout
-    m_diag = dr / 3.0
-    m_off = dr / 6.0
-    k_diag = 1.0 / dr
-    k_off = -1.0 / dr
-    Lam2 = Lambda * Lambda
-    cell_diag = kappa * (m_diag + Lam2 * k_diag)
-    cell_off = kappa * (m_off + Lam2 * k_off)
-    diag[:-1] += cell_diag
-    diag[1:] += cell_diag
-    sup[1:] = cell_off
+    cell_diag = mass * (dr / 3.0) + stiffness * (1.0 / dr)
+    cell_off = mass * (dr / 6.0) + stiffness * (-1.0 / dr)
     banded = np.zeros((2, n + 1))
-    banded[0] = sup
-    banded[1] = diag
+    banded[0, 1:] = cell_off  # banded[0, i] couples nodes (i-1, i)
+    banded[1, :-1] += cell_diag
+    banded[1, 1:] += cell_diag
     return banded
 
 

@@ -169,7 +169,7 @@ class _IncrementProblem:
             )
         self.mesh = mesh
         self.p = p
-        self.A = energy_banded(mesh, p.kappa, p.Lambda)
+        self.A = energy_banded(mesh, p.kappa, p.kappa * p.Lambda * p.Lambda)
         self.A_abs = np.abs(self.A)
         self.m = mass_vector(mesh)
         self.psi = SmoothedDissipation(mesh, p.lam)
@@ -435,7 +435,7 @@ def stability_residual(
     # E_tot(gamma) - E_tot(competitor) - Psi(d) from d alone: the two
     # totals are far larger than their difference
     d = competitor.values - gamma.values
-    A = energy_banded(gamma.mesh, p.kappa, p.Lambda)
+    A = energy_banded(gamma.mesh, p.kappa, p.kappa * p.Lambda * p.Lambda)
     r = theta * mass_vector(gamma.mesh) - banded_matvec(A, gamma.values)
     defect = float(d @ r) - 0.5 * float(d @ banded_matvec(A, d))
     return max(0.0, defect - dissipation(Field(gamma.mesh, d), p.lam))

@@ -3,7 +3,7 @@
 Physical variables throughout: time t, shear stress tau (spatially constant,
 traction problem), plastic shear gamma(y) on the strip y in [-h, h].  Fields
 are stored on the reference mesh r in [-1, 1]; node i sits at y_i = h * r_i
-and all operators carry the scale factor dy = h * dr explicitly.
+and all operators carry the scale factor h of dy = h * dr explicitly.
 
 The flow rule is the microscopic force balance
 
@@ -29,6 +29,15 @@ Time stepping is backward Euler in gamma (the stiff power law demands it)
 with damped Newton on the spatial balance.  S then advances by the exact
 solution of its law at the step's frozen flow rate, which keeps a
 saturating strength on the same side of S_sat whatever dt.
+
+The balance is assembled with the rate-independent solvers' P1 kernel,
+
+    R = A gamma + S0 h d0^-m flux(rate; m, w = S / S0) - tau h m,
+
+A = energy_banded(mesh, S0 h kappa, S0 L^2 / h), flux the kernel's
+power_flux on lam = ell / h (its radius is d) and m the mass vector.  w
+prices tau_dis with the strength S and k_dis with S0, so the Jacobian is
+not symmetric once S varies.
 """
 
 from __future__ import annotations
@@ -41,13 +50,14 @@ import numpy as np
 
 from ._p1 import (
     DEFAULT_OPTIONS,
-    GAUSS3_POINTS,
-    GAUSS3_WEIGHTS,
-    assemble,
+    SmoothedDissipation,
     at_points,
+    banded_matvec,
     clamped,
     damped_newton,
+    energy_banded,
     ladder,
+    mass_vector,
     solve_tridiagonal,
 )
 from .incremental import LoadProgram, evolve
@@ -183,78 +193,32 @@ class LimitStudyReport(NamedTuple):
     discrepancies: tuple
 
 
-def _cell_sums(f0, f1, dy: float):
-    """Per-cell (left, right) sums of int f0 phi + f1 phi' dy, phi the P1 shapes.
+def _balance(mesh: Mesh, gamma_n, S, tau: float, dt: float, p: PhysicalParams):
+    """residual(x, eps) -> (R, jacobian) of one step's balance (module docstring).
 
-    f0 and f1 are laid out (..., n_points, n_cells).  The right shape is
-    phi = t with phi' = 1/dy; the two shapes sum to one and their slopes to
-    zero, so the left sum is int f0 dy minus the right one.
+    x and R are the interior nodes, the unknowns and rows of the clamped
+    problem; jacobian() returns (sub, diag, sup) for solve_tridiagonal.
     """
-    terms = np.empty((2,) + f0.shape)
-    np.multiply(f0, GAUSS3_POINTS[:, None], out=terms[0])
-    terms[0] += f1 / dy
-    terms[1] = f0
-    right, total = (dy * GAUSS3_WEIGHTS) @ terms
-    return total - right, right
+    psi = SmoothedDissipation(mesh, p.ell / p.h)
+    A = energy_banded(mesh, p.S0 * p.h * p.kappa, p.S0 * p.L * p.L / p.h)
+    w = at_points(S)[0] / p.S0
+    scale = p.S0 * p.h / p.d0**p.m_rate
+    load = tau * p.h * mass_vector(mesh)[1:-1]
 
+    def residual(x, eps: float):
+        gamma = clamped(x)
+        rad = psi.radius((gamma - gamma_n) / dt, eps)
+        flux, flux_jacobian = psi.power_flux(rad, p.m_rate, w)
+        R = (banded_matvec(A, gamma) + scale * flux)[1:-1] - load
 
-def _residual(
-    gamma, gamma_n, S_q, tau: float, dt: float, p: PhysicalParams, dy: float,
-    eps: float,
-):
-    """FEM residual of the implicit balance, and what its Jacobian needs.
+        def jacobian():
+            k = scale / dt  # the rate is gamma / dt
+            sub, diag, sup = (k * band[1:-1] for band in flux_jacobian())
+            return A[0, 2:-1] + sub, A[1, 1:-1] + diag, A[0, 2:-1] + sup
 
-    Piecewise-linear elements, Gauss(3) per cell, on the kernel's
-    (n_points, n_cells) layout.  gamma is the full nodal field; R holds the
-    rows of the interior nodes, the unknowns of the clamped problem.  S_q
-    is the strength at the Gauss points, fixed over the step.  Returns
-    (R, state); _jacobian(state) builds the banded Jacobian at the same
-    iterate.
-    """
-    rate = (gamma - gamma_n) / dt
-    g_q, g_diff = at_points(gamma)
-    a_q, a_diff = at_points(rate)
-    b_q = a_diff / dy  # the rate's slope, one per cell
+        return R, jacobian
 
-    # the power-law pair, with the mobility P and d^2 for the Jacobian
-    ell2 = p.ell * p.ell
-    d2 = a_q * a_q + ell2 * b_q * b_q + eps * eps
-    P = np.sqrt(d2) ** (p.m_rate - 1.0) / p.d0**p.m_rate
-    tau_dis = S_q * P * a_q
-    k_dis = p.S0 * ell2 * P * b_q
-
-    f0 = p.S0 * p.kappa * g_q + tau_dis - tau  # pairs with phi_i
-    f1 = p.S0 * p.L * p.L * (g_diff / dy) + k_dis  # pairs with phi_i'
-    R = assemble(*_cell_sums(f0, f1, dy))[1:-1]
-    return R, (a_q, b_q, S_q, P, d2, dt, p, dy)
-
-
-def _jacobian(state):
-    """Tridiagonal Jacobian of the residual at the iterate of state.
-
-    Returns (sub, diag, sup) as solve_tridiagonal takes them, for the
-    interior nodes: the rows and columns of the clamped problem's unknowns.
-    """
-    a_q, b_q, S_q, P, d2, dt, p, dy = state
-    ell2 = p.ell * p.ell
-    mm = (p.m_rate - 1.0) / d2
-    Pt = P / dt  # the rate is gamma / dt
-    # d f0 and d f1 per unit change of gamma's value (A, C) and slope (B, D)
-    # at each Gauss point: the elastic part, and d(tau_dis, k_dis)/d(a, b)
-    A = p.S0 * p.kappa + S_q * Pt * (1.0 + mm * a_q * a_q)
-    B = S_q * Pt * mm * a_q * ell2 * b_q
-    C = p.S0 * ell2 * Pt * mm * b_q * a_q
-    D = p.S0 * p.L * p.L + p.S0 * ell2 * Pt * (1.0 + mm * ell2 * b_q * b_q)
-    # their responses to the right end value (value t, slope 1/dy) and to
-    # the left one (the rest: the shapes sum to one, the slopes to zero)
-    df = np.empty((2, 2) + A.shape)  # [f0, f1] x [left, right]
-    np.add(A * GAUSS3_POINTS[:, None], B / dy, out=df[0, 1])
-    np.add(C * GAUSS3_POINTS[:, None], D / dy, out=df[1, 1])
-    np.subtract(A, df[0, 1], out=df[0, 0])
-    np.subtract(C, df[1, 1], out=df[1, 0])
-    (c_ll, c_lr), (c_rl, c_rr) = _cell_sums(df[0], df[1], dy)
-    diag = assemble(c_ll, c_rr)
-    return c_rl[1:-1], diag[1:-1], c_lr[1:-1]
+    return residual
 
 
 def _nodal_flow_rate(gamma, gamma_n, dt: float, p: PhysicalParams, dy: float):
@@ -272,7 +236,7 @@ def _nodal_flow_rate(gamma, gamma_n, dt: float, p: PhysicalParams, dy: float):
 def _residual_noise(sub, diag, sup, x) -> float:
     """Float64 floor of the residual: eps times the row scale of |J| |x|.
 
-    J is the interior tridiagonal Jacobian (sub, diag, sup) as _jacobian
+    J is the interior tridiagonal Jacobian (sub, diag, sup) as _balance
     returns it and x the interior values it acts on; the face columns it
     leaves out multiply zero faces.  Near a rate reversal the power-law
     mobility makes Jacobian rows as large as P(eps_v) / dt, so one ulp of
@@ -320,7 +284,7 @@ def visco_step(
     dy = base.h * mesh.dr
     gamma_n = state.gamma.values
     S_nodes = state.S.values
-    S_q = at_points(S_nodes)[0]
+    residual = _balance(mesh, gamma_n, S_nodes, tau_next, dt, base)
     eps_v = _RATE_EPS_FACTOR * base.d0
 
     # residual entries scale like stress * dy
@@ -330,15 +294,15 @@ def visco_step(
         # merit max|R|: along the Newton step its slope is -max|R|, and one
         # ulp of x moves it by up to _residual_noise
         def evaluate(x):
-            R, rstate = _residual(clamped(x), gamma_n, S_q, tau_next, dt, base, dy, eps)
+            R, jacobian = residual(x, eps)
             rnorm = float(np.max(np.abs(R)))
-            return rnorm, (rnorm, x, R, rstate)
+            return rnorm, (rnorm, x, R, jacobian)
 
         def derivatives(mstate):
-            rnorm, x, R, rstate = mstate
+            rnorm, x, R, jacobian = mstate
 
             def newton_step():
-                J = _jacobian(rstate)
+                J = jacobian()
                 step = solve_tridiagonal(*J, -R)
                 return step, -rnorm, 0.5 * _residual_noise(*J, x)
 

@@ -25,11 +25,13 @@ What is verified:
      stable); one just below overflow still gets its finite defect.
   8. The clamped discrete yield threshold is bracketed tightly by a primal
      profile and an equality-feasible dual field.  The dual Gram matrix
-     _p1.energy_banded(mesh, 1.0, lam), which the kernel caches as the
+     _p1.energy_banded(mesh, 1.0, lam^2), which the kernel caches as the
      SmoothedDissipation.gram every dual correction solves with, is the
      Gauss(3) assembly of int phi_i phi_j + lam^2 phi_i' phi_j' to 1e-14
-     relative.  Where n_cells (1 + lam) >= 1e14 the dual field's roundoff
-     margin certifies nothing: the bracket's lower bound is 0, not
+     relative, and energy_banded(mesh, a, b) is that of
+     int a phi_i phi_j + b phi_i' phi_j' with either coefficient zero.
+     Where n_cells (1 + lam) >= 1e14 the dual field's roundoff margin
+     certifies nothing: the bracket's lower bound is 0, not
      negative, and a zero state past yield is not certified stable.
      Below the bracket an increment from the virgin state is the exact
      zero field without any Newton iteration, above it the strip flows.  A property test over
@@ -387,19 +389,33 @@ def test_dual_gram_is_the_gauss_assembly(n_cells, lam):
     t, w = (t + 1.0) / 2.0, w / 2.0
     phi = np.stack([1.0 - t, t])  # the left and right shapes at the points
     dphi = np.array([-1.0, 1.0]) / mesh.dr
-    expect = np.zeros((n_cells + 1, n_cells + 1))
-    for i in range(n_cells):
-        for q in range(3):
-            for a in (0, 1):
-                for b in (0, 1):
-                    expect[i + a, i + b] += mesh.dr * w[q] * (
-                        phi[a, q] * phi[b, q] + lam * lam * dphi[a] * dphi[b]
-                    )
+
+    def gauss_assembly(a, b):
+        """a Mq + b K, summed over the cells and Gauss points."""
+        expect = np.zeros((n_cells + 1, n_cells + 1))
+        for i in range(n_cells):
+            for q in range(3):
+                for j in (0, 1):
+                    for k in (0, 1):
+                        expect[i + j, i + k] += mesh.dr * w[q] * (
+                            a * phi[j, q] * phi[k, q] + b * dphi[j] * dphi[k]
+                        )
+        return expect
+
+    def dense(K):
+        return np.diag(K[1]) + np.diag(K[0, 1:], 1) + np.diag(K[0, 1:], -1)
+
+    expect = gauss_assembly(1.0, lam * lam)
     scale = float(np.max(np.abs(expect)))
     gram = _p1.SmoothedDissipation(mesh, lam).gram
-    for K in (_p1.energy_banded(mesh, 1.0, lam), gram):
-        dense = np.diag(K[1]) + np.diag(K[0, 1:], 1) + np.diag(K[0, 1:], -1)
-        assert float(np.max(np.abs(dense - expect))) <= 1e-14 * scale
+    for K in (_p1.energy_banded(mesh, 1.0, lam * lam), gram):
+        assert float(np.max(np.abs(dense(K) - expect))) <= 1e-14 * scale
+    # each term alone: the coefficient form has no cross term
+    for a, b in ((0.0, lam), (lam, 0.0)):
+        expect = gauss_assembly(a, b)
+        K = _p1.energy_banded(mesh, a, b)
+        err = float(np.max(np.abs(dense(K) - expect)))
+        assert err <= 1e-14 * float(np.max(np.abs(expect))), (a, b)
 
 
 def test_virgin_increment_below_bracket_skips_newton(monkeypatch):

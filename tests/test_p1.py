@@ -30,6 +30,11 @@ What is verified:
      same size do not share argument blocks.
   9. Where numpy exports no LAPACK symbol, the solves go through scipy's
      wrappers, with the same bits.
+ 10. The power-law flux F = R^(m-1) (w u, l): at m = 0, w = 1 its vector
+     and symmetric tridiagonal Jacobian are grad_hess's gradient and
+     Hessian to a few ulps, and at m in {0.05, 0.5} with a non-uniform w
+     its Jacobian, not symmetric there, agrees with central differences of
+     the vector.
 """
 
 import math
@@ -135,6 +140,50 @@ def test_derivatives_match_central_differences(lam, eps):
     # off the band both vanish, the Hessian is tridiagonal
     scale = np.max(np.abs(H), axis=1, keepdims=True)
     assert np.max(np.abs(H - H_fd) / scale) <= 1e-6
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01, 1.0, 10.0])
+@pytest.mark.parametrize("eps", [1e-1, 1e-6])
+def test_power_flux_at_m_zero_is_grad_hess(lam, eps):
+    mesh = make_mesh(N_CELLS)
+    psi = SmoothedDissipation(mesh, lam)
+    rad = psi.radius(_field(mesh, True), eps)
+    g, banded = psi.grad_hess(rad)
+    flux, jacobian = psi.power_flux(rad, 0.0, np.ones_like(rad.u))
+    sub, diag, sup = jacobian()
+    assert np.array_equal(sub, sup)  # symmetric at w = 1
+    # the sums of a few terms each, rounded in another order
+    ulps = 4.0 * np.finfo(float).eps
+    assert np.max(np.abs(flux - g)) <= ulps * np.max(np.abs(g))
+    assert np.max(np.abs(diag - banded[1])) <= ulps * np.max(np.abs(banded[1]))
+    assert np.max(np.abs(sup - banded[0, 1:])) <= ulps * np.max(np.abs(banded[1]))
+
+
+@pytest.mark.parametrize("m", [0.05, 0.5])
+@pytest.mark.parametrize("lam", [0.01, 1.0, 10.0])
+def test_power_flux_jacobian_matches_central_differences(m, lam):
+    mesh = make_mesh(N_CELLS)
+    psi = SmoothedDissipation(mesh, lam)
+    d = _field(mesh, False)
+    eps = 1e-6
+    w = _p1.at_points(1.5 + np.cos(2.0 * mesh.nodes))[0]  # positive, non-uniform
+    sub, diag, sup = psi.power_flux(psi.radius(d, eps), m, w)[1]()
+    assert not np.allclose(sub, sup)  # w weights u alone
+    J = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+
+    def central(h):
+        J_fd = np.empty((d.size, d.size))
+        for j in range(d.size):
+            e_j = np.zeros_like(d)
+            e_j[j] = h
+            fp = psi.power_flux(psi.radius(d + e_j, eps), m, w)[0]
+            fm = psi.power_flux(psi.radius(d - e_j, eps), m, w)[0]
+            J_fd[:, j] = (fp - fm) / (2 * h)
+        return J_fd
+
+    J_fd = (4.0 * central(1e-5) - central(2e-5)) / 3.0  # Richardson, as above
+    scale = np.max(np.abs(J), axis=1, keepdims=True)
+    assert np.max(np.abs(J - J_fd) / scale) <= 1e-6
 
 
 @pytest.mark.parametrize("lam", [0.01, 1.0, 10.0])

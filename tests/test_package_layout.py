@@ -19,9 +19,10 @@ What is verified:
      imports no package module but ``model``, and ``yield_stress`` imports
      nothing from ``incremental``.  The collector finds a package module
      behind every import form, so an allowed graph is not a blind spot.
-  5. ``_p1`` exports only what another package module uses: every name in
-     its ``__all__`` is imported from it, or read off it, by some other
-     module under src/stripshear; the collector sees both forms.
+  5. ``_p1`` exports exactly what the other package modules use: every
+     name in its ``__all__`` is imported from it, or read off it, by some
+     other module under src/stripshear, and every name they take from it
+     is in its ``__all__``; the collector sees both forms.
   6. No dead private code: every module-level underscore name in
      src/stripshear (a function, a class or an assigned name) is read by its
      module's code outside its own definition.  Check 1 keeps other modules
@@ -213,6 +214,8 @@ def test_p1_exports_only_what_another_module_uses():
         if module != target:
             taken |= names_taken_from(target, module, path.read_text())
     assert sorted(set(_p1.__all__) - taken) == []
+    # and takes nothing it leaves unexported
+    assert sorted(taken - set(_p1.__all__)) == []
 
 
 def _resolves(module: str, name: str) -> bool:

@@ -41,11 +41,13 @@ What is verified:
      sine load whose first step once raised finishes all 40 steps.
  10. Work bound: the unloading steps of a load-unload series stop at the
      residual's roundoff floor instead of backtracking inside it, so the
-     20-step series costs at most 320 residual evaluations.
- 11. The residual equals an independent per-Gauss-point loop, and its
-     tridiagonal Jacobian equals central differences of it at a loading
-     and an unloading iterate, both over the interior nodes, the unknowns
-     of the clamped problem.
+     20-step series costs at most 320 residual evaluations, counted as
+     calls of the kernel's SmoothedDissipation.power_flux (one for each).
+ 11. The residual of _balance equals an independent per-Gauss-point loop,
+     and the tridiagonal Jacobian it returns equals central differences of
+     it at a loading and an unloading iterate, both over the interior
+     nodes, the unknowns of the clamped problem; also at kappa = 0, in the
+     local limit L = ell = 0 and on a strip with h != 1 and d0 != 1.
 """
 
 import dataclasses
@@ -562,14 +564,15 @@ SERIES_PARAMS = ViscoParams(
 
 
 def test_unloading_steps_stop_at_the_roundoff_floor(monkeypatch):
+    # every residual evaluation takes the kernel's flux once
     calls = []
-    residual = viscoplastic._residual
+    flux = _p1.SmoothedDissipation.power_flux
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return residual(*args, **kwargs)
+        return flux(*args, **kwargs)
 
-    monkeypatch.setattr(viscoplastic, "_residual", counted)
+    monkeypatch.setattr(_p1.SmoothedDissipation, "power_flux", counted)
     times = np.linspace(0.0, 1.0, 21)
     load = [(t, 2.5 * (1.0 - abs(2.0 * t - 1.0))) for t in times]
     states = simulate_visco(load, SERIES_PARAMS, make_mesh(32))
@@ -660,70 +663,77 @@ def test_saturating_steps_never_cross_s_sat(h0, t_end, steps, S_sat, m_rate, tau
         assert np.all((1.0 <= S) & (S <= S_sat))
 
 
-def _jacobian_case(m_rate, unloading):
+# the base case, then the coefficient-form elastic matrix at kappa = 0, the
+# local limit (lam = 0 in the kernel) and a strip of half-width h != 1 with
+# d0 != 1
+JACOBIAN_CASES = ({}, {"kappa": 0.0}, {"L": 0.0, "ell": 0.0}, {"h": 0.5, "d0": 0.3})
+
+
+def _jacobian_case(m_rate, unloading, over):
     """An iterate of the implicit balance away from rest, with non-uniform S."""
-    p = _params(m_rate, ell=0.8, L=0.6).base
+    p = _params(m_rate, **{"ell": 0.8, "L": 0.6, **over}).base
     mesh = make_mesh(12)
     r = mesh.nodes
-    dy = p.h * mesh.dr
     gamma_n = 0.3 * (1.0 - r * r)
     rate = (1.0 - r * r) * (0.8 + 0.3 * r)
     gamma = gamma_n + (-0.05 if unloading else 0.05) * rate
     S = 1.0 + 0.2 * np.cos(3.0 * r) + 0.1 * r
-    return gamma, gamma_n, S, (-0.4 if unloading else 1.7), 0.05, p, dy
+    tau, dt = (-0.4 if unloading else 1.7), 0.05
+    balance = viscoplastic._balance(mesh, gamma_n, S, tau, dt, p)
+    return balance, gamma, gamma_n, S, tau, dt, p, p.h * mesh.dr
 
 
 @pytest.mark.parametrize("unloading", [False, True])
 @pytest.mark.parametrize("m_rate", [0.05, 0.2])
 def test_residual_matches_a_per_point_loop(m_rate, unloading):
-    gamma, gamma_n, S, tau, dt, p, dy = _jacobian_case(m_rate, unloading)
-    eps = 1e-10 * p.d0
-    R = viscoplastic._residual(
-        gamma, gamma_n, viscoplastic.at_points(S)[0], tau, dt, p, dy, eps
-    )[0]
+    for over in JACOBIAN_CASES:
+        case = _jacobian_case(m_rate, unloading, over)
+        balance, gamma, gamma_n, S, tau, dt, p, dy = case
+        eps = 1e-10 * p.d0
+        R = balance(gamma[1:-1], eps)[0]
 
-    x, w = np.polynomial.legendre.leggauss(3)
-    expect = np.zeros_like(gamma)
-    for i in range(gamma.size - 1):
-        for xq, wq in zip(x, w):
-            t = 0.5 * (xq + 1.0)
-            phi = (1.0 - t, t)
-            dphi = (-1.0 / dy, 1.0 / dy)
-            at = lambda v: phi[0] * v[i] + phi[1] * v[i + 1]
-            grad = lambda v: (v[i + 1] - v[i]) / dy
-            a = (at(gamma) - at(gamma_n)) / dt
-            b = (grad(gamma) - grad(gamma_n)) / dt
-            d = math.sqrt(a * a + p.ell**2 * b * b + eps * eps)
-            mob = d ** (p.m_rate - 1.0) / p.d0**p.m_rate
-            f0 = p.S0 * p.kappa * at(gamma) + at(S) * mob * a - tau
-            f1 = p.S0 * p.L**2 * grad(gamma) + p.S0 * p.ell**2 * mob * b
-            for j in (0, 1):
-                expect[i + j] += 0.5 * wq * dy * (f0 * phi[j] + f1 * dphi[j])
-    expect = expect[1:-1]  # the interior rows
-    scale = float(np.max(np.abs(expect)))
-    assert float(np.max(np.abs(R - expect))) <= 1e-13 * scale
+        x, w = np.polynomial.legendre.leggauss(3)
+        expect = np.zeros_like(gamma)
+        for i in range(gamma.size - 1):
+            for xq, wq in zip(x, w):
+                t = 0.5 * (xq + 1.0)
+                phi = (1.0 - t, t)
+                dphi = (-1.0 / dy, 1.0 / dy)
+                at = lambda v: phi[0] * v[i] + phi[1] * v[i + 1]
+                grad = lambda v: (v[i + 1] - v[i]) / dy
+                a = (at(gamma) - at(gamma_n)) / dt
+                b = (grad(gamma) - grad(gamma_n)) / dt
+                d = math.sqrt(a * a + p.ell**2 * b * b + eps * eps)
+                mob = d ** (p.m_rate - 1.0) / p.d0**p.m_rate
+                f0 = p.S0 * p.kappa * at(gamma) + at(S) * mob * a - tau
+                f1 = p.S0 * p.L**2 * grad(gamma) + p.S0 * p.ell**2 * mob * b
+                for j in (0, 1):
+                    expect[i + j] += 0.5 * wq * dy * (f0 * phi[j] + f1 * dphi[j])
+        expect = expect[1:-1]  # the interior rows
+        scale = float(np.max(np.abs(expect)))
+        assert float(np.max(np.abs(R - expect))) <= 1e-13 * scale, over
 
 
 @pytest.mark.parametrize("unloading", [False, True])
 @pytest.mark.parametrize("m_rate", [0.05, 0.2])
 def test_jacobian_matches_finite_differences(m_rate, unloading):
-    gamma, gamma_n, S, tau, dt, p, dy = _jacobian_case(m_rate, unloading)
-    eps = 1e-10 * p.d0
-    S_q = viscoplastic.at_points(S)[0]
+    for over in JACOBIAN_CASES:
+        balance, gamma, *_, p, _ = _jacobian_case(m_rate, unloading, over)
+        eps = 1e-10 * p.d0
 
-    def residual(g):
-        return viscoplastic._residual(g, gamma_n, S_q, tau, dt, p, dy, eps)
+        def residual(g):
+            return balance(g[1:-1], eps)[0]
 
-    sub, diag, sup = viscoplastic._jacobian(residual(gamma)[1])
-    n = gamma.size
-    dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        sub, diag, sup = balance(gamma[1:-1], eps)[1]()
+        n = gamma.size
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
 
-    fd = np.zeros((n - 2, n - 2))
-    h = 1e-6
-    for j in range(1, n - 1):
-        e = np.zeros(n)
-        e[j] = h
-        fd[:, j - 1] = (residual(gamma + e)[0] - residual(gamma - e)[0]) / (2.0 * h)
-    # interior rows and columns: the band, and nothing outside it
-    err = np.abs(dense - fd)
-    assert float(np.max(err)) <= 1e-7 * float(np.max(np.abs(fd)))
+        fd = np.zeros((n - 2, n - 2))
+        h = 1e-6
+        for j in range(1, n - 1):
+            e = np.zeros(n)
+            e[j] = h
+            fd[:, j - 1] = (residual(gamma + e) - residual(gamma - e)) / (2.0 * h)
+        # interior rows and columns: the band, and nothing outside it
+        err = np.abs(dense - fd)
+        assert float(np.max(err)) <= 1e-7 * float(np.max(np.abs(fd))), over
