@@ -188,7 +188,8 @@ class _Radius(NamedTuple):
 class SmoothedDissipation:
     """Value, gradient and banded Hessian of Psi_eps on one (mesh, lam).
 
-    The shape factors of the rule are precomputed once.  At a Gauss point
+    The shape factors (grad_hess) and the weight tables (power_flux) of the
+    rule are built once, on first use.  At a Gauss point
     with value u, scaled slope l = lam * d_r and R = sqrt(u^2 + l^2 + eps^2),
     the derivatives of R with respect to the cell's end values are
     g = (c u + e l) / R, with c the P1 shape function and e = -+lam/dr the
@@ -209,11 +210,11 @@ class SmoothedDissipation:
 
     @cached_property
     def _shape_factors(self):
-        """(c_a, k_aa, k_bb, k_ab) at full (n_points, n_cells) size.
+        """grad_hess's (c_a, k_aa, k_bb, k_ab) at full (n_points, n_cells) size.
 
-        Built on the first derivative call, so value-only users never pay
+        Built on the first grad_hess call, so value-only users never pay
         for them; broadcasting a column costs more than the arithmetic at
-        the sizes the solvers use.
+        the sizes the solvers use.  power_flux reads _flux_tables instead.
         """
         e = self.slope_scale
         shape = (_T.size, self.n)
@@ -266,44 +267,81 @@ class SmoothedDissipation:
         assemble(haa_c, hbb_c, out=banded[1])
         return assemble(ga_c, gb_c), banded
 
+    @cached_property
+    def _flux_tables(self):
+        """power_flux's weight tables (2, 3), (4, 6) and (4, 12), built on first use.
+
+        The P1 shapes c and the slope factors e = s lam / dr (s = -1 at a
+        cell's left end, +1 at its right) are constant per Gauss point, so
+        every per-cell sum of power_flux weights Gauss-point products by a
+        fixed table.  The vector table holds dw c at both ends.  The
+        Jacobian tables' rows are the (left, left), (right, right),
+        (left, right) and (right, left) entries; at the three points their
+        columns weight R^(m-1) w and R^(m-1) (the first table), then
+        R^(m-1) w a^2, R^(m-1) a b, R^(m-1) (w - 1) a b and R^(m-1) b^2
+        with a = u / R and b = lam l / (dr R) (the second, which
+        power_flux scales by -(1 - m)).  Writing w u = u + (w - 1) u keeps
+        the cross term's weights symmetric outside the (w - 1) column, so
+        the two off-diagonal rows agree bit for bit where w = 1.
+        """
+        ca, cb = 1.0 - GAUSS3_POINTS, GAUSS3_POINTS
+        dw, e2 = self.dw, self.slope_scale * self.slope_scale
+        left, right = (ca, -1.0), (cb, 1.0)
+        vector = np.stack((dw * ca, dw * cb))
+        jacobian = np.stack([
+            np.concatenate((
+                dw * (c1 * c2), dw * (e2 * (s1 * s2)), dw * (c1 * c2),
+                dw * (c1 * s2 + c2 * s1), dw * (c1 * s2), dw * (s1 * s2),
+            ))
+            for (c1, s1), (c2, s2) in (
+                (left, left), (right, right), (left, right), (right, left)
+            )
+        ])
+        vector.flags.writeable = False
+        jacobian.flags.writeable = False
+        return vector, jacobian[:, :6], jacobian[:, 6:]
+
     def power_flux(self, rad: _Radius, m: float, w: np.ndarray):
         """(vector, jacobian) of the power-law flux F = R^(m-1) (w u, l).
 
         w weights the value channel at each Gauss point (laid out as rad.u).
         The vector is int F . (c, e) dr at every node (grad_hess's gradient
-        at m = 0, w = 1).  jacobian() returns its derivative in the nodal
-        values, R^(m-1) [w c c' + e e' - (1 - m) (w u c + l e) (u c + l e)' / R^2],
+        at m = 0, w = 1): the vector table of _flux_tables against
+        R^(m-1) w u, plus e l times the rule's sum of R^(m-1).  jacobian()
+        returns its derivative in the nodal values,
+        R^(m-1) [w c c' + e e' - (1 - m) (w u c + l e) (u c + l e)' / R^2],
         as (sub, diag, sup) for solve_tridiagonal (not symmetric where
-        w != 1); line-search trials never build it.
+        w != 1): six Gauss-point products against the Jacobian tables.
+        Line-search trials never build it.
         """
         u, ls, R, _ = rad
-        ca, kaa, kbb, kab = self._shape_factors
-        Rm = R ** (m - 1.0)
+        vector_table, power_table, square_table = self._flux_tables
+        terms = np.empty((6,) + R.shape)  # the Jacobian's products, in table order
+        Rmw, Rm = terms[0], terms[1]
+        np.power(R, m - 1.0, out=Rm)
+        np.multiply(Rm, w, out=Rmw)
         el = self.slope_scale * ls  # e * l with e = lam / dr
-        wu = w * u
-        pa = ca * wu - el  # (w u c + l e) at the left end
-        fa = Rm * pa
-        fa_c, fb_c = self.dw @ np.stack((fa, Rm * wu - fa))  # the shapes sum to one
+        fa, fb = vector_table @ (Rmw * u)
+        el_Rm = el * (self.dw @ Rm)
+        fa -= el_Rm
+        fb += el_Rm
 
         def jacobian():
-            # (w u c + l e) / R and (u c + l e) / R at both ends, divided
-            # before they are multiplied, as R may overflow
+            # a and b, divided by R before they are multiplied, as R may
+            # overflow
             inv_R = 1.0 / R
-            pa_R = pa * inv_R
-            pb_R = wu * inv_R - pa_R
-            qa_R = (ca * u - el) * inv_R
-            qb_R = u * inv_R - qa_R
-            w1 = w - 1.0  # w c c' + e e' = k + (w - 1) c c'
-            entries = (  # (left, left), (right, right), (left, right), (right, left)
-                (kaa, ca * ca, pa_R, qa_R), (kbb, _T * _T, pb_R, qb_R),
-                (kab, ca * _T, pa_R, qb_R), (kab, ca * _T, pb_R, qa_R),
-            )
-            aa, bb, ab, ba = self.dw @ np.stack([
-                Rm * (k + w1 * cc - (1.0 - m) * (p * q)) for k, cc, p, q in entries
-            ])
+            a = u * inv_R
+            b = el * inv_R
+            np.multiply(Rmw * a, a, out=terms[2])
+            Rm_b = Rm * b
+            np.multiply(Rm_b, a, out=terms[3])
+            np.multiply(terms[3], w - 1.0, out=terms[4])
+            np.multiply(Rm_b, b, out=terms[5])
+            table = np.concatenate((power_table, (m - 1.0) * square_table), axis=1)
+            aa, bb, ab, ba = table @ terms.reshape(-1, R.shape[-1])
             return ba, assemble(aa, bb), ab
 
-        return assemble(fa_c, fb_c), jacobian
+        return assemble(fa, fb), jacobian
 
 
 def mass_vector(mesh: Mesh) -> np.ndarray:

@@ -37,13 +37,16 @@ The balance is assembled with the rate-independent solvers' P1 kernel,
 A = energy_banded(mesh, S0 h kappa, S0 L^2 / h), flux the kernel's
 power_flux on lam = ell / h (its radius is d) and m the mass vector.  w
 prices tau_dis with the strength S and k_dis with S0, so the Jacobian is
-not symmetric once S varies.
+not symmetric once S varies.  The kernel, A and m depend on the mesh and
+the parameters alone, so they are built once per (mesh, params) and shared,
+read-only, by every step of every run on them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -75,6 +78,8 @@ __all__ = [
 ]
 
 _RATE_EPS_FACTOR = 1e-10
+# _residual_noise's floor per unit of row scale: eight ulps of 1
+_NOISE_ULPS = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -193,17 +198,30 @@ class LimitStudyReport(NamedTuple):
     discrepancies: tuple
 
 
+@lru_cache(maxsize=64)
+def _operators(mesh: Mesh, p: PhysicalParams):
+    """(kernel, A, interior mass vector) of the balance on (mesh, p).
+
+    Built once per (mesh, params), so every step of a run shares them, and
+    with them the kernel's weight tables; the arrays are read-only.
+    """
+    A = energy_banded(mesh, p.S0 * p.h * p.kappa, p.S0 * p.L * p.L / p.h)
+    mass = mass_vector(mesh)[1:-1]
+    A.flags.writeable = False
+    mass.flags.writeable = False
+    return SmoothedDissipation(mesh, p.ell / p.h), A, mass
+
+
 def _balance(mesh: Mesh, gamma_n, S, tau: float, dt: float, p: PhysicalParams):
     """residual(x, eps) -> (R, jacobian) of one step's balance (module docstring).
 
     x and R are the interior nodes, the unknowns and rows of the clamped
     problem; jacobian() returns (sub, diag, sup) for solve_tridiagonal.
     """
-    psi = SmoothedDissipation(mesh, p.ell / p.h)
-    A = energy_banded(mesh, p.S0 * p.h * p.kappa, p.S0 * p.L * p.L / p.h)
+    psi, A, mass = _operators(mesh, p)
     w = at_points(S)[0] / p.S0
     scale = p.S0 * p.h / p.d0**p.m_rate
-    load = tau * p.h * mass_vector(mesh)[1:-1]
+    load = tau * p.h * mass
 
     def residual(x, eps: float):
         gamma = clamped(x)
@@ -247,7 +265,7 @@ def _residual_noise(sub, diag, sup, x) -> float:
     s = np.abs(diag) * ax
     s[:-1] += np.abs(sup) * ax[1:]
     s[1:] += np.abs(sub) * ax[:-1]
-    return 8.0 * np.finfo(float).eps * float(np.max(s))
+    return _NOISE_ULPS * float(np.max(s))
 
 
 def visco_step(

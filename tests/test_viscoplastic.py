@@ -42,12 +42,18 @@ What is verified:
  10. Work bound: the unloading steps of a load-unload series stop at the
      residual's roundoff floor instead of backtracking inside it, so the
      20-step series costs at most 320 residual evaluations, counted as
-     calls of the kernel's SmoothedDissipation.power_flux (one for each).
- 11. The residual of _balance equals an independent per-Gauss-point loop,
-     and the tridiagonal Jacobian it returns equals central differences of
-     it at a loading and an unloading iterate, both over the interior
-     nodes, the unknowns of the clamped problem; also at kappa = 0, in the
-     local limit L = ell = 0 and on a strip with h != 1 and d0 != 1.
+     calls of the kernel's SmoothedDissipation.power_flux (one for each);
+     the README visco command takes at most 859 evaluations and builds at
+     most 659 Jacobians.  A run builds its step operators (kernel, elastic
+     matrix, mass vector) once, read-only, and a run on the same mesh with
+     other kappa, L, ell, h, S0 or d0 does not reuse them.
+ 11. The residual of _balance and its tridiagonal Jacobian equal
+     independent per-Gauss-point loops (the Jacobian from the dense 2 x 2
+     block of every point, to 1e-13 of each row's scale), and the Jacobian
+     equals central differences of the residual, at a loading and an
+     unloading iterate, all over the interior nodes, the unknowns of the
+     clamped problem; also at kappa = 0, in the local limit L = ell = 0
+     and on a strip with h != 1 and d0 != 1.
 """
 
 import dataclasses
@@ -583,6 +589,84 @@ def test_unloading_steps_stop_at_the_roundoff_floor(monkeypatch):
     assert len(calls) <= 320
 
 
+
+def _counting_flux(monkeypatch):
+    """Count power_flux calls and the Jacobians built from them."""
+    calls = {"flux": 0, "jacobian": 0}
+    flux = _p1.SmoothedDissipation.power_flux
+
+    def counted(*args, **kwargs):
+        calls["flux"] += 1
+        vector, jacobian = flux(*args, **kwargs)
+
+        def counted_jacobian():
+            calls["jacobian"] += 1
+            return jacobian()
+
+        return vector, counted_jacobian
+
+    monkeypatch.setattr(_p1.SmoothedDissipation, "power_flux", counted)
+    return calls
+
+
+def test_readme_visco_run_takes_no_more_evaluations(monkeypatch, tmp_path):
+    # the README visco command (256 cells, 200 steps) took 859 residual
+    # evaluations and built 659 Jacobians before its kernel's weight tables
+    calls = _counting_flux(monkeypatch)
+    code = cli.main([
+        "visco", "--tau-max", "2.5", "--t-end", "1", "--steps", "200",
+        "--m-rate", "0.05", "--hardening", "saturating", "--h0", "2",
+        "--S-sat", "1.5", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert calls["flux"] <= 859
+    assert calls["jacobian"] <= 659
+
+
+def test_step_operators_are_built_once_per_run(monkeypatch):
+    viscoplastic._operators.cache_clear()
+    inits = []
+    init = _p1.SmoothedDissipation.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_p1.SmoothedDissipation, "__init__", counted)
+    mesh = make_mesh(32)
+    load = [(t, 2.5 * t) for t in np.linspace(0.0, 1.0, 21)]
+    assert len(simulate_visco(load, SERIES_PARAMS, mesh)) == 21
+    assert len(inits) == 1
+    _, A, mass = viscoplastic._operators(mesh, SERIES_PARAMS.base)
+    for shared in (A, mass):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("kappa", 0.5), ("L", 0.5), ("ell", 0.5), ("h", 0.5), ("S0", 1.2), ("d0", 0.5)],
+)
+def test_step_operators_are_keyed_on_every_parameter(name, value):
+    mesh = make_mesh(16)
+    load = [(t, 2.5 * t) for t in np.linspace(0.0, 1.0, 6)]
+    other = dataclasses.replace(
+        SERIES_PARAMS, base=dataclasses.replace(SERIES_PARAMS.base, **{name: value})
+    )
+
+    def run(p):
+        states = simulate_visco(load, p, mesh)
+        return np.array([np.concatenate((s.gamma.values, s.S.values)) for s in states])
+
+    viscoplastic._operators.cache_clear()
+    fresh = run(other)
+    viscoplastic._operators.cache_clear()
+    base = run(SERIES_PARAMS)
+    interleaved = run(other)
+    assert not np.array_equal(base, fresh)  # the parameter matters
+    assert np.array_equal(interleaved, fresh)
+
 def test_fast_saturating_hardening_completes():
     # dt h0 d > S_sat: an explicit Voce update would jump past S_sat
     p = dataclasses.replace(SERIES_PARAMS, hardening=Hardening.saturating(50.0, 1.5))
@@ -712,6 +796,49 @@ def test_residual_matches_a_per_point_loop(m_rate, unloading):
         expect = expect[1:-1]  # the interior rows
         scale = float(np.max(np.abs(expect)))
         assert float(np.max(np.abs(R - expect))) <= 1e-13 * scale, over
+
+
+@pytest.mark.parametrize("unloading", [False, True])
+@pytest.mark.parametrize("m_rate", [0.05, 0.2])
+def test_jacobian_matches_a_per_point_loop(m_rate, unloading):
+    for over in JACOBIAN_CASES:
+        case = _jacobian_case(m_rate, unloading, over)
+        balance, gamma, gamma_n, S, tau, dt, p, dy = case
+        eps = 1e-10 * p.d0
+        sub, diag, sup = balance(gamma[1:-1], eps)[1]()
+        got = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+
+        # the dense 2 x 2 block of every Gauss point: the elastic part, and
+        # with c = phi, e = ell phi', u = a, l = ell b, R = d and w = S / S0
+        # the flux part R^(m-1) [w c c' + e e' - (1 - m) (w u c + l e)
+        # (u c + l e)' / R^2] (times S0 / (d0^m dt))
+        x, wts = np.polynomial.legendre.leggauss(3)
+        expect = np.zeros((gamma.size, gamma.size))
+        for i in range(gamma.size - 1):
+            for xq, wq in zip(x, wts):
+                t = 0.5 * (xq + 1.0)
+                c = np.array([1.0 - t, t])
+                dphi = np.array([-1.0 / dy, 1.0 / dy])
+                e = p.ell * dphi
+                at = lambda v: c @ v[i : i + 2]
+                grad = lambda v: (v[i + 1] - v[i]) / dy
+                u = (at(gamma) - at(gamma_n)) / dt
+                l = p.ell * (grad(gamma) - grad(gamma_n)) / dt
+                R = math.sqrt(u * u + l * l + eps * eps)
+                w = at(S) / p.S0
+                cross = np.outer(w * u * c + l * e, u * c + l * e)
+                flux = R ** (p.m_rate - 1.0) * (
+                    w * np.outer(c, c) + np.outer(e, e)
+                    - (1.0 - p.m_rate) * cross / R**2
+                )
+                elastic = p.S0 * (
+                    p.kappa * np.outer(c, c) + p.L**2 * np.outer(dphi, dphi)
+                )
+                block = elastic + p.S0 / (p.d0**p.m_rate * dt) * flux
+                expect[i : i + 2, i : i + 2] += 0.5 * wq * dy * block
+        expect = expect[1:-1, 1:-1]  # interior rows and columns
+        scale = np.max(np.abs(expect), axis=1, keepdims=True)
+        assert float(np.max(np.abs(got - expect) / scale)) <= 1e-13, over
 
 
 @pytest.mark.parametrize("unloading", [False, True])
