@@ -20,9 +20,11 @@ over nodal fields with zero boundary values.  Both defining properties are
 checked a posteriori: stability by a certificate from each step's own
 multiplier (the stability certificate of _p1), energy balance by summation
 (energy_balance_residual).  The certificate is recorded on every
-TrajectoryStep, and evolve refuses a state whose bound exceeds
-stability_tol.  stability_residual, a re-minimization from the state, stays
-as an independent oracle: it bounds the stability defect from below.
+TrajectoryStep, and neither evolve nor increment_solve returns a state
+whose bound exceeds stability_tol: both take the one certified path and
+raise SolverError instead.  stability_residual, a raw re-minimization from
+the state that never consults the certificate, stays as an independent
+oracle: it bounds the stability defect from below.
 
 Nonsmooth solver.  Psi is 1-homogeneous, hence nondifferentiable wherever
 the increment vanishes.  Each increment is solved by smoothing continuation:
@@ -321,9 +323,13 @@ class _IncrementProblem:
         return 0.5 * min(scaled, float(rho @ solve_banded_spd(A, rho)))
 
 
-def _require_clamped(gamma: Field) -> None:
+def _entry(gamma: Field, theta: float) -> float:
+    """theta as a float, once it is finite and gamma vanishes at both faces."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     if gamma.values[0] != 0.0 or gamma.values[-1] != 0.0:
         raise ValueError("gamma must satisfy homogeneous boundary values (gamma(+-1) = 0)")
+    return float(theta)
 
 
 def increment_solve(
@@ -343,15 +349,16 @@ def increment_solve(
     without any Newton iteration.  Any other increment is solved at the
     last smoothing level alone, from gamma_prev or, from gamma_prev = 0,
     from the scaled threshold witness, and runs the whole schedule from
-    gamma_prev only if that fails.
+    gamma_prev only if that fails.  The returned increment is certified
+    stable within stability_tol, as every evolve step is
+    (_IncrementProblem.solve_certified: a warm-started state that fails its
+    certificate is redone down the whole schedule); an increment that
+    cannot be certified raises SolverError.
     """
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    _require_clamped(gamma_prev)
+    theta = _entry(gamma_prev, theta)
     prob = _IncrementProblem(gamma_prev.mesh, p)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x, _ = prob._solve(gamma_prev.values, theta, None)
+        x, _ = prob.solve_certified(gamma_prev.values, theta)
     return Field(gamma_prev.mesh, x)
 
 
@@ -423,21 +430,24 @@ def stability_residual(
     """Global-stability defect max(0, E_tot(theta, gamma) - min_v [E_tot + Psi]).
 
     The independent oracle of stability, a lower bound: the inner minimum
-    is computed by one increment solve with gamma as the dissipation offset
+    is computed by one raw increment solve with gamma as the dissipation
+    offset, never checked against the certificate it is meant to check,
     and evaluated with the unsmoothed functionals, so the returned value
     is the true defect from below, up to solver accuracy.  The certificate
     evolve records (TrajectoryStep.stability_bound) bounds it from above.
     Both cover the mesh subspace only; stability against all admissible
     profiles is monitored through mesh refinement instead.
     """
-    _require_clamped(gamma)
-    competitor = increment_solve(gamma, theta, p)
-    # E_tot(gamma) - E_tot(competitor) - Psi(d) from d alone: the two
+    theta = _entry(gamma, theta)
+    prob = _IncrementProblem(gamma.mesh, p)
+    # the raw re-minimization, not solve_certified: the oracle stays
+    # independent of the certificate it checks
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = prob._solve(gamma.values, theta, None)[0] - gamma.values
+    # E_tot(gamma) - E_tot(gamma + d) - Psi(d) from d alone: the two
     # totals are far larger than their difference
-    d = competitor.values - gamma.values
-    A = energy_banded(gamma.mesh, p.kappa, p.kappa * p.Lambda * p.Lambda)
-    r = theta * mass_vector(gamma.mesh) - banded_matvec(A, gamma.values)
-    defect = float(d @ r) - 0.5 * float(d @ banded_matvec(A, d))
+    r = theta * prob.m - banded_matvec(prob.A, gamma.values)
+    defect = float(d @ r) - 0.5 * float(d @ banded_matvec(prob.A, d))
     return max(0.0, defect - dissipation(Field(gamma.mesh, d), p.lam))
 
 

@@ -22,7 +22,13 @@ What is verified:
      with ValueError before any solve.  A state so large that the
      objective's terms overflow raises SolverError in increment_solve and
      stability_residual instead of passing as converged (and as exactly
-     stable); one just below overflow still gets its finite defect.
+     stable); one just below overflow still gets its finite defect.  Where
+     n_cells (1 + lam) is so large that the bracket certifies nothing
+     (lam = 3e11, 512 cells), an increment below the threshold that cannot
+     be certified raises SolverError rather than return its raw field.
+     stability_residual never consults the certificate: with
+     stability_bound patched to raise, it still returns its value bit for
+     bit, while increment_solve hits the patch.
   8. The clamped discrete yield threshold is bracketed tightly by a primal
      profile and an equality-feasible dual field.  The dual Gram matrix
      _p1.energy_banded(mesh, 1.0, lam^2), which the kernel caches as the
@@ -37,8 +43,8 @@ What is verified:
      zero field without any Newton iteration, above it the strip flows.  A property test over
      (lam, Lambda, kappa, theta, n_cells) checks that increments from the
      virgin state are finite or raise SolverError, are exact zeros below
-     the bracket, and never exceed the zero field's E_tot + Psi by more
-     than stability_tol.
+     the bracket, never exceed the zero field's E_tot + Psi by more than
+     stability_tol, and carry a stability bound within stability_tol.
   9. The stability certificate evolve records is an upper bound that is not
      vacuous: on the README sweep it dominates the re-minimization oracle
      and stays within stability_tol, on states pushed off the minimizer it
@@ -323,6 +329,35 @@ def test_zero_kappa_is_rejected():
         evolve(LoadProgram((0.0, 1.5, 3.0)), p, make_mesh(64))
 
 
+def test_increment_solve_refuses_an_uncertified_increment():
+    # past n_cells (1 + lam) = 1e14 the bracket's lower bound is 0, so the
+    # virgin increment at half the threshold runs Newton, which stops at
+    # max|gamma| ~ 1e-23 short of the exact zero, and its certificate
+    # reads ~4e-4
+    lam = 3e11
+    p = NondimParams(lam=lam, Lambda=1.0, kappa=1.0)
+    with pytest.raises(SolverError, match="not certified") as exc:
+        increment_solve(Field.zeros(make_mesh(512)), 0.5 * theta_of_lambda(lam), p)
+    assert exc.value.residual > DEFAULT_OPTIONS.stability_tol
+
+
+def test_the_oracle_never_consults_the_certificate(monkeypatch):
+    mesh = make_mesh(64)
+    p = NondimParams(lam=1.0, Lambda=1.0, kappa=1.0)
+    bump = 0.01 * np.sin(0.5 * np.pi * (mesh.nodes + 1.0))
+    bump[0] = bump[-1] = 0.0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate was consulted")
+
+    monkeypatch.setattr(incremental._IncrementProblem, "stability_bound", refuse)
+    # the value of the raw re-minimization, bit for bit
+    assert stability_residual(Field(mesh, bump), 3.0, p) == 0.2509104771468249
+    # while a public increment goes through the certificate
+    with pytest.raises(AssertionError, match="certificate was consulted"):
+        increment_solve(Field.zeros(mesh), 3.0, p)
+
+
 # ------------------------------------------------------- pre-yield certificate
 
 
@@ -459,6 +494,9 @@ def test_virgin_increment_properties(lam, half_cells, Lambda, kappa, load):
     assert np.isfinite(gamma.values).all()
     if theta <= lower:
         assert not gamma.values.any()
+    zeros = np.zeros(mesh.n_cells + 1)
+    prob = incremental._IncrementProblem(mesh, p)
+    assert prob.stability_bound(zeros, gamma.values, theta) <= DEFAULT_OPTIONS.stability_tol
     # the zero field has E_tot + Psi = 0
     energy = total_energy(theta, gamma, p) + dissipation(gamma, lam)
     assert energy <= DEFAULT_OPTIONS.stability_tol
