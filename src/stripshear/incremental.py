@@ -22,9 +22,10 @@ multiplier (the stability certificate of _p1), energy balance by summation
 (energy_balance_residual).  The certificate is recorded on every
 TrajectoryStep, and neither evolve nor increment_solve returns a state
 whose bound exceeds stability_tol: both take the one certified path and
-raise SolverError instead.  stability_residual, a raw re-minimization from
-the state that never consults the certificate, stays as an independent
-oracle: it bounds the stability defect from below.
+raise SolverError instead.  stability_residual stays as an independent
+oracle that bounds the stability defect from below: it re-minimizes every
+state from the state itself and reads neither the certificate nor the
+threshold bracket.
 
 Nonsmooth solver.  Psi is 1-homogeneous, hence nondifferentiable wherever
 the increment vanishes.  Each increment is solved by smoothing continuation:
@@ -41,21 +42,23 @@ minimizer has spurious amplitude O(eps / sqrt(threshold gap)), and the tail
 of the schedule keeps that amplitude far below the yield detection tolerance.
 The schedule and the Newton budget are _p1's DEFAULT_OPTIONS.
 
-Warm-started increments.  From the virgin state at a load within the lower
-end of _p1's pre-yield bracket, the increment is the exact zero field, with
-no Newton iteration.  Every other increment is one damped-Newton solve at
-the schedule's last level, eps = 1e-11, from a predictor.  From a flowed
-state (gamma_prev not identically 0) the predictor is gamma_prev, or the
-secant extrapolation of the last two states that evolve passes.  From the
-virgin state it is the threshold witness v of threshold_bracket scaled by
-its exact one-dimensional optimum: along t v the objective is
-t^2 v'Av / 2 - theta t m'v + |t| Psi(v), minimized at
-t = sign(theta) max(0, |theta| m'v - Psi(v)) / v'Av.  A solve that raises
-SolverError or fails its certificate is redone once down the whole
-schedule from gamma_prev (_p1's ladder: a level that takes no Newton step
-sends it straight to its last level),
-and only that second result can raise.  Each TrajectoryStep records its
-objective evaluations and whether it was redone.
+Warm-started increments.  The certified path (solve_certified) answers the
+virgin state at a load within the lower end of _p1's pre-yield bracket with
+the exact zero field, with no Newton iteration.  Every other increment is
+one damped-Newton solve at the schedule's last level, eps = 1e-11, from a
+predictor.  From a flowed state (gamma_prev not identically 0) the
+predictor is gamma_prev, or the secant extrapolation of the last two
+states that evolve passes.  From the virgin state it is the threshold
+witness v of threshold_bracket scaled by its exact one-dimensional
+optimum: along t v the objective is t^2 v'Av / 2 - theta t m'v + |t| Psi(v),
+minimized at t = sign(theta) max(0, |theta| m'v - Psi(v)) / v'Av.  A solve
+that raises SolverError or fails its certificate is redone once down the
+whole schedule from gamma_prev (_p1's ladder: a level that takes no Newton
+step sends it straight to its last level), and only that second result can
+raise.  Each TrajectoryStep records its objective evaluations and whether
+it was redone.  The oracle shares none of this path but the smoothing
+ladder: it runs the last level from the state it checks, and the whole
+schedule only if that raises SolverError.
 
 At eps this small the objective is 1/eps-stiff wherever the increment
 vanishes, so re-minimizing from an already-converged state cannot reach an
@@ -178,43 +181,6 @@ class _IncrementProblem:
         self.evaluations = 0  # objective evaluations over every solve so far
         self.retries = 0  # warm-started solves redone down the whole schedule
 
-    def _solve(
-        self, gamma_prev: np.ndarray, theta: float, start: np.ndarray | None
-    ) -> tuple[np.ndarray, bool]:
-        """(gamma, warm): the increment, and whether the warm solve gave it.
-
-        From the virgin state at a load within the certified threshold
-        bracket, zero is the minimizer.  Any other increment runs the last
-        smoothing level alone: a virgin one from the scaled threshold
-        witness, a flowed one from start (a predictor with zero boundary
-        values) or else from gamma_prev.  If that raises SolverError, the
-        whole schedule runs from gamma_prev instead.
-        """
-        if gamma_prev.any():
-            x = gamma_prev if start is None else start
-        else:
-            lower, _, v = threshold_bracket(self.mesh.n_cells, self.p.lam)
-            if abs(theta) <= lower:
-                # the exact discrete minimizer
-                return np.zeros_like(gamma_prev), False
-            # the minimizer along the witness ray t v
-            gain = abs(theta) * float(self.m @ v) - self.psi.value(v, 0.0)
-            vAv = float(v @ banded_matvec(self.A, v))
-            x = math.copysign(max(0.0, gain) / vAv, theta) * v
-        try:
-            return self._descend(
-                gamma_prev, theta, x, DEFAULT_OPTIONS.epsilon_schedule[-1:]
-            ), True
-        except SolverError:
-            return self._retry(gamma_prev, theta), False
-
-    def _retry(self, gamma_prev: np.ndarray, theta: float) -> np.ndarray:
-        """The whole schedule from gamma_prev, counted in retries."""
-        self.retries += 1
-        return self._descend(
-            gamma_prev, theta, gamma_prev, DEFAULT_OPTIONS.epsilon_schedule
-        )
-
     def _descend(
         self, gamma_prev: np.ndarray, theta: float, x: np.ndarray, schedule
     ) -> np.ndarray:
@@ -265,17 +231,37 @@ class _IncrementProblem:
     def solve_certified(
         self, gamma_prev: np.ndarray, theta: float, start: np.ndarray | None = None
     ) -> tuple[np.ndarray, float]:
-        """solve, with its state's stability_bound; SolverError past stability_tol.
+        """(gamma, bound): the increment and its stability_bound within stability_tol.
 
-        A warm-started state whose bound exceeds stability_tol is solved
-        once more down the whole schedule from gamma_prev before the
-        SolverError.
+        From the virgin state at a load within the certified threshold
+        bracket, zero is the minimizer, stable with bound 0.  Any other
+        increment runs the last smoothing level alone: a virgin one from
+        the scaled threshold witness, a flowed one from start (a predictor
+        with zero boundary values) or else from gamma_prev.  If that raises
+        SolverError or its state's bound exceeds stability_tol, the whole
+        schedule runs once from gamma_prev, counted in retries, and a bound
+        past stability_tol then raises SolverError.
         """
-        gamma, warm = self._solve(gamma_prev, theta, start)
-        bound = self.stability_bound(gamma_prev, gamma, theta)
-        tol = DEFAULT_OPTIONS.stability_tol
-        if warm and bound > tol:
-            gamma = self._retry(gamma_prev, theta)
+        if gamma_prev.any():
+            x = gamma_prev if start is None else start
+        else:
+            lower, _, v = threshold_bracket(self.mesh.n_cells, self.p.lam)
+            if abs(theta) <= lower:
+                # the exact discrete minimizer
+                return np.zeros_like(gamma_prev), 0.0
+            # the minimizer along the witness ray t v
+            gain = abs(theta) * float(self.m @ v) - self.psi.value(v, 0.0)
+            vAv = float(v @ banded_matvec(self.A, v))
+            x = math.copysign(max(0.0, gain) / vAv, theta) * v
+        schedule, tol = DEFAULT_OPTIONS.epsilon_schedule, DEFAULT_OPTIONS.stability_tol
+        try:
+            gamma = self._descend(gamma_prev, theta, x, schedule[-1:])
+            bound = self.stability_bound(gamma_prev, gamma, theta)
+        except SolverError:
+            bound = math.inf
+        if bound > tol:
+            self.retries += 1
+            gamma = self._descend(gamma_prev, theta, gamma_prev, schedule)
             bound = self.stability_bound(gamma_prev, gamma, theta)
         if bound > tol:
             raise SolverError(
@@ -430,23 +416,27 @@ def stability_residual(
     """Global-stability defect max(0, E_tot(theta, gamma) - min_v [E_tot + Psi]).
 
     The independent oracle of stability, a lower bound: the inner minimum
-    is computed by one raw increment solve with gamma as the dissipation
-    offset, never checked against the certificate it is meant to check,
-    and evaluated with the unsmoothed functionals, so the returned value
-    is the true defect from below, up to solver accuracy.  The certificate
+    is a re-minimization from gamma itself, with gamma as the dissipation
+    offset (the last smoothing level, the whole schedule if that raises
+    SolverError), for the zero state as for any other.  It reads neither
+    the certificate nor the threshold bracket it is meant to check, and it
+    is evaluated with the unsmoothed functionals, so the returned value is
+    the true defect from below, up to solver accuracy.  The certificate
     evolve records (TrajectoryStep.stability_bound) bounds it from above.
     Both cover the mesh subspace only; stability against all admissible
     profiles is monitored through mesh refinement instead.
     """
     theta = _entry(gamma, theta)
     prob = _IncrementProblem(gamma.mesh, p)
-    # the raw re-minimization, not solve_certified: the oracle stays
-    # independent of the certificate it checks
+    x, schedule = gamma.values, DEFAULT_OPTIONS.epsilon_schedule
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        d = prob._solve(gamma.values, theta, None)[0] - gamma.values
+        try:
+            d = prob._descend(x, theta, x, schedule[-1:]) - x
+        except SolverError:
+            d = prob._descend(x, theta, x, schedule) - x
     # E_tot(gamma) - E_tot(gamma + d) - Psi(d) from d alone: the two
     # totals are far larger than their difference
-    r = theta * prob.m - banded_matvec(prob.A, gamma.values)
+    r = theta * prob.m - banded_matvec(prob.A, x)
     defect = float(d @ r) - 0.5 * float(d @ banded_matvec(prob.A, d))
     return max(0.0, defect - dissipation(Field(gamma.mesh, d), p.lam))
 

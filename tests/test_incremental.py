@@ -27,8 +27,9 @@ What is verified:
      (lam = 3e11, 512 cells), an increment below the threshold that cannot
      be certified raises SolverError rather than return its raw field.
      stability_residual never consults the certificate: with
-     stability_bound patched to raise, it still returns its value bit for
-     bit, while increment_solve hits the patch.
+     stability_bound and threshold_bracket patched to raise, it still
+     returns a bump's value bit for bit and 0 for the zero state at half
+     the bracket's lower bound, while increment_solve hits the patch.
   8. The clamped discrete yield threshold is bracketed tightly by a primal
      profile and an equality-feasible dual field.  The dual Gram matrix
      _p1.energy_banded(mesh, 1.0, lam^2), which the kernel caches as the
@@ -38,7 +39,10 @@ What is verified:
      int a phi_i phi_j + b phi_i' phi_j' with either coefficient zero.
      Where n_cells (1 + lam) >= 1e14 the dual field's roundoff margin
      certifies nothing: the bracket's lower bound is 0, not
-     negative, and a zero state past yield is not certified stable.
+     negative, and a zero state past yield is not certified stable.  The
+     oracle, with threshold_bracket patched to raise, confirms the bracket:
+     the zero state's defect is exactly 0 at 0.5, 1 and -1 times the lower
+     bound, and positive at 1.001 times the upper bound.
      Below the bracket an increment from the virgin state is the exact
      zero field without any Newton iteration, above it the strip flows.  A property test over
      (lam, Lambda, kappa, theta, n_cells) checks that increments from the
@@ -344,6 +348,7 @@ def test_increment_solve_refuses_an_uncertified_increment():
 def test_the_oracle_never_consults_the_certificate(monkeypatch):
     mesh = make_mesh(64)
     p = NondimParams(lam=1.0, Lambda=1.0, kappa=1.0)
+    lower = _p1.threshold_bracket(mesh.n_cells, p.lam)[0]
     bump = 0.01 * np.sin(0.5 * np.pi * (mesh.nodes + 1.0))
     bump[0] = bump[-1] = 0.0
 
@@ -351,14 +356,36 @@ def test_the_oracle_never_consults_the_certificate(monkeypatch):
         raise AssertionError("the certificate was consulted")
 
     monkeypatch.setattr(incremental._IncrementProblem, "stability_bound", refuse)
+    monkeypatch.setattr(incremental, "threshold_bracket", refuse)
     # the value of the raw re-minimization, bit for bit
     assert stability_residual(Field(mesh, bump), 3.0, p) == 0.2509104771468249
+    # the zero state at rest is re-minimized too, not read off the bracket
+    assert stability_residual(Field.zeros(mesh), 0.5 * lower, p) == 0.0
     # while a public increment goes through the certificate
     with pytest.raises(AssertionError, match="certificate was consulted"):
         increment_solve(Field.zeros(mesh), 3.0, p)
 
 
 # ------------------------------------------------------- pre-yield certificate
+
+
+@pytest.mark.parametrize("lam, n_cells", [(0.01, 64), (1.0, 8), (1.0, 512), (10.0, 64)])
+def test_the_bracket_free_oracle_confirms_the_bracket(monkeypatch, lam, n_cells):
+    mesh = make_mesh(n_cells)
+    p = NondimParams(lam=lam, Lambda=1.0, kappa=1.0)
+    lower, upper, _ = _p1.threshold_bracket(n_cells, lam)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bracket was consulted")
+
+    monkeypatch.setattr(incremental, "threshold_bracket", refuse)
+    rest = Field.zeros(mesh)
+    # the virgin state is stable up to the bracket's lower bound, by a
+    # re-minimization that never reads the bracket
+    for theta in (0.5 * lower, lower, -lower):
+        assert stability_residual(rest, theta, p) == 0.0
+    # and unstable just past its upper bound
+    assert stability_residual(rest, 1.001 * upper, p) > 0.0
 
 
 def _adjoint(xi_u, xi_s, mesh, lam):
