@@ -21,7 +21,7 @@ One home for what the solvers have in common:
   (energy_banded, with banded_matvec), the banded solves (LAPACK, called
   in the library numpy's linalg extension loads) and the damped Newton
   driver of every solver (convex_newton adapts it to minimization,
-  _constrained_newton to minimization at fixed sum), run level by level
+  constrained_newton to minimization at fixed sum), run level by level
   down a smoothing schedule by ladder.
 
 Clamped problems.  The strip is clamped against plastic flow,
@@ -42,15 +42,6 @@ the defect max_d [r'd - d'Ad / 2 - Psi(d)] is 0 if s <= 1 and at most
 (1 - 1/s)^2 r'A^-1 r / 2 otherwise; the uncorrected xi gives a second
 bound, from the Newton residual (incremental's stability_bound takes the
 smaller).
-
-Pre-yield bracket.  Zero is the increment from gamma = 0 iff theta m lies
-in the subdifferential of Psi at 0, whatever Lambda and kappa, that is iff
-|theta| is at most the clamped discrete yield threshold
-theta_c = min {Psi(v) : m'v = 1}.  A dual field xi with c(xi) = m proves
-theta_c >= 1 / dual_norm (0 where xi certifies nothing); it is built once
-per (n_cells, lam) from a constrained Newton solve for the threshold
-profile (threshold_bracket), and below that bound an increment from the
-virgin state is the exact zero field with no Newton iteration.
 
 Gauss-point arrays are laid out (n_points, n_cells), so each quadrature
 point is one contiguous row and the per-cell reductions are small matrix
@@ -80,13 +71,13 @@ __all__ = [
     "solve_banded_spd",
     "solve_tridiagonal",
     "convex_newton",
+    "constrained_newton",
     "damped_newton",
     "energy_banded",
     "banded_matvec",
     "ladder",
     "clamped",
     "dual_norm",
-    "threshold_bracket",
 ]
 
 
@@ -543,7 +534,7 @@ def convex_newton(g: np.ndarray, H: np.ndarray, fscale: float):
     return gnorm, newton_step
 
 
-def _constrained_newton(g: np.ndarray, H: np.ndarray, fscale: float):
+def constrained_newton(g: np.ndarray, H: np.ndarray, fscale: float):
     """derivatives(state) of damped_newton for a convex minimization at fixed sum(x).
 
     g and H are as in convex_newton.  H need not be definite along the
@@ -753,56 +744,3 @@ def ladder(x: np.ndarray, make_objective, tol: float, schedule) -> np.ndarray:
             return x_new
         k = last if x_new is x else k + 1
         x = x_new
-
-
-@lru_cache(maxsize=64)
-def threshold_bracket(n_cells: int, lam: float) -> tuple[float, float, np.ndarray]:
-    """(lower, upper, v): the clamped discrete yield threshold's bracket and witness.
-
-    Zero is the increment from the virgin state iff theta m lies in
-    dPsi(0) = {c(xi) : |xi| <= 1 at every Gauss point}, whatever Lambda and
-    kappa, where c is the adjoint of v -> (u, lam u_r) at the Gauss points
-    (rule weights included), so c(xi) . v = int xi . (u, lam u_r).  Psi is
-    the support function of that set, hence the threshold
-    theta_c = min {Psi(v) : m'v = 1} lies between 1 / max|xi| for any xi
-    with c(xi) = m and Psi(v) / m'v for any v with m'v > 0.
-
-    v minimizes Psi_eps at m'v = 1 down the smoothing schedule by
-    constrained Newton (the interior weights of m are all dr), within the
-    increments' Newton budget.  At the last level the gradient
-    g = c((u, lam u_r) / R), scaled by w = m'g / m'm, gives
-    lower = 1 / dual_norm, certified for whatever field the solve ends
-    with.  The witness v is read-only, as every solve on the strip shares it.
-    """
-    mesh = Mesh(n_cells)
-    psi = SmoothedDissipation(mesh, lam)
-    m = mass_vector(mesh)[1:-1]
-
-    def make_objective(eps: float):
-        def evaluate(x: np.ndarray):
-            rad = psi.radius(clamped(x), eps)
-            v = psi.total(rad)
-            return v, (rad, v)
-
-        def derivatives(state):
-            rad, v = state
-            g, H = psi.grad_hess(rad)
-            return _constrained_newton(g[1:-1], H[:, 1:-1], v + 2.0 * eps)
-
-        return evaluate, derivatives
-
-    x = np.full(n_cells - 1, 1.0 / float(m.sum()))
-    # g is of order theta_c dr
-    x = ladder(
-        x, make_objective, DEFAULT_OPTIONS.newton_tol * mesh.dr,
-        DEFAULT_OPTIONS.epsilon_schedule,
-    )
-
-    v = clamped(x)
-    rad = psi.radius(v, DEFAULT_OPTIONS.epsilon_schedule[-1])
-    g = psi.grad_hess(rad)[0][1:-1]
-    w = float(m @ g) / float(m @ m)
-    lower = 1.0 / dual_norm(psi, rad, g, w, m)
-    upper = psi.value(v, 0.0) / float(m @ x)
-    v.flags.writeable = False
-    return lower, upper, v

@@ -43,7 +43,7 @@ of the schedule keeps that amplitude far below the yield detection tolerance.
 The schedule and the Newton budget are _p1's DEFAULT_OPTIONS.
 
 Warm-started increments.  The certified path (solve_certified) answers the
-virgin state at a load within the lower end of _p1's pre-yield bracket with
+virgin state at a load within the lower end of yield_stress's bracket with
 the exact zero field, with no Newton iteration.  Every other increment is
 one damped-Newton solve at the schedule's last level, eps = 1e-11, from a
 predictor.  From a flowed state (gamma_prev not identically 0) the
@@ -90,10 +90,10 @@ from ._p1 import (
     ladder,
     mass_vector,
     solve_banded_spd,
-    threshold_bracket,
 )
 from .functionals import dissipation, mass, total_energy
 from .model import Field, Mesh, NondimParams, SolverError
+from .yield_stress import threshold_bracket
 
 __all__ = [
     "LoadProgram",
@@ -359,12 +359,15 @@ def evolve(
     dissipation increment Psi(gamma_k - gamma_{k-1}) and the total energy
     E_tot(theta_k, gamma_k), both evaluated with the unsmoothed functionals,
     and the stability certificate of gamma_k from its step's multiplier
-    (_IncrementProblem.stability_bound).  A state whose certificate exceeds
-    stability_tol is never returned: it raises SolverError, as a failed
-    solve does.
+    (_IncrementProblem.stability_bound).  A zero state after a zero state
+    records both functionals as +0.0, their value there, without evaluating
+    them, and shares one read-only zero Field.  A state whose certificate
+    exceeds stability_tol is never returned: it raises SolverError, as a
+    failed solve does.
     """
     prob = _IncrementProblem(mesh, p)
     zeros = np.zeros(mesh.n_cells + 1)
+    rest = Field(mesh, zeros)  # read-only, so every zero step can share it
     steps = []
     gamma_prev = gamma_back = zeros
     # an extreme load or modulus overflows; the solves refuse a non-finite
@@ -373,8 +376,7 @@ def evolve(
         for k, theta in enumerate(load.theta_steps):
             evaluations, retries = prob.evaluations, prob.retries
             if k == 0:
-                gamma = zeros
-                dinc = bound = 0.0
+                gamma, bound = zeros, 0.0
             else:
                 start = None
                 if gamma_prev.any():
@@ -391,14 +393,19 @@ def evolve(
                         residual=err.residual,
                         step=k,
                     ) from err
+            if gamma.any() or gamma_prev.any():
                 dinc = prob.psi.value(gamma - gamma_prev, 0.0)
-            fld = Field(mesh, gamma)
+                fld = Field(mesh, gamma)
+                energy = total_energy(theta, fld, p)
+            else:
+                # Psi(0) and E_tot(theta, 0) are +0.0 whatever the sign of theta
+                dinc, fld, energy = 0.0, rest, 0.0
             steps.append(
                 TrajectoryStep(
                     theta=float(theta),
                     gamma=fld,
                     dissipation_increment=float(dinc),
-                    total_energy=total_energy(theta, fld, p),
+                    total_energy=energy,
                     stability_bound=bound,
                     evaluations=prob.evaluations - evaluations,
                     retried=prob.retries > retries,

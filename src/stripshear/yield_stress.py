@@ -23,7 +23,10 @@ same monotonicity term by term.  This module provides:
   theta_Y on a mesh without using the closed form;
 * the yield-onset profile, the closed-form solution of its first-order
   ODE (minimizer_profile);
-* both asymptotic regimes of theta_Y(lam).
+* both asymptotic regimes of theta_Y(lam);
+* the certified bracket of the clamped discrete threshold that decides
+  every pre-yield increment (threshold_bracket), solved from the onset
+  profile.
 
 The closed form,
 
@@ -33,12 +36,25 @@ The closed form,
 is evaluated with th - sqrt(th^2 - 1) rewritten as 1 / (th + sqrt(th^2 - 1))
 so large arguments do not cancel, and with th^2 - 1 formed as
 (th - 1)(th + 1) so arguments near 1 do not either.
+
+Pre-yield bracket.  Zero is the increment from gamma = 0 iff theta m lies
+in the subdifferential of Psi at 0, whatever Lambda and kappa, that is iff
+|theta| is at most the clamped discrete yield threshold
+theta_c = min {Psi(v) : m'v = 1}.  A dual field xi with c(xi) = m proves
+theta_c >= 1 / dual_norm (0 where xi certifies nothing); it is built once
+per (n_cells, lam) from a constrained Newton solve for the threshold
+profile (threshold_bracket), and below that bound an increment from the
+virgin state is the exact zero field with no Newton iteration.  The solve
+starts from the onset profile at the mesh nodes, so one smoothing level,
+the last, reaches the discrete profile; the bound holds whatever field it
+ends on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,8 +62,11 @@ from .functionals import RelaxedField, mass, relaxed_dissipation
 from ._p1 import (
     DEFAULT_OPTIONS,
     SmoothedDissipation,
+    clamped,
+    constrained_newton,
     convex_newton,
     damped_newton,
+    dual_norm,
     gauss_legendre,
     mass_vector,
 )
@@ -62,6 +81,7 @@ __all__ = [
     "asymptotic_theta",
     "yield_variational",
     "minimizer_profile",
+    "threshold_bracket",
 ]
 
 # the smallest lam whose threshold 1 + pi^2 lam^2 / 2 rounds above 1.0
@@ -88,6 +108,16 @@ _QUAD_NODES = 128
 # the smallest theta_Y yield_integral accepts: below it the integrand's peak
 # narrows past the rule, and the error reaches 7.1e-5 relative at 1 + 1e-6
 _QUAD_THETA_MIN = 1.0001
+
+# samples of the onset profile that threshold_bracket's start interpolates
+# onto the mesh nodes
+_ONSET_SAMPLES = 513
+
+# n_cells lam from which the onset profile's change per cell, about
+# dr / lam of its values, falls below their rounding (an ulp of 1, 2^-52):
+# its start is then noise on the flat field, and Newton fails from it at
+# lam = 1e13 on 4096 cells
+_FLAT_START = 2.0 / float(np.finfo(float).eps)
 
 # |mass| at which a yield_variational probe counts as diverged: 50x the unit
 # mass sought, reached only by runaways above the threshold
@@ -451,3 +481,80 @@ def minimizer_profile(lam: float, n_samples: int = 1 << 16) -> ProfileResult:
         jump_ratio=float(phi_half[-1]),
         theta_Y=theta_Y,
     )
+
+
+def _onset_start(mesh: Mesh, lam: float) -> np.ndarray:
+    """Interior nodal values of the yield-onset profile, scaled to m'x = 1.
+
+    The closed form (minimizer_profile's, up to scale) sampled on a uniform
+    grid in a = arctan(c tan(s/2)) and interpolated linearly in r onto the
+    nodes.  In a the profile is phi = 1 - sin^2 a 2 / (theta_Y + 1): the
+    grid resolves the s ~ sqrt(theta_Y - 1) scale at small lam and the
+    sqrt(1 - r) foot at the wall alike.  The clamped faces are left out.
+    Outside theta_of_lambda's domain the closed form's limits stand in:
+    below its floor the profile at the floor, within about 1e-8 of the
+    small-lam limit cos^2(pi r / 2); above its ceiling, and wherever the
+    profile's change per cell falls below the rounding of its values, the
+    flat field.
+    """
+    if lam > _LAM_CEILING or lam * mesh.n_cells >= _FLAT_START:
+        x = np.ones(mesh.n_cells - 1)
+    else:
+        theta_Y = theta_of_lambda(max(lam, _LAM_FLOOR))
+        c = math.sqrt((theta_Y + 1.0) / (theta_Y - 1.0))
+        a = np.linspace(0.0, math.atan(c), _ONSET_SAMPLES)
+        r = _arc(2.0 * np.arctan(np.tan(a) / c), theta_Y)
+        phi = 1.0 - np.sin(a) ** 2 * (2.0 / (theta_Y + 1.0))
+        x = np.interp(np.abs(mesh.nodes[1:-1]), r / r[-1], phi)
+    return x / (mesh.dr * float(x.sum()))
+
+
+@lru_cache(maxsize=64)
+def threshold_bracket(n_cells: int, lam: float) -> tuple[float, float, np.ndarray]:
+    """(lower, upper, v): the clamped discrete yield threshold's bracket and witness.
+
+    Zero is the increment from the virgin state iff theta m lies in
+    dPsi(0) = {c(xi) : |xi| <= 1 at every Gauss point}, whatever Lambda and
+    kappa, where c is the adjoint of v -> (u, lam u_r) at the Gauss points
+    (rule weights included), so c(xi) . v = int xi . (u, lam u_r).  Psi is
+    the support function of that set, hence the threshold
+    theta_c = min {Psi(v) : m'v = 1} lies between 1 / max|xi| for any xi
+    with c(xi) = m and Psi(v) / m'v for any v with m'v > 0.
+
+    v minimizes Psi_eps at m'v = 1 by constrained Newton (the interior
+    weights of m are all dr) at the smoothing schedule's last level alone,
+    from the onset profile at the nodes (_onset_start), within the
+    increments' Newton budget.  There the gradient
+    g = c((u, lam u_r) / R), scaled by w = m'g / m'm, gives
+    lower = 1 / dual_norm, certified for whatever field the solve ends
+    with.  The witness v is read-only, as every solve on the strip shares it.
+    """
+    mesh = Mesh(n_cells)
+    psi = SmoothedDissipation(mesh, lam)
+    m = mass_vector(mesh)[1:-1]
+    eps = DEFAULT_OPTIONS.epsilon_schedule[-1]
+
+    def evaluate(x: np.ndarray):
+        rad = psi.radius(clamped(x), eps)
+        v = psi.total(rad)
+        return v, (rad, v)
+
+    def derivatives(state):
+        rad, v = state
+        g, H = psi.grad_hess(rad)
+        return constrained_newton(g[1:-1], H[:, 1:-1], v + 2.0 * eps)
+
+    # g is of order theta_c dr
+    x, _ = damped_newton(
+        _onset_start(mesh, lam), evaluate, derivatives,
+        DEFAULT_OPTIONS.newton_tol * mesh.dr,
+    )
+
+    v = clamped(x)
+    rad = psi.radius(v, eps)
+    g = psi.grad_hess(rad)[0][1:-1]
+    w = float(m @ g) / float(m @ m)
+    lower = 1.0 / dual_norm(psi, rad, g, w, m)
+    upper = psi.value(v, 0.0) / float(m @ x)
+    v.flags.writeable = False
+    return lower, upper, v

@@ -42,7 +42,11 @@ What is verified:
      negative, and a zero state past yield is not certified stable.  The
      oracle, with threshold_bracket patched to raise, confirms the bracket:
      the zero state's defect is exactly 0 at 0.5, 1 and -1 times the lower
-     bound, and positive at 1.001 times the upper bound.
+     bound, and positive at 1.001 times the upper bound.  The bracket's
+     solve starts from the closed-form onset profile at the last smoothing
+     level: at most 8 objective evaluations at 512 cells for lam in
+     {0.5, 1.179812, 2}, and past theta_of_lambda's domain (lam = 1e-10,
+     1e15) it still returns 0 <= lower <= upper.
      Below the bracket an increment from the virgin state is the exact
      zero field without any Newton iteration, above it the strip flows.  A property test over
      (lam, Lambda, kappa, theta, n_cells) checks that increments from the
@@ -65,6 +69,10 @@ What is verified:
      evaluations; a warm solve that raises or fails its certificate is
      redone down the whole schedule, which solve_certified then returns
      bit for bit, with the retry counted.
+ 11. A zero step between zero states costs no functional evaluation: the
+     README sweep at 512 cells calls total_energy once per flowed state,
+     and the zero steps record the +0.0 that total_energy and dissipation
+     give there.
 """
 
 import dataclasses
@@ -91,7 +99,7 @@ from stripshear import (
     theta_of_lambda,
     total_energy,
 )
-from stripshear import _p1, incremental
+from stripshear import _p1, incremental, yield_stress
 
 P_REF = NondimParams(lam=1.179812, Lambda=1.0, kappa=1.0)
 
@@ -274,12 +282,12 @@ def strangled(monkeypatch):
     budget = dataclasses.replace(
         DEFAULT_OPTIONS, epsilon_schedule=(1e-11,), max_newton_iters=1
     )
-    for module in (_p1, incremental):
+    for module in (_p1, incremental, yield_stress):
         monkeypatch.setattr(module, "DEFAULT_OPTIONS", budget)
     # brackets certified under the real budget would spare the virgin steps
-    _p1.threshold_bracket.cache_clear()
+    yield_stress.threshold_bracket.cache_clear()
     yield
-    _p1.threshold_bracket.cache_clear()
+    yield_stress.threshold_bracket.cache_clear()
 
 
 def test_strangled_budget_raises_solver_error(strangled):
@@ -348,7 +356,7 @@ def test_increment_solve_refuses_an_uncertified_increment():
 def test_the_oracle_never_consults_the_certificate(monkeypatch):
     mesh = make_mesh(64)
     p = NondimParams(lam=1.0, Lambda=1.0, kappa=1.0)
-    lower = _p1.threshold_bracket(mesh.n_cells, p.lam)[0]
+    lower = yield_stress.threshold_bracket(mesh.n_cells, p.lam)[0]
     bump = 0.01 * np.sin(0.5 * np.pi * (mesh.nodes + 1.0))
     bump[0] = bump[-1] = 0.0
 
@@ -373,7 +381,7 @@ def test_the_oracle_never_consults_the_certificate(monkeypatch):
 def test_the_bracket_free_oracle_confirms_the_bracket(monkeypatch, lam, n_cells):
     mesh = make_mesh(n_cells)
     p = NondimParams(lam=lam, Lambda=1.0, kappa=1.0)
-    lower, upper, _ = _p1.threshold_bracket(n_cells, lam)
+    lower, upper, _ = yield_stress.threshold_bracket(n_cells, lam)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the bracket was consulted")
@@ -405,7 +413,7 @@ def _adjoint(xi_u, xi_s, mesh, lam):
 @pytest.mark.parametrize("lam", [1e-3, 0.1, 1.179812, 10.0, 100.0])
 def test_threshold_bracket(lam, n_cells):
     mesh = make_mesh(n_cells)
-    lower, upper, v = _p1.threshold_bracket(n_cells, lam)
+    lower, upper, v = yield_stress.threshold_bracket(n_cells, lam)
     assert 0.0 < lower <= upper
     assert (upper - lower) / upper <= 1e-6
     m = mesh.dr * np.ones(n_cells - 1)  # interior trapezoid weights
@@ -433,7 +441,7 @@ def test_dual_certificate_past_its_roundoff_margin(n_cells, lam, certified):
     # from n_cells (1 + lam) = 1e14 on, the roundoff margin is the whole
     # dual norm: the dual field certifies nothing, so the bracket's lower
     # bound is 0 and the zero state past yield keeps a positive bound
-    lower, upper, _ = _p1.threshold_bracket(n_cells, lam)
+    lower, upper, _ = yield_stress.threshold_bracket(n_cells, lam)
     assert 0.0 <= lower <= upper
     assert (lower > 1.0) == certified
     mesh = make_mesh(n_cells)
@@ -442,6 +450,34 @@ def test_dual_certificate_past_its_roundoff_margin(n_cells, lam, certified):
     theta = 2.0 * theta_of_lambda(lam)
     bound = incremental._IncrementProblem(mesh, p).stability_bound(zero, zero, theta)
     assert bound > 1e18
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.179812, 2.0])
+def test_threshold_bracket_starts_at_the_onset_profile(monkeypatch, lam):
+    # the smoothing ladder from a flat field took 19-20 evaluations here;
+    # the last level from the closed-form onset profile takes about 5
+    calls = []
+    newton = yield_stress.damped_newton
+
+    def counting(x, evaluate, derivatives, tol):
+        def counted(x):
+            calls.append(1)
+            return evaluate(x)
+
+        return newton(x, counted, derivatives, tol)
+
+    monkeypatch.setattr(yield_stress, "damped_newton", counting)
+    yield_stress.threshold_bracket.cache_clear()
+    lower, upper, _ = yield_stress.threshold_bracket(512, lam)
+    assert 1.0 < lower <= upper
+    assert 0 < len(calls) <= 8
+
+
+@pytest.mark.parametrize("lam", [1e-10, 1e15])
+def test_threshold_bracket_beyond_the_closed_form_domain(lam):
+    # theta_of_lambda refuses both lam; NondimParams takes them
+    lower, upper, _ = yield_stress.threshold_bracket(64, lam)
+    assert 0.0 <= lower <= upper
 
 
 @pytest.mark.parametrize("n_cells, lam", [(4, 0.3), (16, 2.0), (64, 100.0)])
@@ -483,7 +519,7 @@ def test_dual_gram_is_the_gauss_assembly(n_cells, lam):
 def test_virgin_increment_below_bracket_skips_newton(monkeypatch):
     mesh = make_mesh(64)
     p = NondimParams(lam=0.3, Lambda=2.0, kappa=0.5)
-    lower, upper, _ = _p1.threshold_bracket(mesh.n_cells, p.lam)
+    lower, upper, _ = yield_stress.threshold_bracket(mesh.n_cells, p.lam)
     calls = []
     newton = _p1.damped_newton
 
@@ -512,7 +548,7 @@ def test_virgin_increment_below_bracket_skips_newton(monkeypatch):
 def test_virgin_increment_properties(lam, half_cells, Lambda, kappa, load):
     mesh = make_mesh(2 * half_cells)
     p = NondimParams(lam=lam, Lambda=Lambda, kappa=kappa)
-    lower, upper, _ = _p1.threshold_bracket(mesh.n_cells, lam)
+    lower, upper, _ = yield_stress.threshold_bracket(mesh.n_cells, lam)
     theta = load * upper
     try:
         gamma = increment_solve(Field.zeros(mesh), theta, p)
@@ -564,7 +600,7 @@ def test_stability_bound_off_the_minimizer(readme_sweep, k):
 
 def test_evolve_refuses_uncertified_state(monkeypatch):
     mesh = make_mesh(32)
-    _p1.threshold_bracket(mesh.n_cells, P_REF.lam)
+    yield_stress.threshold_bracket(mesh.n_cells, P_REF.lam)
     newton = _p1.damped_newton
 
     def perturbed(*args, **kwargs):
@@ -593,7 +629,7 @@ def test_flowed_states_are_certified(lam, half_cells, Lambda, kappa, load):
     prob = incremental._IncrementProblem(
         mesh, NondimParams(lam=lam, Lambda=Lambda, kappa=kappa)
     )
-    _, upper, _ = _p1.threshold_bracket(mesh.n_cells, lam)
+    _, upper, _ = yield_stress.threshold_bracket(mesh.n_cells, lam)
     theta = load * upper
     gamma = np.zeros(mesh.n_cells + 1)
     for target in (theta, -theta, theta):  # load, unload through zero, reload
@@ -643,12 +679,36 @@ def test_virgin_increment_above_bracket_is_warm(load):
     # threshold witness leaves 3-7 at the last level
     mesh = make_mesh(128)
     prob = incremental._IncrementProblem(mesh, P_REF)
-    upper = _p1.threshold_bracket(mesh.n_cells, P_REF.lam)[1]
+    upper = yield_stress.threshold_bracket(mesh.n_cells, P_REF.lam)[1]
     gamma, bound = prob.solve_certified(np.zeros(mesh.n_cells + 1), load * upper)
     assert prob.evaluations <= 10
     assert prob.retries == 0
     assert float(np.max(np.abs(gamma))) > 0.0
     assert bound <= DEFAULT_OPTIONS.stability_tol
+
+
+def test_zero_steps_evaluate_no_functional(monkeypatch):
+    calls = []
+    energy = incremental.total_energy
+
+    def counting(*args):
+        calls.append(1)
+        return energy(*args)
+
+    monkeypatch.setattr(incremental, "total_energy", counting)
+    load = LoadProgram(tuple(np.linspace(0.0, 3.0, 301)))
+    traj = evolve(load, P_REF, make_mesh(512))
+    flowed = [s for s in traj.steps if s.gamma.values.any()]
+    assert len(flowed) == 100
+    assert len(calls) == len(flowed)
+    for s in traj.steps[: len(traj.steps) - len(flowed)]:
+        # the same doubles, sign included, as the functionals give
+        for got, want in (
+            (s.total_energy, energy(s.theta, s.gamma, P_REF)),
+            (s.dissipation_increment, dissipation(s.gamma, P_REF.lam)),
+        ):
+            assert got == want == 0.0
+            assert math.copysign(1.0, got) == math.copysign(1.0, want) == 1.0
 
 
 @pytest.mark.parametrize("failure", ["raises", "uncertified"])

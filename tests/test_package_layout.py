@@ -16,13 +16,16 @@ What is verified:
      ``perfbench/*.py`` names something the package has.  The files are
      parsed, not run, and the check skips where ``perfbench/`` is absent.
   4. The import graph keeps the shared solver core at the bottom: ``_p1``
-     imports no package module but ``model``, and ``yield_stress`` imports
-     nothing from ``incremental``.  The collector finds a package module
-     behind every import form, so an allowed graph is not a blind spot.
-  5. ``_p1`` exports exactly what the other package modules use: every
-     name in its ``__all__`` is imported from it, or read off it, by some
-     other module under src/stripshear, and every name they take from it
-     is in its ``__all__``; the collector sees both forms.
+     imports no package module but ``model``, and ``yield_stress``, whose
+     threshold bracket ``incremental`` imports, imports nothing from
+     ``incremental``.  The collector finds a package module behind every
+     import form, so an allowed graph is not a blind spot.
+  5. ``_p1`` exports exactly what the other package modules use (the
+     bracket in ``yield_stress`` takes ``constrained_newton``, ``clamped``
+     and ``dual_norm``): every name in its ``__all__`` is imported from
+     it, or read off it, by some other module under src/stripshear, and
+     every name they take from it is in its ``__all__``; the collector
+     sees both forms.
   6. No dead private code: every module-level underscore name in
      src/stripshear (a function, a class or an assigned name) is read by its
      module's code outside its own definition.  Check 1 keeps other modules

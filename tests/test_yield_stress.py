@@ -18,6 +18,9 @@ Anchors used here:
     independent adaptive quadrature of that ODE, down to lam = 1e-5 where
     its boundary layer is about 2e-5 wide in zeta; and the arc's closed
     form at zeta = 1 reproduces 1 / lambda_of_theta (the closure identity).
+    The start threshold_bracket interpolates from the closed form has
+    minimizer_profile's shape at the mesh nodes, to the interpolation's
+    error, for lam in [1e-3, 1e3].
   * theta_of_lambda returns across lam in [1e-7, 1e6], strictly inside
     (1, 1 + lam); it bisects on a bracket that does not depend on lam, so
     it is nondecreasing over runs of adjacent doubles of lam, and the
@@ -375,6 +378,17 @@ def test_profile_closure_identity():
         t = theta_of_lambda(float(lam))
         worst = max(worst, abs(float(yield_stress._arc(end, t)) * lambda_of_theta(t) - 1.0))
     assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.1, 1.179812, 10.0, 1e3])
+@pytest.mark.parametrize("n_cells", [64, 512])
+def test_bracket_start_is_the_onset_profile(lam, n_cells):
+    # linear interpolation in r between 513 samples uniform in the angle:
+    # an error of order (pi / 2 / 512)^2 ~ 1e-5 of the center value
+    exact = minimizer_profile(lam, n_cells).phi.values[1:-1]
+    start = yield_stress._onset_start(make_mesh(n_cells), lam)
+    center = n_cells // 2 - 1
+    assert float(np.max(np.abs(start / start[center] - exact / exact[center]))) <= 1e-5
 
 
 @pytest.mark.parametrize("lam", [1e-5, 1e-3, 1.0, 1e3])
