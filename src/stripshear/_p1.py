@@ -43,6 +43,13 @@ the defect max_d [r'd - d'Ad / 2 - Psi(d)] is 0 if s <= 1 and at most
 bound, from the Newton residual (incremental's stability_bound takes the
 smaller).
 
+Banded matrices.  Every matrix is the ab of scipy.linalg.solve_banded with
+equal bandwidths u, 2u + 1 rows with ab[u + i - j, j] = a[i, j]: the
+diagonal in row u, superdiagonal k right-aligned in row u - k, subdiagonal k
+left-aligned in row u + k and 0.0 in the corners no entry reaches.  Symmetric
+bands fill both halves; solve_banded_spd reads rows 0..u (the upper storage
+of ptsv and pbsv).  Clamped systems take the interior columns [:, 1:-1].
+
 Gauss-point arrays are laid out (n_points, n_cells), so each quadrature
 point is one contiguous row and the per-cell reductions are small matrix
 products.
@@ -186,9 +193,8 @@ class SmoothedDissipation:
     g = (c u + e l) / R, with c the P1 shape function and e = -+lam/dr the
     slope factor, and the second derivatives are (k - g g') / R with
     k = c c' + e e'.  The two shape functions sum to one, so the right-end
-    g is u / R minus the left-end one.  The Hessian is returned in LAPACK's
-    upper band storage, row-major: banded[1] is the diagonal and
-    banded[0, i] couples nodes i - 1 and i (banded[0, 0] is unused).
+    g is u / R minus the left-end one.  The Hessian is a (3, n + 1) band
+    (module docstring).
     """
 
     def __init__(self, mesh: Mesh, lam: float):
@@ -215,7 +221,7 @@ class SmoothedDissipation:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """The dual Gram matrix energy_banded(mesh, 1.0, lam^2), built on first use."""
+        """The dual Gram band energy_banded(mesh, 1.0, lam^2), built on first use."""
         return energy_banded(self.mesh, 1.0, self.lam * self.lam)
 
     def radius(self, d: np.ndarray, eps: float) -> _Radius:
@@ -252,9 +258,8 @@ class SmoothedDissipation:
             out *= inv_R
         ga_c, gb_c, haa_c, hbb_c, hab_c = self.dw @ terms  # per-cell sums
 
-        banded = np.empty((2, self.n + 1))
-        banded[0, 0] = 0.0
-        banded[0, 1:] = hab_c
+        banded = np.zeros((3, self.n + 1))
+        banded[0, 1:] = banded[2, :-1] = hab_c
         assemble(haa_c, hbb_c, out=banded[1])
         return assemble(ga_c, gb_c), banded
 
@@ -267,13 +272,13 @@ class SmoothedDissipation:
         every per-cell sum of power_flux weights Gauss-point products by a
         fixed table.  The vector table holds dw c at both ends.  The
         Jacobian tables' rows are the (left, left), (right, right),
-        (left, right) and (right, left) entries; at the three points their
-        columns weight R^(m-1) w and R^(m-1) (the first table), then
-        R^(m-1) w a^2, R^(m-1) a b, R^(m-1) (w - 1) a b and R^(m-1) b^2
-        with a = u / R and b = lam l / (dr R) (the second, which
-        power_flux scales by -(1 - m)).  Writing w u = u + (w - 1) u keeps
-        the cross term's weights symmetric outside the (w - 1) column, so
-        the two off-diagonal rows agree bit for bit where w = 1.
+        (left, right) and (right, left) entries (band rows 1, 1, 0 and 2);
+        at the three points their columns weight R^(m-1) w and R^(m-1) (the
+        first table), then R^(m-1) w a^2, R^(m-1) a b, R^(m-1) (w - 1) a b
+        and R^(m-1) b^2 with a = u / R and b = lam l / (dr R) (the second,
+        which power_flux scales by -(1 - m)).  Writing w u = u + (w - 1) u
+        keeps the cross term's weights symmetric outside the (w - 1) column,
+        so the band's rows 0 and 2 agree bit for bit where w = 1.
         """
         ca, cb = 1.0 - GAUSS3_POINTS, GAUSS3_POINTS
         dw, e2 = self.dw, self.slope_scale * self.slope_scale
@@ -301,9 +306,9 @@ class SmoothedDissipation:
         R^(m-1) w u, plus e l times the rule's sum of R^(m-1).  jacobian()
         returns its derivative in the nodal values,
         R^(m-1) [w c c' + e e' - (1 - m) (w u c + l e) (u c + l e)' / R^2],
-        as (sub, diag, sup) for solve_tridiagonal (not symmetric where
-        w != 1): six Gauss-point products against the Jacobian tables.
-        Line-search trials never build it.
+        as a (3, n + 1) band for solve_tridiagonal (symmetric where w = 1,
+        not where w varies): six Gauss-point products against the Jacobian
+        tables.  Line-search trials never build it.
         """
         u, ls, R, _ = rad
         vector_table, power_table, square_table = self._flux_tables
@@ -329,8 +334,10 @@ class SmoothedDissipation:
             np.multiply(terms[3], w - 1.0, out=terms[4])
             np.multiply(Rm_b, b, out=terms[5])
             table = np.concatenate((power_table, (m - 1.0) * square_table), axis=1)
-            aa, bb, ab, ba = table @ terms.reshape(-1, R.shape[-1])
-            return ba, assemble(aa, bb), ab
+            banded = np.zeros((3, self.n + 1))
+            aa, bb, banded[0, 1:], banded[2, :-1] = table @ terms.reshape(-1, self.n)
+            assemble(aa, bb, out=banded[1])
+            return banded
 
         return assemble(fa, fb), jacobian
 
@@ -466,10 +473,10 @@ _STALL_MULTIPLE = 1e3  # a stall within this multiple of the floor is roundoff
 _ROUNDOFF = 1e-15  # roundoff of a sum of terms, relative to their magnitudes
 
 
-def _factor_solve(banded: np.ndarray, rhs: np.ndarray):
-    if banded.shape[0] == 2 and rhs.size > 1:  # ptsv needs n >= 2
-        return _PTSV(banded[1], banded[0, 1:], rhs)
-    return _PBSV(banded, rhs)
+def _factor_solve(upper: np.ndarray, rhs: np.ndarray):
+    if upper.shape[0] == 2 and rhs.size > 1:  # ptsv needs n >= 2
+        return _PTSV(upper[1], upper[0, 1:], rhs)
+    return _PBSV(upper, rhs)
 
 
 def _ordinal(n: int) -> str:
@@ -479,15 +486,17 @@ def _ordinal(n: int) -> str:
 
 
 def solve_banded_spd(banded: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve an SPD system in upper banded form, lifting the diagonal on breakdown.
+    """Solve a banded SPD system, lifting the diagonal on breakdown.
 
-    banded is in upper band storage.  Tridiagonal systems go to ptsv, as in
-    scipy.linalg.solveh_banded; wider bands and single unknowns go to pbsv.
+    Reads rows 0..u of the symmetric band (module docstring).  Tridiagonal
+    systems go to ptsv, as in scipy.linalg.solveh_banded; wider bands and
+    single unknowns go to pbsv.
     """
-    x, info = _factor_solve(banded, rhs)
+    upper = banded[: banded.shape[0] // 2 + 1]
+    x, info = _factor_solve(upper, rhs)
     if info > 0:
-        lifted = banded.copy()
-        lifted[-1] += _DIAGONAL_LIFT * (1.0 + np.abs(banded[-1]))
+        lifted = upper.copy()
+        lifted[-1] += _DIAGONAL_LIFT * (1.0 + np.abs(upper[-1]))
         x, info = _factor_solve(lifted, rhs)
         if info > 0:
             raise LinAlgError(f"{_ordinal(info)} leading minor not positive definite")
@@ -496,18 +505,17 @@ def solve_banded_spd(banded: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_tridiagonal(
-    sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
+def solve_tridiagonal(banded: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a general tridiagonal system by gtsv (partial pivoting).
 
-    diag holds the n diagonal entries; sub[i] and sup[i] the n - 1 entries
-    at (i + 1, i) and (i, i + 1).  The result is that of
-    scipy.linalg.solve_banded((1, 1), ...) on the same matrix, bit for bit.
+    banded is a (3, n) band (module docstring); gtsv reads rows 2, 1 and 0
+    less their unused corners, and only those must be finite.  The result
+    is that of scipy.linalg.solve_banded((1, 1), banded, rhs), bit for bit.
     """
-    if not np.isfinite(np.concatenate((sub, diag, sup, rhs))).all():
+    dl, d, du = banded[2, :-1], banded[1], banded[0, 1:]
+    if not np.isfinite(np.concatenate((dl, d, du, rhs))).all():
         raise ValueError("Newton system contains infs or NaNs")
-    x, info = _GTSV(sub, diag, sup, rhs)
+    x, info = _GTSV(dl, d, du, rhs)
     if info != 0:
         raise LinAlgError("singular matrix")
     return x
@@ -541,16 +549,16 @@ def constrained_newton(g: np.ndarray, H: np.ndarray, fscale: float):
     constraint's normal (a 1-homogeneous objective is flat along x), so the
     step stays in the null space of the all-ones vector, spanned by
     z_j = e_j - e_{j+1}: the reduced gradient is Z'g and the reduced
-    Hessian Z'HZ is pentadiagonal.  convex_newton minimizes in the reduced
+    Hessian Z'HZ a 5-row band.  convex_newton minimizes in the reduced
     coordinates p, and the step is Z p.  The measure is max|Z'g| (0 with a
     single unknown, which has no free direction).
     """
     q = g[:-1] - g[1:]
     d, e = H[1], H[0, 1:]  # diagonal, and e[i] couples (i, i + 1)
-    S = np.zeros((3, q.size))
+    S = np.zeros((5, q.size))
     S[2] = d[:-1] + d[1:] - 2.0 * e
-    S[1, 1:] = e[:-1] + e[1:] - d[1:-1]
-    S[0, 2:] = -e[1:-1]
+    S[1, 1:] = S[3, :-1] = e[:-1] + e[1:] - d[1:-1]
+    S[0, 2:] = S[4, :-2] = -e[1:-1]
     gnorm, reduced_step = convex_newton(q, S, fscale)
 
     def newton_step():
@@ -643,7 +651,7 @@ def damped_newton(
 
 
 def energy_banded(mesh: Mesh, mass: float, stiffness: float) -> np.ndarray:
-    """Banded (upper form) matrix mass * Mq + stiffness * K.
+    """The (3, n + 1) band of mass * Mq + stiffness * K.
 
     Mq is the exact piecewise-linear mass matrix and K the stiffness matrix.
     The increments' energy E = 0.5 x'Ax takes (kappa, kappa Lambda^2); the
@@ -655,19 +663,18 @@ def energy_banded(mesh: Mesh, mass: float, stiffness: float) -> np.ndarray:
     dr = mesh.dr
     cell_diag = mass * (dr / 3.0) + stiffness * (1.0 / dr)
     cell_off = mass * (dr / 6.0) + stiffness * (-1.0 / dr)
-    banded = np.zeros((2, n + 1))
-    banded[0, 1:] = cell_off  # banded[0, i] couples nodes (i-1, i)
+    banded = np.zeros((3, n + 1))
+    banded[0, 1:] = banded[2, :-1] = cell_off  # couple nodes (i - 1, i)
     banded[1, :-1] += cell_diag
     banded[1, 1:] += cell_diag
     return banded
 
 
 def banded_matvec(banded: np.ndarray, x: np.ndarray) -> np.ndarray:
-    sup = banded[0]
-    diag = banded[1]
-    y = diag * x
-    y[:-1] += sup[1:] * x[1:]
-    y[1:] += sup[1:] * x[:-1]
+    """The product of a (3, n) band (module docstring) with x."""
+    y = banded[1] * x
+    y[:-1] += banded[0, 1:] * x[1:]
+    y[1:] += banded[2, :-1] * x[:-1]
     return y
 
 

@@ -216,7 +216,7 @@ def _balance(mesh: Mesh, gamma_n, S, tau: float, dt: float, p: PhysicalParams):
     """residual(x, eps) -> (R, jacobian) of one step's balance (module docstring).
 
     x and R are the interior nodes, the unknowns and rows of the clamped
-    problem; jacobian() returns (sub, diag, sup) for solve_tridiagonal.
+    problem; jacobian() returns dR/dx as a (3, n_cells - 1) band.
     """
     psi, A, mass = _operators(mesh, p)
     w = at_points(S)[0] / p.S0
@@ -230,9 +230,7 @@ def _balance(mesh: Mesh, gamma_n, S, tau: float, dt: float, p: PhysicalParams):
         R = (banded_matvec(A, gamma) + scale * flux)[1:-1] - load
 
         def jacobian():
-            k = scale / dt  # the rate is gamma / dt
-            sub, diag, sup = (k * band[1:-1] for band in flux_jacobian())
-            return A[0, 2:-1] + sub, A[1, 1:-1] + diag, A[0, 2:-1] + sup
+            return A[:, 1:-1] + (scale / dt) * flux_jacobian()[:, 1:-1]
 
         return R, jacobian
 
@@ -251,21 +249,16 @@ def _nodal_flow_rate(gamma, gamma_n, dt: float, p: PhysicalParams, dy: float):
     return np.sqrt(rate**2 + (p.ell * node_slope) ** 2 + eps * eps)
 
 
-def _residual_noise(sub, diag, sup, x) -> float:
+def _residual_noise(J, x) -> float:
     """Float64 floor of the residual: eps times the row scale of |J| |x|.
 
-    J is the interior tridiagonal Jacobian (sub, diag, sup) as _balance
-    returns it and x the interior values it acts on; the face columns it
-    leaves out multiply zero faces.  Near a rate reversal the power-law
-    mobility makes Jacobian rows as large as P(eps_v) / dt, so one ulp of
-    x moves the residual by this much; no representable iterate can land
-    below it.
+    J is the interior Jacobian band as _balance returns it and x the
+    interior values it acts on; the face columns it leaves out multiply
+    zero faces.  Near a rate reversal the power-law mobility makes
+    Jacobian rows as large as P(eps_v) / dt, so one ulp of x moves the
+    residual by this much; no representable iterate can land below it.
     """
-    ax = np.abs(x)
-    s = np.abs(diag) * ax
-    s[:-1] += np.abs(sup) * ax[1:]
-    s[1:] += np.abs(sub) * ax[:-1]
-    return _NOISE_ULPS * float(np.max(s))
+    return _NOISE_ULPS * float(np.max(banded_matvec(np.abs(J), np.abs(x))))
 
 
 def visco_step(
@@ -321,8 +314,8 @@ def visco_step(
 
             def newton_step():
                 J = jacobian()
-                step = solve_tridiagonal(*J, -R)
-                return step, -rnorm, 0.5 * _residual_noise(*J, x)
+                step = solve_tridiagonal(J, -R)
+                return step, -rnorm, 0.5 * _residual_noise(J, x)
 
             return rnorm, newton_step
 

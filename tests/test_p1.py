@@ -35,6 +35,14 @@ What is verified:
      Hessian to a few ulps, and at m in {0.05, 0.5} with a non-uniform w
      its Jacobian, not symmetric there, agrees with central differences of
      the vector.
+ 11. One banded layout, scipy.linalg.solve_banded's ab with equal
+     bandwidths: energy_banded, the Gram band, grad_hess, power_flux at
+     w = 1 and w != 1 and the visco step's Jacobian have 3 rows and
+     banded_matvec gives their dense products; the built ones hold 0.0 in
+     their corners, and a NaN there does not reach the general solve.
+     The symmetric ones, constrained_newton's 5-row reduced Hessian
+     included, mirror their upper half bit for bit, and the SPD solve
+     returns the same bits with NaN below the diagonal row.
 """
 
 import math
@@ -98,10 +106,15 @@ def test_value_matches_direct_evaluation(lam, eps):
     assert abs(value - _direct_value(d, mesh, lam, eps)) <= 1e-13 * max(1.0, value)
 
 
-def _dense(banded):
-    H = np.diag(banded[1])
-    H += np.diag(banded[0, 1:], 1) + np.diag(banded[0, 1:], -1)
-    return H
+def _dense(ab):
+    """Dense matrix of a band of 2u + 1 rows (scipy's solve_banded layout)."""
+    u, n = ab.shape[0] // 2, ab.shape[1]
+    A = np.zeros((n, n))
+    for k in range(ab.shape[0]):
+        for j in range(n):
+            if 0 <= j + k - u < n:  # ab[u + i - j, j] = a[i, j]
+                A[j + k - u, j] = ab[k, j]
+    return A
 
 
 @pytest.mark.parametrize("lam", [0.01, 1.0, 10.0])
@@ -150,13 +163,13 @@ def test_power_flux_at_m_zero_is_grad_hess(lam, eps):
     rad = psi.radius(_field(mesh, True), eps)
     g, banded = psi.grad_hess(rad)
     flux, jacobian = psi.power_flux(rad, 0.0, np.ones_like(rad.u))
-    sub, diag, sup = jacobian()
-    assert np.array_equal(sub, sup)  # symmetric at w = 1
+    J = jacobian()
+    assert np.array_equal(J[2, :-1], J[0, 1:])  # symmetric at w = 1
     # the sums of a few terms each, rounded in another order
     ulps = 4.0 * np.finfo(float).eps
     assert np.max(np.abs(flux - g)) <= ulps * np.max(np.abs(g))
-    assert np.max(np.abs(diag - banded[1])) <= ulps * np.max(np.abs(banded[1]))
-    assert np.max(np.abs(sup - banded[0, 1:])) <= ulps * np.max(np.abs(banded[1]))
+    assert np.max(np.abs(J[1] - banded[1])) <= ulps * np.max(np.abs(banded[1]))
+    assert np.max(np.abs(J[0, 1:] - banded[0, 1:])) <= ulps * np.max(np.abs(banded[1]))
 
 
 @pytest.mark.parametrize("m", [0.05, 0.5])
@@ -167,9 +180,9 @@ def test_power_flux_jacobian_matches_central_differences(m, lam):
     d = _field(mesh, False)
     eps = 1e-6
     w = _p1.at_points(1.5 + np.cos(2.0 * mesh.nodes))[0]  # positive, non-uniform
-    sub, diag, sup = psi.power_flux(psi.radius(d, eps), m, w)[1]()
-    assert not np.allclose(sub, sup)  # w weights u alone
-    J = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+    banded = psi.power_flux(psi.radius(d, eps), m, w)[1]()
+    assert not np.allclose(banded[2, :-1], banded[0, 1:])  # w weights u alone
+    J = _dense(banded)
 
     def central(h):
         J_fd = np.empty((d.size, d.size))
@@ -264,8 +277,7 @@ def test_newton_turns_a_failed_step_solve_into_a_solver_error():
 
     def derivatives(x):
         def newton_step():
-            off = np.zeros(x.size - 1)
-            solve_tridiagonal(off, np.zeros(x.size), off, np.ones(x.size))  # singular
+            solve_tridiagonal(np.zeros((3, x.size)), np.ones(x.size))  # singular
 
         return 0.25, newton_step
 
@@ -276,8 +288,7 @@ def test_newton_turns_a_failed_step_solve_into_a_solver_error():
 
     def non_finite(x):
         def newton_step():
-            off = np.full(x.size - 1, math.nan)
-            solve_tridiagonal(off, np.full(x.size, math.nan), off, np.ones(x.size))
+            solve_tridiagonal(np.full((3, x.size), math.nan), np.ones(x.size))
 
         return 0.5, newton_step
 
@@ -285,11 +296,6 @@ def test_newton_turns_a_failed_step_solve_into_a_solver_error():
         damped_newton(np.ones(4), evaluate, non_finite, 1e-9)
     assert info.value.residual == 0.5
     assert type(info.value.__cause__) is ValueError
-
-
-def _diagonals(ab):
-    """(sub, diag, sup) of a matrix in scipy's solve_banded((1, 1)) layout."""
-    return ab[2, :-1], ab[1], ab[0, 1:]
 
 
 def test_tridiagonal_solve_matches_scipy_bit_for_bit():
@@ -300,11 +306,11 @@ def test_tridiagonal_solve_matches_scipy_bit_for_bit():
         ab = rng.standard_normal((3, 33))
         ab[2] *= 3.0  # subdiagonal often larger than the diagonal: pivoting
         rhs = rng.standard_normal(33)
-        x = solve_tridiagonal(*_diagonals(ab), rhs)
+        x = solve_tridiagonal(ab, rhs)
         assert x.tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
     ab[1, 5] = math.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
-        solve_tridiagonal(*_diagonals(ab), rhs)
+        solve_tridiagonal(ab, rhs)
 
 
 def test_gauss3_is_the_shared_rule():
@@ -319,38 +325,32 @@ def test_gauss3_is_the_shared_rule():
             arr[0] = 0.0
 
 
-def _dense_upper_banded(ab):
-    """Symmetric dense matrix of an upper banded array (solveh_banded layout)."""
-    kd, n = ab.shape[0] - 1, ab.shape[1]
-    A = np.zeros((n, n))
-    for k in range(kd + 1):
-        for j in range(kd - k, n):
-            A[j - (kd - k), j] = A[j, j - (kd - k)] = ab[k, j]
-    return A
-
-
 @pytest.mark.parametrize("rows, n", [(2, 17), (3, 17), (2, 1), (3, 1)])
 def test_spd_banded_solve(rows, n):
+    # rows = u + 1, the rows of the upper storage; the band has 2u + 1
     rng = np.random.default_rng(rows * 100 + n)
-    ab = rng.uniform(-1.0, 1.0, (rows, n))
-    ab[-1] = 2.0 * rows + rng.uniform(0.0, 1.0, n)  # diagonally dominant
+    ab = np.zeros((2 * rows - 1, n))
+    ab[:rows] = rng.uniform(-1.0, 1.0, (rows, n))
+    ab[rows - 1] = 2.0 * rows + rng.uniform(0.0, 1.0, n)  # diagonally dominant
+    for j in range(1, rows):  # subdiagonal j mirrors superdiagonal j
+        ab[rows - 1 + j, : n - j] = ab[rows - 1 - j, j:]
     rhs = rng.standard_normal(n)
     x = solve_banded_spd(ab, rhs)
-    assert np.allclose(_dense_upper_banded(ab) @ x, rhs, rtol=0.0, atol=1e-13)
+    assert np.allclose(_dense(ab) @ x, rhs, rtol=0.0, atol=1e-13)
 
 
 def test_constrained_newton_step_is_the_null_space_step():
     rng = np.random.default_rng(11)
     n = 9
-    H = np.empty((2, n))
+    H = np.zeros((3, n))
     H[1] = rng.uniform(2.0, 3.0, n)
-    H[0] = rng.uniform(-0.9, 0.9, n)
+    H[0, 1:] = H[2, :-1] = rng.uniform(-0.9, 0.9, n)[1:]
     g = rng.standard_normal(n)
     measure, newton_step = constrained_newton(g, H, 1.0)
     step, slope, floor = newton_step()
 
     Z = np.eye(n)[:, :-1] - np.eye(n)[:, 1:]  # z_j = e_j - e_{j+1}
-    Hd = _dense_upper_banded(H)
+    Hd = _dense(H)
     expected = Z @ np.linalg.solve(Z.T @ Hd @ Z, -Z.T @ g)
     assert measure == float(np.max(np.abs(Z.T @ g)))
     assert np.allclose(step, expected, rtol=0.0, atol=1e-12)
@@ -360,7 +360,8 @@ def test_constrained_newton_step_is_the_null_space_step():
 
 
 def test_constrained_newton_single_unknown_is_stationary():
-    measure, _ = constrained_newton(np.array([3.0]), np.array([[0.0], [2.0]]), 1.0)
+    H = np.array([[0.0], [2.0], [0.0]])
+    measure, _ = constrained_newton(np.array([3.0]), H, 1.0)
     assert measure == 0.0
 
 
@@ -374,18 +375,19 @@ def _scipy_lapack():
 
 
 def _scipy_spd_solve(ab, rhs):
-    """scipy's solve of an upper banded SPD system: (x, info)."""
+    """scipy's solve of a banded SPD system from its upper rows 0..u: (x, info)."""
     ptsv, _, pbsv = _scipy_lapack()
-    if ab.shape[0] == 2 and rhs.size > 1:
+    if ab.shape[0] == 3 and rhs.size > 1:
         return ptsv(ab[1], ab[0, 1:], rhs)[2:]
-    return pbsv(ab, rhs)[1:]
+    return pbsv(ab[: ab.shape[0] // 2 + 1], rhs)[1:]
 
 
 def _spd_tridiagonal(rng, n):
-    ab = np.empty((2, n))
+    ab = np.zeros((3, n))
     ab[0] = rng.uniform(-1.0, 1.0, n)
     ab[0, 0] = 0.0
     ab[1] = rng.uniform(2.0, 3.0, n)  # diagonally dominant
+    ab[2, :-1] = ab[0, 1:]
     return ab
 
 
@@ -420,7 +422,7 @@ def test_pentadiagonal_solve_matches_scipy_bit_for_bit(monkeypatch):
     H = _spd_tridiagonal(rng, 65)
     constrained_newton(rng.standard_normal(65), H, 1.0)[1]()
     (S, rhs, x), = systems
-    assert S.shape == (3, 64)
+    assert S.shape == (5, 64)
     ref, info = _scipy_spd_solve(S, rhs)
     assert info == 0 and x.tobytes() == ref.tobytes()
 
@@ -428,9 +430,8 @@ def test_pentadiagonal_solve_matches_scipy_bit_for_bit(monkeypatch):
 @pytest.mark.parametrize("n", [2, 513])
 def test_diagonal_lift_matches_scipy_bit_for_bit(n):
     # the Neumann Laplacian is singular: the last pivot is exactly 0
-    ab = np.empty((2, n))
-    ab[0] = -1.0
-    ab[0, 0] = 0.0
+    ab = np.zeros((3, n))
+    ab[0, 1:] = ab[2, :-1] = -1.0
     ab[1] = 2.0
     ab[1, [0, -1]] = 1.0
     rhs = np.random.default_rng(n).standard_normal(n)
@@ -449,9 +450,10 @@ def test_solves_reject_non_finite_and_singular_systems():
         rhs[-1] = math.inf
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve_banded_spd(_spd_tridiagonal(rng, n), rhs)
-    diag = np.array([1.0, 2.0, 0.0, 3.0, 4.0])  # a zero column
+    banded = np.zeros((3, 5))
+    banded[1] = [1.0, 2.0, 0.0, 3.0, 4.0]  # a zero column
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        solve_tridiagonal(np.zeros(4), diag, np.zeros(4), np.ones(5))
+        solve_tridiagonal(banded, np.ones(5))
 
 
 @pytest.mark.parametrize(
@@ -460,7 +462,7 @@ def test_solves_reject_non_finite_and_singular_systems():
      (13, "13th"), (21, "21st"), (22, "22nd"), (23, "23rd")],
 )
 def test_breakdown_names_the_minor_by_its_ordinal(k, ordinal):
-    banded = np.zeros((2, 25))
+    banded = np.zeros((3, 25))
     banded[1] = 1.0
     banded[1, k - 1] = -1.0  # the leading minor of order k is the first not PD
     with pytest.raises(np.linalg.LinAlgError) as exc:
@@ -488,14 +490,17 @@ def test_fallback_to_scipy_gives_the_same_bits(monkeypatch):
 
     rng = np.random.default_rng(29)
     spd = [_spd_tridiagonal(rng, n) for n in (1, 2, 33)]
-    penta = np.vstack([rng.uniform(-0.5, 0.5, (2, 33)), rng.uniform(3.0, 4.0, 33)])
+    penta = np.zeros((5, 33))
+    penta[:2] = rng.uniform(-0.5, 0.5, (2, 33))
+    penta[2] = rng.uniform(3.0, 4.0, 33)
+    penta[3, :-1], penta[4, :-2] = penta[1, 1:], penta[0, 2:]
     general = rng.standard_normal((3, 33))
     rhs = {n: rng.standard_normal(n) for n in (1, 2, 33)}
 
     def solve_all():
         out = [solve_banded_spd(ab, rhs[ab.shape[1]]) for ab in spd]
         out.append(solve_banded_spd(penta, rhs[33]))
-        out.append(solve_tridiagonal(*_diagonals(general), rhs[33]))
+        out.append(solve_tridiagonal(general, rhs[33]))
         return [x.tobytes() for x in out]
 
     native = solve_all()
@@ -514,3 +519,80 @@ def test_fallback_to_scipy_gives_the_same_bits(monkeypatch):
     for name, routine in zip(("_PTSV", "_GTSV", "_PBSV"), routines):
         monkeypatch.setattr(_p1, name, routine)
     assert solve_all() == native
+
+
+# --------------------------------------------------------- one banded layout
+
+
+def test_every_matrix_is_in_the_one_band_layout(monkeypatch):
+    # scipy.linalg.solve_banded's ab with equal bandwidths u: 2u + 1 rows,
+    # the diagonal in row u, 0.0 in the corners no entry reaches; symmetric
+    # matrices fill both halves, and the SPD solve reads rows 0..u alone
+    from stripshear import PhysicalParams
+    from stripshear.viscoplastic import _balance
+
+    mesh = make_mesh(N_CELLS)
+    psi = SmoothedDissipation(mesh, 1.0)
+    d = _field(mesh, False)
+    rad = psi.radius(d, 1e-6)
+    S = 1.5 + np.cos(2.0 * mesh.nodes)  # positive, non-uniform strength
+    A = _p1.energy_banded(mesh, 2.0, 0.5)
+    g, H = psi.grad_hess(rad)
+    symmetric = {
+        "energy_banded": A,
+        "gram": psi.gram,
+        "grad_hess": H,
+        "power_flux at w = 1": psi.power_flux(rad, 0.3, np.ones_like(rad.u))[1](),
+    }
+    built = {
+        **symmetric,
+        "power_flux at w != 1": psi.power_flux(rad, 0.3, _p1.at_points(S)[0])[1](),
+    }
+    for name, ab in built.items():
+        assert ab.shape == (3, N_CELLS + 1) and ab[0, 0] == ab[2, -1] == 0.0, name
+
+    # the visco step's Jacobian, on the interior columns of its bands
+    p = PhysicalParams(
+        S0=1.0, kappa=1.0, L=0.6, ell=0.8, h=1.0, G=1.0, d0=1.0, m_rate=0.2
+    )
+    balance = _balance(mesh, 0.3 * (1.0 - mesh.nodes**2), S, 1.7, 0.05, p)
+    J = balance(0.5 * d[1:-1], 1e-10)[1]()
+    assert J.shape == (3, N_CELLS - 1)
+    x = np.random.default_rng(31).standard_normal(N_CELLS + 1)
+    for name, ab in {**built, "_balance's Jacobian": J}.items():
+        y = _p1.banded_matvec(ab, x[: ab.shape[1]])
+        dense = _dense(ab) @ x[: ab.shape[1]]
+        assert np.allclose(y, dense, rtol=0.0, atol=1e-13 * np.max(np.abs(dense))), name
+    # gtsv reads the three diagonals alone: not the corners
+    rhs = x[1:-1]
+    corners = J.copy()
+    corners[0, 0] = corners[2, -1] = math.nan
+    x_corners = solve_tridiagonal(corners, rhs)
+    assert x_corners.tobytes() == solve_tridiagonal(J, rhs).tobytes()
+
+    # constrained_newton's reduced Hessian, as it passes it on
+    reduced = []
+    solve = _p1.solve_banded_spd
+
+    def record(ab, rhs):
+        reduced.append(ab)
+        return solve(ab, rhs)
+
+    monkeypatch.setattr(_p1, "solve_banded_spd", record)
+    constrained_newton(g[1:-1], (H + A)[:, 1:-1], 1.0)[1]()
+    monkeypatch.undo()
+    (penta,) = reduced
+    assert penta.shape == (5, N_CELLS - 2)
+    symmetric["constrained_newton"] = penta
+
+    for name, ab in symmetric.items():
+        u = ab.shape[0] // 2
+        for j in range(1, u + 1):  # subdiagonal j mirrors superdiagonal j
+            assert ab[u + j, :-j].tobytes() == ab[u - j, j:].tobytes(), name
+        # the dissipation's Hessians are SPD once the elastic band is added
+        spd = ab + A if name in ("grad_hess", "power_flux at w = 1") else ab
+        rhs = np.random.default_rng(37).standard_normal(spd.shape[1])
+        upper = spd.copy()
+        upper[u + 1 :] = math.nan
+        x_upper = solve_banded_spd(upper, rhs)
+        assert x_upper.tobytes() == solve_banded_spd(spd, rhs).tobytes(), name

@@ -805,8 +805,8 @@ def test_jacobian_matches_a_per_point_loop(m_rate, unloading):
         case = _jacobian_case(m_rate, unloading, over)
         balance, gamma, gamma_n, S, tau, dt, p, dy = case
         eps = 1e-10 * p.d0
-        sub, diag, sup = balance(gamma[1:-1], eps)[1]()
-        got = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        J = balance(gamma[1:-1], eps)[1]()
+        got = np.diag(J[1]) + np.diag(J[2, :-1], -1) + np.diag(J[0, 1:], 1)
 
         # the dense 2 x 2 block of every Gauss point: the elastic part, and
         # with c = phi, e = ell phi', u = a, l = ell b, R = d and w = S / S0
@@ -851,9 +851,9 @@ def test_jacobian_matches_finite_differences(m_rate, unloading):
         def residual(g):
             return balance(g[1:-1], eps)[0]
 
-        sub, diag, sup = balance(gamma[1:-1], eps)[1]()
+        J = balance(gamma[1:-1], eps)[1]()
         n = gamma.size
-        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        dense = np.diag(J[1]) + np.diag(J[2, :-1], -1) + np.diag(J[0, 1:], 1)
 
         fd = np.zeros((n - 2, n - 2))
         h = 1e-6
