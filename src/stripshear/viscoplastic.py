@@ -166,11 +166,16 @@ class ViscoState:
 
     gamma and S live on the same reference mesh (y = h * r); gamma is
     clamped at the strip faces, S is a per-node strength in stress units.
+    converged is False when the step that made the state did not meet
+    visco_step's tolerance in its direct Newton solve: it stopped on the
+    residual's round-off floor above tol (ROADMAP item 6) or went down the
+    continuation ladder.
     """
 
     t: float
     gamma: Field
     S: Field
+    converged: bool = True
 
     def __post_init__(self) -> None:
         if not math.isfinite(float(self.t)):
@@ -282,7 +287,8 @@ def visco_step(
     geometrically), the step is re-solved from the same start down _p1's
     smoothing ladder over exact decades 1e-2 d0, 1e-3 d0, ..., 1e-9 d0 and
     then the nominal eps_v; a level that takes no Newton step sends it
-    straight to eps_v, and a level that fails fails the step.
+    straight to eps_v, and a level that fails fails the step.  The new
+    state is converged when the direct solve met tol.
     """
     tau_next = float(tau_next)
     dt = float(dt)
@@ -334,8 +340,9 @@ def visco_step(
     # a non-finite system and the step a non-finite gamma or strength
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         try:
-            x = damped_newton(start[1:-1], *make_merit(eps_v), tol)[0]
+            x, measure = damped_newton(start[1:-1], *make_merit(eps_v), tol)
         except SolverError:
+            measure = math.inf
             # continuation: relax the corner by widening the rate smoothing,
             # then sharpen it one decade at a time back to eps_v
             levels = [base.d0 * 10.0 ** -k for k in range(2, 10)] + [eps_v]
@@ -354,7 +361,10 @@ def visco_step(
     if not (np.isfinite(x).all() and np.isfinite(S_new).all()):
         raise SolverError("viscoplastic step left a non-finite gamma or strength")
     return ViscoState(
-        t=state.t + dt, gamma=Field(mesh, x), S=Field(mesh, S_new)
+        t=state.t + dt,
+        gamma=Field(mesh, x),
+        S=Field(mesh, S_new),
+        converged=measure <= tol,
     )
 
 
@@ -370,6 +380,21 @@ def _validate_load(load) -> list[tuple[float, float]]:
     return pairs
 
 
+def _growth_factor(rate: np.ndarray, last_rate: np.ndarray) -> np.ndarray:
+    """Per-node growth q = rate / last_rate of the flow rate, bounded to [1/2, 2].
+
+    Under the power law the rate grows by about (1 + dtau / tau)^(1/m) per
+    step, so carrying q one step on extrapolates log|rate| linearly.  q = 1
+    where the two rates differ in sign or either is zero.  Unbounded, an
+    overshooting start throws Newton out of its basin (a step of two sine
+    loads at m = 0.005, ell = 100 on 16 cells raises from it).
+    """
+    same_sign = np.sign(rate) * np.sign(last_rate) > 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = np.clip(rate / last_rate, 0.5, 2.0)
+    return np.where(same_sign, q, 1.0)
+
+
 def simulate_visco(
     load: Sequence,
     p: ViscoParams,
@@ -379,27 +404,57 @@ def simulate_visco(
 
     One implicit step per consecutive pair; the series resolution is the
     time step.  The load need not be monotone.  Returns all states,
-    including the initial one.
+    including the initial one.  Each step after the first starts Newton
+    from the plain secant: the last state plus its last rate times the next
+    dt.  Where the last two steps converged and the load keeps its
+    direction over them and the next, each node's rate is first scaled by
+    its growth over the last two (_growth_factor), which extrapolates
+    log|rate|; a step that does not converge from that start is taken
+    again from the plain secant.  So the growth factor changes only how a
+    converging step is reached.  A state accepted on the round-off floor
+    (ROADMAP item 6) is the plain secant's, and so is the start after it.
     """
     pairs = _validate_load(load)
     states = [ViscoState.virgin(mesh, p, t=pairs[0][0])]
-    guess = None
+    # direction of each load increment: the rate's growth over a hold or a
+    # turn says nothing about the next step
+    heading = np.sign(np.diff([tau for _, tau in pairs]))
+    secant = growth = last_rate = None
     for k in range(1, len(pairs)):
         t_next, tau_next = pairs[k]
         dt = t_next - pairs[k - 1][0]
         try:
-            states.append(visco_step(states[-1], tau_next, dt, p, guess))
+            state = None
+            if growth is not None:
+                try:
+                    state = visco_step(states[-1], tau_next, dt, p, growth)
+                except SolverError:
+                    pass
+            if state is None or not state.converged:
+                state = visco_step(states[-1], tau_next, dt, p, secant)
         except SolverError as err:
             raise SolverError(
                 f"load point {k} (t = {t_next:g}, tau = {tau_next:g}) failed: {err}",
                 residual=err.residual,
                 step=k,
             ) from err
-        # secant-in-time warm start for the next step
+        states.append(state)
+        # secant-in-time warm starts for the next step
         if len(pairs) > k + 1:
-            g1 = states[-1].gamma.values
+            g1 = state.gamma.values
             g0 = states[-2].gamma.values
-            guess = g1 + (g1 - g0) * ((pairs[k + 1][0] - t_next) / dt)
+            rate = (g1 - g0) / dt
+            ratio = (pairs[k + 1][0] - t_next) / dt
+            secant = g1 + (g1 - g0) * ratio
+            growth = None
+            if (
+                last_rate is not None
+                and state.converged
+                and states[-2].converged
+                and heading[k - 2] == heading[k - 1] == heading[k] != 0.0
+            ):
+                growth = g1 + (g1 - g0) * (_growth_factor(rate, last_rate) * ratio)
+            last_rate = rate
     return states
 
 
