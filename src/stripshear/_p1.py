@@ -469,7 +469,6 @@ _PTSV, _GTSV, _PBSV = _lapack_routines()
 
 _DIAGONAL_LIFT = 1e-14  # ~50 ulps per pivot: clears one rounded to <= 0
 _ARMIJO = 1e-4  # sufficient-decrease share of the linear model (textbook)
-_STALL_MULTIPLE = 1e3  # a stall within this multiple of the floor is roundoff
 _ROUNDOFF = 1e-15  # roundoff of a sum of terms, relative to their magnitudes
 
 
@@ -526,18 +525,13 @@ def convex_newton(g: np.ndarray, H: np.ndarray, fscale: float):
 
     g and H are the gradient and banded SPD Hessian; fscale is the sum of
     the magnitudes of all terms accumulated into f (so cancellation inside
-    the sums is counted).  The measure is max|g|; the step is Newton's, or
-    steepest descent where roundoff makes it ascend.
+    the sums is counted).  The measure is max|g| and the step is Newton's.
     """
     gnorm = float(np.max(np.abs(g), initial=0.0))
 
     def newton_step():
         step = solve_banded_spd(H, -g)
-        slope = float(g @ step)
-        if slope >= 0.0:
-            step = -g
-            slope = float(g @ step)
-        return step, slope, _ROUNDOFF * fscale
+        return step, float(g @ step), _ROUNDOFF * fscale
 
     return gnorm, newton_step
 
@@ -582,22 +576,24 @@ def damped_newton(
     evaluate(x) returns (merit, state) and is all a line-search trial costs.
     derivatives(state) returns (measure, newton_step) at an accepted point;
     newton_step() returns (step, slope, floor): the direction, the merit's
-    (negative) slope along it and the merit's roundoff floor.  It runs only
-    when measure > tol, so a converged point costs no solve.  Convergence:
-    measure <= tol, or the decrement -slope/2 falls below the floor (no
-    representable iterate can still improve the merit).  Iterates inside
-    the floor wander, so the best-measure iterate seen is returned.  The
-    budget is DEFAULT_OPTIONS.max_newton_iters iterations.  Raises
-    SolverError on stagnation away from stationarity, when the floor is not
-    finite (the merit's terms overflow, so no decrement can be judged), and
-    when a step's linear solve breaks down (LinAlgError) or meets a
-    non-finite system (the solves' ValueError).
+    slope along it and the merit's roundoff floor.  It runs only when
+    measure > tol, so a converged point costs no solve.  The budget is
+    DEFAULT_OPTIONS.max_newton_iters iterations.  The exits:
+    - measure <= tol: the point and its measure;
+    - the roundoff floor: the decrement -slope/2 of a descent direction is
+      at most the floor, so no representable iterate can still improve the
+      merit.  Iterates inside the floor wander, so the best-measure iterate
+      seen is returned, with its measure above tol;
+    - SolverError in every other case: a step's linear solve breaks down
+      (LinAlgError) or meets a non-finite system (the solves' ValueError),
+      the floor is not finite (the merit's terms overflow, so no decrement
+      can be judged), the direction does not descend (slope >= 0), the line
+      search cannot move x, or the budget is spent.
     """
     max_iters = DEFAULT_OPTIONS.max_newton_iters
     merit, state = evaluate(x)
     measure, newton_step = derivatives(state)
     x_best, m_best = x, measure
-    dec, floor = math.inf, 0.0
     for _ in range(max_iters):
         if measure <= tol:
             return x, measure
@@ -610,6 +606,12 @@ def damped_newton(
         if not math.isfinite(floor):
             raise SolverError(
                 f"Newton merit overflows: roundoff floor {floor} (measure "
+                f"{measure:.3e})",
+                residual=measure,
+            )
+        if slope >= 0.0:
+            raise SolverError(
+                f"Newton direction does not descend (slope {slope:.3e}, measure "
                 f"{measure:.3e})",
                 residual=measure,
             )
@@ -628,10 +630,9 @@ def damped_newton(
         if np.array_equal(x_new, x):
             # the line search stalled, or the damped step underflowed x
             # (merit_new == merit passes through the floor slack)
-            if dec <= _STALL_MULTIPLE * floor:
-                return x_best, m_best
             raise SolverError(
-                f"Newton stalled away from stationarity (measure {measure:.3e})",
+                f"Newton stalled: decrement {dec:.3e} against floor {floor:.3e} "
+                f"(measure {measure:.3e})",
                 residual=measure,
             )
         x, merit = x_new, merit_new
@@ -640,9 +641,6 @@ def damped_newton(
             x_best, m_best = x, measure
     if measure <= tol:
         return x, measure
-    if dec <= _STALL_MULTIPLE * floor:
-        # the budget ran out wandering inside the merit's roundoff floor
-        return x_best, m_best
     raise SolverError(
         f"Newton did not reach tolerance {tol:.1e} in {max_iters} iterations "
         f"(measure {measure:.3e})",

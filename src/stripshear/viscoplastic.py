@@ -168,8 +168,8 @@ class ViscoState:
     clamped at the strip faces, S is a per-node strength in stress units.
     converged is False when the step that made the state did not meet
     visco_step's tolerance in its direct Newton solve: it stopped on the
-    residual's round-off floor above tol (ROADMAP item 6) or went down the
-    continuation ladder.
+    residual's round-off floor above tol (ROADMAP item 6) or raised, a spent
+    Newton budget included, and went down the continuation ladder.
     """
 
     t: float
@@ -282,13 +282,13 @@ def visco_step(
     accepted flow rate, so a saturating strength never crosses S_sat.
     Newton starts from the interior values of gamma_init when one is given
     (a warm start from the previous increment), and from the state's own
-    gamma (zero rate) otherwise.  If the sharp problem resists (rates
-    trapped in the regularization corner crawl out of it only
-    geometrically), the step is re-solved from the same start down _p1's
-    smoothing ladder over exact decades 1e-2 d0, 1e-3 d0, ..., 1e-9 d0 and
-    then the nominal eps_v; a level that takes no Newton step sends it
-    straight to eps_v, and a level that fails fails the step.  The new
-    state is converged when the direct solve met tol.
+    gamma (zero rate) otherwise.  If the direct solve raises SolverError, a
+    spent Newton budget included (rates trapped in the regularization corner
+    crawl out of it only geometrically), the step is re-solved from the
+    same start down _p1's smoothing ladder over exact decades 1e-2 d0,
+    1e-3 d0, ..., 1e-9 d0 and then the nominal eps_v; a level that takes no
+    Newton step sends it straight to eps_v, and a level that fails fails the
+    step.  The new state is converged when the direct solve met tol.
     """
     tau_next = float(tau_next)
     dt = float(dt)

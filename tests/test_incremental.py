@@ -46,7 +46,9 @@ What is verified:
      solve starts from the closed-form onset profile at the last smoothing
      level: at most 8 objective evaluations at 512 cells for lam in
      {0.5, 1.179812, 2}, and past theta_of_lambda's domain (lam = 1e-10,
-     1e15) it still returns 0 <= lower <= upper.
+     1e15) it still returns 0 <= lower <= upper.  At 512 cells and
+     lam = 1e13, where its Newton spends the budget inside the roundoff
+     floor, it raises SolverError.
      Below the bracket an increment from the virgin state is the exact
      zero field without any Newton iteration, above it the strip flows.  A property test over
      (lam, Lambda, kappa, theta, n_cells) checks that increments from the
@@ -478,6 +480,13 @@ def test_threshold_bracket_beyond_the_closed_form_domain(lam):
     # theta_of_lambda refuses both lam; NondimParams takes them
     lower, upper, _ = yield_stress.threshold_bracket(64, lam)
     assert 0.0 <= lower <= upper
+
+
+def test_threshold_bracket_wandering_in_the_roundoff_floor_raises():
+    # the bracket's Newton spends its whole budget wandering inside the
+    # objective's roundoff floor, where the dual certifies nothing
+    with pytest.raises(SolverError, match="did not reach tolerance"):
+        yield_stress.threshold_bracket(512, 1e13)
 
 
 @pytest.mark.parametrize("n_cells, lam", [(4, 0.3), (16, 2.0), (64, 100.0)])

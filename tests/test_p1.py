@@ -13,7 +13,10 @@ What is verified:
      merit's roundoff floor returns after that one evaluation.  A step
      whose linear solve breaks down, or meets a non-finite system, raises
      SolverError carrying the current measure, not the solve's
-     LinAlgError or ValueError.
+     LinAlgError or ValueError.  The floor is the only exit above tol: a
+     direction that does not descend, a line search that cannot move x and
+     a spent budget each raise SolverError, even where the decrement lies
+     within a thousand floors.
   5. The general tridiagonal solve gives scipy.linalg.solve_banded's bits,
      pivoting included, and rejects non-finite systems.
   6. The shared Gauss(3) rule equals both spellings of the rule mapped to
@@ -45,6 +48,7 @@ What is verified:
      returns the same bits with NaN below the diagonal row.
 """
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -296,6 +300,66 @@ def test_newton_turns_a_failed_step_solve_into_a_solver_error():
         damped_newton(np.ones(4), evaluate, non_finite, 1e-9)
     assert info.value.residual == 0.5
     assert type(info.value.__cause__) is ValueError
+
+
+@pytest.mark.parametrize("slope", [0.0, 1e-3])
+def test_newton_raises_on_a_direction_that_does_not_descend(slope):
+    # a decrement -slope/2 <= 0 lies under any floor, but no step along an
+    # ascent direction can be judged converged
+    def evaluate(x):
+        return 1.0, x
+
+    def derivatives(x):
+        def newton_step():
+            return np.ones_like(x), slope, 1e-16
+
+        return 1.0, newton_step
+
+    with pytest.raises(SolverError, match="does not descend") as info:
+        damped_newton(np.ones(5), evaluate, derivatives, 1e-9)
+    assert info.value.residual == 1.0
+
+
+def test_newton_raises_when_the_line_search_cannot_move_x():
+    # every move raises the merit, and the decrement 5e-15 lies within a
+    # thousand floors of 1e-16: the search halves t until x + t step == x
+    x0 = np.ones(5)
+
+    def evaluate(x):
+        return 1.0 + float(np.max(np.abs(x - x0))), x
+
+    def derivatives(x):
+        def newton_step():
+            return np.ones_like(x), -1e-14, 1e-16
+
+        return 0.5, newton_step
+
+    with pytest.raises(SolverError, match="stalled") as info:
+        damped_newton(x0, evaluate, derivatives, 1e-9)
+    assert info.value.residual == 0.5
+
+
+def test_newton_raises_when_the_budget_is_spent(monkeypatch):
+    # each step lowers the merit, the measure never reaches tol and the
+    # decrement 5e-15 lies within a thousand floors of 1e-16
+    budget = dataclasses.replace(_p1.DEFAULT_OPTIONS, max_newton_iters=3)
+    monkeypatch.setattr(_p1, "DEFAULT_OPTIONS", budget)
+    evaluated = []
+
+    def evaluate(x):
+        evaluated.append(x)
+        return float(x[0]), x
+
+    def derivatives(x):
+        def newton_step():
+            return -np.ones_like(x), -1e-14, 1e-16
+
+        return 0.5, newton_step
+
+    with pytest.raises(SolverError, match="in 3 iterations") as info:
+        damped_newton(np.ones(5), evaluate, derivatives, 1e-9)
+    assert info.value.residual == 0.5
+    assert len(evaluated) == 4  # the start and one full step per iteration
 
 
 def test_tridiagonal_solve_matches_scipy_bit_for_bit():
